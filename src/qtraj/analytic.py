@@ -635,9 +635,9 @@ def meter_condition_weights(spec: TwoModeSpec, amp: AmplifierSpec, t: float,
                             x_b, amp_b: Optional[AmplifierSpec] = None):
     """Branch weights and fringe ratio conditioned on a meter position.
 
-    Returns (w_plus, s): the weight of the +x1 branch and the
-    interference suppression factor sech(x_b G_b x1b / sigma_xb^2(t)),
-    both vectorised over x_b.
+    Returns (w_plus, s) with u = x_b G_b x1b / sigma_xb^2(t): the weight
+    (1 + tanh u)/2 of the +x1 branch and the interference suppression
+    factor sech u, both vectorised over x_b and finite for any |u|.
     """
     if amp_b is None:
         amp_b = amp
@@ -645,7 +645,7 @@ def meter_condition_weights(spec: TwoModeSpec, amp: AmplifierSpec, t: float,
     gb = float(gain(amp_b, t))
     sxb = sigma_x2_at(spec.mode_b, amp_b, t)
     u = np.asarray(x_b, dtype=float) * gb * spec.x1b / sxb
-    w_plus = 1.0 / (1.0 + np.exp(-2.0 * u))
+    w_plus = 0.5 * (1.0 + np.tanh(u))
     au = np.abs(u)
     s = 2.0 * np.exp(-au) / (1.0 + np.exp(-2.0 * au))
     return w_plus, s
@@ -758,19 +758,3 @@ def meter_conditional_variances(spec: TwoModeSpec) -> MeterMoments:
         mean_pb=mean_pb,
         observed_var_pb=spb - mean_pb ** 2 - 1.0)
 
-
-def meter_fringe_damping_variants(spec: TwoModeSpec) -> dict:
-    """Both candidate forms of the system-induced meter-fringe damping.
-
-    "normalized" divides the exponent by 2 sigma_xa^2 (the form that
-    integration of the joint distribution produces and that the special
-    case of a coherent system, e^{-x1^2/2} in these units, matches);
-    "raw" omits the divisor.  Kept side by side so numerics can
-    arbitrate.
-    """
-    sup = spec.mode_a
-    sxa, spa = sup.mode.sigma_x2, sup.mode.sigma_p2
-    x1 = spec.x1
-    expo = x1 ** 2 * (1.0 + spa / sxa)
-    return {"normalized": math.exp(-0.5 * expo / sxa),
-            "raw": math.exp(-expo)}

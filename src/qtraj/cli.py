@@ -19,9 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -255,29 +253,6 @@ def _comment_fields(sc: ScenarioFile) -> dict:
             "trajectories": sc.trajectories}
 
 
-def _stream_chunks(chunk_fn, n_traj: int, threads: int, stream_offset: int = 0):
-    """Yield (lo, hi, chunk arrays) in chunk order.
-
-    ``chunk_fn(stream_index, size)`` generates one chunk; chunks are
-    computed ``threads`` at a time but always consumed in index order,
-    so reductions are bitwise independent of the thread count.
-    """
-    ids = list(range(sde_engine.n_chunks(n_traj)))
-
-    def call(cid):
-        lo, hi = sde_engine.chunk_bounds(n_traj, cid)
-        return lo, hi, chunk_fn(stream_offset + cid, hi - lo)
-
-    if threads == 1:
-        for cid in ids:
-            yield call(cid)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, len(ids), threads):
-            wave = ids[start:start + threads]
-            yield from pool.map(call, wave)
-
-
 class _MomentTally:
     """Streaming per-time mean/variance accumulator for one coordinate."""
 
@@ -299,37 +274,19 @@ class _MomentTally:
         return (self.total_sq - self.n * m * m) / (self.n - 1)
 
 
+def _columns(chunks, n: int, picks):
+    """One length-n array per (coordinate, time index) in ``picks``,
+    gathered from the streamed chunks of a run."""
+    cols = [np.empty(n) for _ in picks]
+    for lo, hi, arrays in chunks:
+        for col, (i, j) in zip(cols, picks):
+            col[lo:hi] = arrays[i][:, j]
+        del arrays  # release the chunk before the next is submitted
+    return cols
+
+
 # ---------------------------------------------------------------------------
 # commands
-
-
-def _single_mode_chunk_fn(state, amp, seed, boundary):
-    if amp.gain_rate_g > 0.0:
-        dens = (sde_engine._single_mode_boundary(state, amp, boundary),
-                marginal_p(state, amp, 0.0))
-
-        def fn(stream_index, size):
-            return sde_engine.single_mode_chunk(
-                state, amp, seed, stream_index, size, boundary,
-                _densities=dens)
-    else:
-        dens = (marginal_p(state, amp, amp.t_final),
-                marginal_x(state, amp, 0.0))
-
-        def fn(stream_index, size):
-            return sde_engine.p_measurement_chunk(
-                state, amp, seed, stream_index, size, _densities=dens)
-    return fn
-
-
-def _two_mode_chunk_fn(state, amp, seed):
-    dens = (two_mode_q(state, amp, amp.t_final).marginal("p_a", "p_b"),
-            two_mode_q(state, amp, 0.0).marginal("x_a", "x_b"))
-
-    def fn(stream_index, size):
-        return sde_engine.two_mode_chunk(state, amp, seed, stream_index,
-                                         size, _densities=dens)
-    return fn
 
 
 def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
@@ -337,21 +294,17 @@ def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     state, amp = build_state(sc)
     validate_scenario(state, amp)
     grid = np.linspace(0.0, amp.t_final, amp.n_steps + 1)
-    two_mode = sc.kind == "two_mode"
-    if two_mode:
-        chunk_fn = _two_mode_chunk_fn(state, amp, sc.seed)
-        names = ("x", "p", "x_b", "p_b")
-    else:
-        chunk_fn = _single_mode_chunk_fn(state, amp, sc.seed, sc.boundary)
-        names = ("x", "p")
+    names = _marginal_axes(state)
     tallies = [_MomentTally(len(grid)) for _ in names]
     saved = None
-    for lo, hi, arrays in _stream_chunks(chunk_fn, sc.trajectories, threads):
+    for lo, hi, arrays in sde_engine.iter_chunks(
+            state, amp, sc.trajectories, sc.seed, threads, sc.boundary):
         for tally, block in zip(tallies, arrays):
             tally.add(block)
         if lo == 0:
             k = min(N_SAVED_PATHS, hi - lo)
             saved = [a[:k].copy() for a in arrays]
+        del arrays, block  # release the chunk before the next is submitted
 
     def traj_rows():
         for i in range(len(saved[0])):
@@ -378,10 +331,8 @@ def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     def summary_rows():
         means = [t.mean() for t in tallies]
         variances = [t.variance() for t in tallies]
-        exp_x = [_marginal_of(state, amp, t, names[0]).moments(
-            _marginal_of(state, amp, t, names[0]).axes[0])[1] for t in grid]
-        exp_p = [_marginal_of(state, amp, t, names[1]).moments(
-            _marginal_of(state, amp, t, names[1]).axes[0])[1] for t in grid]
+        exp_x, exp_p = ([_marginal_of(state, amp, t, axis).moments(0)[1]
+                         for t in grid] for axis in names[:2])
         for j, t in enumerate(grid):
             row = [t, sc.trajectories]
             for m, v in zip(means, variances):
@@ -430,13 +381,10 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         g_signed = rate if basis == "x" else -rate
         amp = AmplifierSpec(g_signed, t_final, sc.n_steps)
         validate_scenario(state, amp)
-        chunk_fn = _single_mode_chunk_fn(state, amp, sc.seed, sc.boundary)
-        finals = np.empty(sc.trajectories)
-        col = 0 if basis == "x" else 1
-        for lo, hi, arrays in _stream_chunks(
-                chunk_fn, sc.trajectories, threads,
-                stream_offset=offset_block * _STREAM_BLOCK):
-            finals[lo:hi] = arrays[col][:, -1]
+        (finals,) = _columns(sde_engine.iter_chunks(
+            state, amp, sc.trajectories, sc.seed, threads, sc.boundary,
+            stream_offset=offset_block * _STREAM_BLOCK),
+            sc.trajectories, [(0 if basis == "x" else 1, -1)])
         scale = math.exp(rate * t_final)
         scaled = finals / scale
         target = born_x(state) if basis == "x" else born_p(state)
@@ -489,16 +437,10 @@ def cmd_postselect(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         sc_i = replace(sc, x1=x1)
         state, amp = build_state(sc_i)
         validate_scenario(state, amp)
-        chunk_fn = _single_mode_chunk_fn(state, amp, sc.seed, sc.boundary)
-        x0 = np.empty(sc.trajectories)
-        p0 = np.empty(sc.trajectories)
-        x_tf = np.empty(sc.trajectories)
         base = 2 * i * _STREAM_BLOCK
-        for lo, hi, (xc, pc) in _stream_chunks(chunk_fn, sc.trajectories,
-                                               threads, stream_offset=base):
-            x0[lo:hi] = xc[:, 0]
-            p0[lo:hi] = pc[:, 0]
-            x_tf[lo:hi] = xc[:, -1]
+        x0, p0, x_tf = _columns(sde_engine.iter_chunks(
+            state, amp, sc.trajectories, sc.seed, threads, sc.boundary,
+            stream_offset=base), sc.trajectories, [(0, 0), (1, 0), (0, -1)])
         mask = x_tf >= 0.0
         loop_rng = RngStream(sc.seed, base + _STREAM_BLOCK // 2)
         for branch, sel in ((+1, mask), (-1, ~mask)):
@@ -527,21 +469,10 @@ def cmd_collapse(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     if not isinstance(state, TwoModeSpec):
         raise ScenarioError("collapse analysis needs a two_mode scenario")
     validate_scenario(state, amp)
-    chunk_fn = _two_mode_chunk_fn(state, amp, sc.seed)
     n = sc.trajectories
-    x0 = np.empty(n)
-    p0 = np.empty(n)
-    xb0 = np.empty(n)
-    pb0 = np.empty(n)
-    xa_tf = np.empty(n)
-    xb_tf = np.empty(n)
-    for lo, hi, (xa, pa, xb, pb) in _stream_chunks(chunk_fn, n, threads):
-        x0[lo:hi] = xa[:, 0]
-        p0[lo:hi] = pa[:, 0]
-        xb0[lo:hi] = xb[:, 0]
-        pb0[lo:hi] = pb[:, 0]
-        xa_tf[lo:hi] = xa[:, -1]
-        xb_tf[lo:hi] = xb[:, -1]
+    x0, p0, xb0, pb0, xa_tf, xb_tf = _columns(
+        sde_engine.iter_chunks(state, amp, n, sc.seed, threads), n,
+        [(0, 0), (1, 0), (2, 0), (3, 0), (0, -1), (2, -1)])
     agreement = float(np.mean((xa_tf >= 0.0) == (xb_tf >= 0.0)))
     mask = xb_tf >= 0.0
     plus = PostselectedEnsemble(+1, x0[mask], p0[mask], xb0[mask], pb0[mask])
@@ -617,10 +548,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sc = replace(sc, trajectories=args.trajectories)
         if args.seed is not None:
             sc = replace(sc, seed=args.seed)
-        threads = args.threads
-        if threads is None:
-            threads = int(os.environ.get("QTRAJ_THREADS", "1"))
-        threads = max(1, threads)
+        threads = sde_engine.resolve_threads(args.threads)
         _COMMANDS[args.command](sc, Path(args.out), threads)
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ a constant of the motion and is precomputed here once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -263,6 +264,21 @@ class Scenario:
         return self.state.mode_a if self.is_two_mode else self.state
 
 
+# Largest exponent a double holds, with headroom for sums of squares.
+_MAX_LOG_SQUARE = math.log(sys.float_info.max) - 16.0
+
+
+def _check_gain(amp: AmplifierSpec, mode: ModeSpec) -> None:
+    """Reject a gain whose closed forms at t_final overflow a double: they
+    square G(t_final)^{+-1} times the packet's centre or t = 0 width."""
+    gtf = amp.gain_rate_g * amp.t_final
+    limit = 0.5 * _MAX_LOG_SQUARE - max(math.log(max(abs(mode.mean_x), 1.0)),
+                                        abs(mode.squeeze_r) + 0.35)
+    if abs(gtf) >= limit:
+        raise ScenarioError(f"amp.gtf = {gtf:.6g} overflows at t_final; "
+                            f"this state needs |amp.gtf| < {limit:.4g}")
+
+
 def validate_scenario(spec: StateSpec, amp: AmplifierSpec,
                       amp_b: Optional[AmplifierSpec] = None) -> Scenario:
     """Check a state/amplifier pairing and precompute derived constants.
@@ -286,7 +302,8 @@ def validate_scenario(spec: StateSpec, amp: AmplifierSpec,
     NonNormalizedAmplitudes, ZeroGain, NonPositiveSteps
         Propagated from the component specs.
     ScenarioError
-        For a meter amplifier on a single-mode state or mismatched grids.
+        For a meter amplifier on a single-mode state, mismatched grids, or
+        a gain whose closed forms at t_final would overflow.
     """
     grid = TimeGrid.from_amplifier(amp)
     if isinstance(spec, TwoModeSpec):
@@ -295,6 +312,8 @@ def validate_scenario(spec: StateSpec, amp: AmplifierSpec,
         if (amp_b.t_final != amp.t_final or amp_b.n_steps != amp.n_steps):
             raise ScenarioError("meter amplifier must share the time grid")
         sup = spec.mode_a
+        _check_gain(amp, sup.mode)
+        _check_gain(amp_b, spec.mode_b)
         ea = sup.mode.overlap_exponent
         eb = spec.mode_b.overlap_exponent
         f2 = 1.0 + math.cos(sup.phase_phi) * math.exp(-ea - eb)
@@ -307,6 +326,7 @@ def validate_scenario(spec: StateSpec, amp: AmplifierSpec,
     if amp_b is not None:
         raise ScenarioError("amp_b only applies to two-mode states")
     sup = as_superposition(spec)
+    _check_gain(amp, sup.mode)
     return Scenario(
         state=sup, amp=amp, grid=grid,
         sigma_x2=sup.mode.sigma_x2, sigma_p2=sup.mode.sigma_p2,

@@ -18,15 +18,17 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .analytic import (FringeTerm, GaussComponent, GaussFringeDensity,
-                       UnsupportedPhase, _phase_kind)
-from .core import (ModeSpec, ScenarioError, SuperpositionSpec, TwoModeSpec,
-                   as_superposition)
+                       UnsupportedPhase, _phase_kind, meter_condition_weights)
+from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
+                   TwoModeSpec)
 from .sampler import RngStream, _as_generator, sample_p_given_x
 from .sde_engine import TrajectoryEnsemble
 from .stats import Histogram, histogram
 
 N_BATCHES = 10
 MIN_SAMPLES = 100
+# Meter conditionals are taken at t = 0, where no amplifier enters.
+_T0_AMP = AmplifierSpec(1.0, 1.0, 1)
 
 
 class EmptyEnsemble(ValueError):
@@ -139,21 +141,6 @@ def bin_by_sign(ensemble: TrajectoryEnsemble, mode: str = "a"
     return take(mask, +1), take(~mask, -1)
 
 
-def _meter_weights(spec: TwoModeSpec, x_b0: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Branch weight and interference suppression given initial meter values.
-
-    Stable for arbitrarily large |x_b0|: w_plus = (1 + tanh u)/2 and
-    s = sech u with u = x_b0 x1b / sigma_xb^2.
-    """
-    sxb = spec.mode_b.sigma_x2
-    u = np.asarray(x_b0, dtype=float) * spec.x1b / sxb
-    w_plus = 0.5 * (1.0 + np.tanh(u))
-    au = np.abs(u)
-    s = 2.0 * np.exp(-au) / (1.0 + np.exp(-2.0 * au))
-    return w_plus, s
-
-
 def _draw_conditional_triple(spec: TwoModeSpec, x_b0: np.ndarray, rng
                              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw (x_a, p_a, p_b) from the conditional given each initial meter value.
@@ -171,7 +158,7 @@ def _draw_conditional_triple(spec: TwoModeSpec, x_b0: np.ndarray, rng
     k_a = x1 / sxa
     k_b = spec.x1b / sxb
     phi = sup.phase_phi
-    w_plus, s = _meter_weights(spec, x_b0)
+    w_plus, s = meter_condition_weights(spec, _T0_AMP, 0.0, x_b0)
     e_amp = math.exp(-0.5 * x1 ** 2 / sxa)
     sig_x, sig_pa, sig_pb = math.sqrt(sxa), math.sqrt(spa), math.sqrt(spb)
     m = len(x_b0)
@@ -386,7 +373,7 @@ def infer_state_A_numeric(selected: PostselectedEnsemble, spec: TwoModeSpec,
         raise UnsupportedPhase(
             "inferred-state reconstruction needs the quarter phase")
     x_b0 = selected.x_b0
-    w_plus, s = _meter_weights(spec, x_b0)
+    w_plus, s = meter_condition_weights(spec, _T0_AMP, 0.0, x_b0)
     w_bar = float(np.mean(w_plus))
     s_bar = float(np.mean(s))
     density = _inferred_density(spec, w_bar, s_bar)

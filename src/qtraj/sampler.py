@@ -150,8 +150,9 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
     rng : numpy Generator or RngStream
     size : int
     diagnostics : dict, optional
-        If given, filled with ``n_proposed``, ``n_accepted`` and the
-        analytic ``acceptance_bound``.
+        If given, filled with ``n_proposed``, ``n_accepted`` (every
+        accepted proposal, including any beyond ``size`` that the last
+        batch drew and dropped) and the analytic ``acceptance_bound``.
 
     Raises
     ------
@@ -182,6 +183,7 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
     out = np.empty((size, ndim))
     filled = 0
     n_proposed = 0
+    n_accepted = 0
     acc_est = max(bound, 0.05)
     while filled < size:
         want = size - filled
@@ -198,13 +200,14 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
         keep = rng.random(m) < ratio
         n_proposed += m
         got = pts[keep]
+        n_accepted += len(got)
         take = min(len(got), want)
         out[filled:filled + take] = got[:take]
         filled += take
         if n_proposed > 0:
             acc_est = max((filled or 1) / n_proposed, bound, 0.01)
     if diagnostics is not None:
-        diagnostics.update(n_proposed=n_proposed, n_accepted=size,
+        diagnostics.update(n_proposed=n_proposed, n_accepted=n_accepted,
                            acceptance_bound=bound)
     return out[:, 0] if ndim == 1 else out
 

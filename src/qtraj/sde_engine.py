@@ -10,6 +10,11 @@ relaxation toward the unit-variance stationary state,
 so marginals at every grid time are exact for any step count; the step
 count only controls how finely the path is recorded.
 
+Position and momentum measurement and the entangled system-meter pair
+share one path: :func:`path_densities` builds what a run samples, one
+chunk kernel draws and relaxes it, and :func:`iter_chunks` schedules the
+chunks for both the Python API and the command line.
+
 Work is split into fixed-size chunks, each drawing from its own
 counter-based stream keyed by (seed, chunk index).  Results are
 therefore bit-identical no matter how many threads run the chunks, and
@@ -21,9 +26,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from itertools import islice
+from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,21 +43,6 @@ from .sampler import RngStream, sample_fringe_density
 CHUNK = 8192
 
 _BOUNDARY_METHODS = ("direct", "wigner")
-
-
-class NonPositiveDt(ValueError):
-    """A relaxation step needs a strictly positive time increment."""
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One recorded phase-space path (optionally with its meter pair)."""
-
-    grid: TimeGrid
-    x_path: np.ndarray
-    p_path: np.ndarray
-    x_b_path: Optional[np.ndarray] = None
-    p_b_path: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -92,48 +84,122 @@ class TrajectoryEnsemble:
     def __len__(self) -> int:
         return self.count
 
-    def trajectory(self, i: int) -> Trajectory:
-        xb = None if self.x_b_paths is None else self.x_b_paths[i]
-        pb = None if self.p_b_paths is None else self.p_b_paths[i]
-        return Trajectory(self.grid, self.x_paths[i], self.p_paths[i], xb, pb)
 
-    def __iter__(self) -> Iterator[Trajectory]:
-        for i in range(self.count):
-            yield self.trajectory(i)
+def relax(out: np.ndarray, start, rate: float, dt: float, rng) -> None:
+    """Fill ``out`` column by column with the exact relaxation kernel.
 
-
-def ou_step(value, rate: float, dt: float, rng) -> np.ndarray:
-    """One exact relaxation step toward the unit-variance stationary state."""
-    if dt <= 0.0:
-        raise NonPositiveDt(f"dt must be positive, got {dt!r}")
-    if rate <= 0.0:
-        raise ValueError("relaxation rate must be positive")
-    c = math.exp(-rate * dt)
-    s = math.sqrt(1.0 - c * c)
-    value = np.asarray(value, dtype=float)
-    return c * value + s * rng.standard_normal(value.shape)
-
-
-def _fill_backward(out: np.ndarray, boundary: np.ndarray, rate: float,
-                   dt: float, rng) -> None:
-    """Fill rows from the last column leftward with the relaxation kernel."""
-    c = math.exp(-rate * dt)
-    s = math.sqrt(1.0 - c * c)
-    m = out.shape[0]
-    out[:, -1] = boundary
-    for k in range(out.shape[1] - 1, 0, -1):
-        out[:, k - 1] = c * out[:, k] + s * rng.standard_normal(m)
-
-
-def _fill_forward(out: np.ndarray, start: np.ndarray, rate: float,
-                  dt: float, rng) -> None:
-    """Fill rows from the first column rightward with the relaxation kernel."""
+    Column 0 is set to ``start`` and column k relaxes column k - 1 over
+    ``dt`` at ``rate``.  Run on the reversed view ``out[:, ::-1]`` it
+    fills backward from the last column.
+    """
+    if rate <= 0.0 or dt <= 0.0:
+        raise ValueError(f"relaxation needs rate, dt > 0: {rate!r}, {dt!r}")
     c = math.exp(-rate * dt)
     s = math.sqrt(1.0 - c * c)
     m = out.shape[0]
     out[:, 0] = start
     for k in range(1, out.shape[1]):
         out[:, k] = c * out[:, k - 1] + s * rng.standard_normal(m)
+
+
+class PathDensities(NamedTuple):
+    """What one run samples."""
+
+    boundary: GaussFringeDensity  # amplified coordinates at t_final
+    initial: GaussFringeDensity  # their conjugates at t = 0
+    rates: Tuple[float, ...]  # signed gain rate per mode (< 0: p amplified)
+
+
+def path_densities(spec, amp: AmplifierSpec, boundary_method: str = "direct",
+                   amp_b: Optional[AmplifierSpec] = None) -> PathDensities:
+    """Build the boundary and initial densities of a run.
+
+    The boundary of an amplified position is the marginal at the final
+    time, or with ``boundary_method="wigner"`` the scaled-and-smoothed
+    Wigner marginal (analytically the same density).  Two-mode states
+    amplify both positions and sample the (x_a, x_b) and (p_a, p_b)
+    pairs jointly.
+    """
+    if boundary_method not in _BOUNDARY_METHODS:
+        raise ValueError(
+            f"boundary_method must be one of {_BOUNDARY_METHODS}, "
+            f"got {boundary_method!r}")
+    if isinstance(spec, TwoModeSpec):
+        amp_b = amp if amp_b is None else amp_b
+        if amp.gain_rate_g <= 0.0 or amp_b.gain_rate_g <= 0.0:
+            raise ScenarioError("two-mode runs amplify both positions: "
+                                "both gain rates must be positive")
+        return PathDensities(
+            two_mode_q(spec, amp, amp.t_final, amp_b).marginal("p_a", "p_b"),
+            two_mode_q(spec, amp, 0.0, amp_b).marginal("x_a", "x_b"),
+            (amp.gain_rate_g, amp_b.gain_rate_g))
+    if amp.gain_rate_g < 0.0:
+        return PathDensities(marginal_p(spec, amp, amp.t_final),
+                             marginal_x(spec, amp, 0.0), (amp.gain_rate_g,))
+    if boundary_method == "direct":
+        boundary = marginal_x(spec, amp, amp.t_final)
+    else:
+        boundary = fbc_from_wigner(spec, amp)
+    return PathDensities(boundary, marginal_p(spec, amp, 0.0),
+                         (amp.gain_rate_g,))
+
+
+def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
+                chunk_id: int, size: int) -> Tuple[np.ndarray, ...]:
+    """One chunk of paths: (x, p) of each mode in mode order.
+
+    Draw order: the amplified coordinates at the final time, backward
+    relaxation of each in mode order, their conjugates at t = 0, forward
+    relaxation of each.  The chunk draws from its own stream, so it is
+    deterministic in (seed, chunk_id, size) under any scheduling.
+    """
+    rng = RngStream(int(seed), chunk_id).generator()
+    dt = amp.t_final / amp.n_steps
+    shape = (size, amp.n_steps + 1)
+    amplified = [np.empty(shape) for _ in dens.rates]
+    conjugate = [np.empty(shape) for _ in dens.rates]
+    ends = sample_fringe_density(dens.boundary, rng, size).reshape(size, -1)
+    for out, end, rate in zip(amplified, ends.T, dens.rates):
+        relax(out[:, ::-1], end, abs(rate), dt, rng)
+    starts = sample_fringe_density(dens.initial, rng, size).reshape(size, -1)
+    for out, start, rate in zip(conjugate, starts.T, dens.rates):
+        relax(out, start, abs(rate), dt, rng)
+    paths = ()
+    for amp_path, conj_path, rate in zip(amplified, conjugate, dens.rates):
+        paths += (amp_path, conj_path) if rate > 0.0 else (conj_path, amp_path)
+    return paths
+
+
+def single_mode_chunk(spec: Union[ModeSpec, SuperpositionSpec],
+                      amp: AmplifierSpec, seed: int, chunk_id: int,
+                      size: int, boundary_method: str = "direct",
+                      _densities: Optional[PathDensities] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """One chunk of position-amplified paths: (x, p)."""
+    dens = _densities or path_densities(spec, amp, boundary_method)
+    return _path_chunk(dens, amp, seed, chunk_id, size)
+
+
+def p_measurement_chunk(spec: Union[ModeSpec, SuperpositionSpec],
+                        amp: AmplifierSpec, seed: int, chunk_id: int,
+                        size: int, _densities: Optional[PathDensities] = None
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """One chunk of momentum-amplified paths (negative gain rate): (x, p)."""
+    return _path_chunk(_densities or path_densities(spec, amp),
+                       amp, seed, chunk_id, size)
+
+
+def two_mode_chunk(spec: TwoModeSpec, amp: AmplifierSpec, seed: int,
+                   chunk_id: int, size: int,
+                   amp_b: Optional[AmplifierSpec] = None,
+                   _densities: Optional[PathDensities] = None):
+    """One chunk of joint system-meter paths: (x_a, p_a, x_b, p_b)."""
+    return _path_chunk(_densities or path_densities(spec, amp, amp_b=amp_b),
+                       amp, seed, chunk_id, size)
+
+
+# ---------------------------------------------------------------------------
+# scheduling
 
 
 def n_chunks(n_traj: int) -> int:
@@ -145,7 +211,8 @@ def chunk_bounds(n_traj: int, chunk_id: int) -> Tuple[int, int]:
     return lo, min(lo + CHUNK, n_traj)
 
 
-def _threads(threads: Optional[int]) -> int:
+def resolve_threads(threads: Optional[int]) -> int:
+    """Worker count: ``threads``, else QTRAJ_THREADS, else 1; at least 1."""
     if threads is None:
         threads = int(os.environ.get("QTRAJ_THREADS", "1"))
     return max(1, int(threads))
@@ -158,57 +225,61 @@ def _check_traj_count(n_traj: int) -> int:
     return n_traj
 
 
-def _run_chunks(n_traj: int, threads: int, fill) -> None:
-    ids = range(n_chunks(n_traj))
-    if threads == 1:
-        for cid in ids:
-            fill(cid)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, ids))
+def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
+                threads: Optional[int] = None,
+                boundary_method: str = "direct",
+                amp_b: Optional[AmplifierSpec] = None,
+                stream_offset: int = 0
+                ) -> Iterator[Tuple[int, int, Tuple[np.ndarray, ...]]]:
+    """Yield ``(lo, hi, paths)`` for every chunk of a run, in chunk order.
 
-
-# ---------------------------------------------------------------------------
-# single mode, amplified position
-
-
-def _single_mode_boundary(spec, amp: AmplifierSpec,
-                          boundary_method: str) -> GaussFringeDensity:
-    if boundary_method == "direct":
-        return marginal_x(spec, amp, amp.t_final)
-    if boundary_method == "wigner":
-        return fbc_from_wigner(spec, amp)
-    raise ValueError(
-        f"boundary_method must be one of {_BOUNDARY_METHODS}, "
-        f"got {boundary_method!r}")
-
-
-def single_mode_chunk(spec: Union[ModeSpec, SuperpositionSpec],
-                      amp: AmplifierSpec, seed: int, chunk_id: int,
-                      size: int, boundary_method: str = "direct",
-                      _densities=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Generate one chunk of position-amplified paths.
-
-    Deterministic in (seed, chunk_id, size): the chunk draws from its
-    own stream, so any scheduling that assigns the same sizes to the
-    same chunk ids reproduces identical arrays.
+    Chunk i holds trajectories lo:hi and draws from stream
+    ``stream_offset + i``.  At most ``threads`` chunks are in flight; a
+    new one is submitted as soon as the oldest has been consumed.
+    Chunks are always yielded in index order, so any reduction over
+    them is bitwise independent of the thread count.  A consumer that
+    drops its chunk before asking for the next keeps at most ``threads``
+    chunks alive.
     """
-    if _densities is None:
-        bdens = _single_mode_boundary(spec, amp, boundary_method)
-        pdens = marginal_p(spec, amp, 0.0)
+    n_traj = _check_traj_count(n_traj)
+    dens = path_densities(spec, amp, boundary_method, amp_b)
+    # Looked up at run time so that a wrapper around it sees every chunk.
+    if len(dens.rates) == 2:
+        entry = two_mode_chunk
     else:
-        bdens, pdens = _densities
-    rng = RngStream(int(seed), chunk_id).generator()
-    n_cols = amp.n_steps + 1
-    x = np.empty((size, n_cols))
-    p = np.empty((size, n_cols))
-    rate = amp.gain_rate_g
-    dt = amp.t_final / amp.n_steps
-    x_final = sample_fringe_density(bdens, rng, size)
-    _fill_backward(x, x_final, rate, dt, rng)
-    p_start = sample_fringe_density(pdens, rng, size)
-    _fill_forward(p, p_start, rate, dt, rng)
-    return x, p
+        entry = single_mode_chunk if dens.rates[0] > 0 else p_measurement_chunk
+
+    def call(cid):
+        lo, hi = chunk_bounds(n_traj, cid)
+        return lo, hi, entry(spec, amp, seed, stream_offset + cid, hi - lo,
+                             _densities=dens)
+
+    ids = iter(range(n_chunks(n_traj)))
+    threads = resolve_threads(threads)
+    if threads == 1:
+        yield from map(call, ids)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque(pool.submit(call, cid) for cid in islice(ids, threads))
+        while pending:
+            yield pending.popleft().result()
+            for cid in islice(ids, 1):
+                pending.append(pool.submit(call, cid))
+
+
+def _simulate(spec, amp: AmplifierSpec, n_traj: int, seed: int,
+              threads: Optional[int], boundary_method: str = "direct",
+              amp_b: Optional[AmplifierSpec] = None) -> TrajectoryEnsemble:
+    scenario = validate_scenario(spec, amp, amp_b)
+    n_traj = _check_traj_count(n_traj)
+    paths = [np.empty((n_traj, amp.n_steps + 1))
+             for _ in range(4 if scenario.is_two_mode else 2)]
+    for lo, hi, chunk in iter_chunks(spec, amp, n_traj, seed, threads,
+                                     boundary_method, amp_b):
+        for out, block in zip(paths, chunk):
+            out[lo:hi] = block
+        del chunk, block  # release the chunk before the next is submitted
+    return TrajectoryEnsemble(scenario, scenario.grid, *paths)
 
 
 def simulate_single_mode(spec: Union[ModeSpec, SuperpositionSpec],
@@ -238,50 +309,7 @@ def simulate_single_mode(spec: Union[ModeSpec, SuperpositionSpec],
     if amp.gain_rate_g <= 0.0:
         raise ScenarioError("position amplification needs gain_rate_g > 0; "
                             "use simulate_p_measurement for negative gain")
-    scenario = validate_scenario(spec, amp)
-    n_traj = _check_traj_count(n_traj)
-    densities = (_single_mode_boundary(spec, amp, boundary_method),
-                 marginal_p(spec, amp, 0.0))
-    n_cols = amp.n_steps + 1
-    x = np.empty((n_traj, n_cols))
-    p = np.empty((n_traj, n_cols))
-
-    def fill(cid):
-        lo, hi = chunk_bounds(n_traj, cid)
-        xc, pc = single_mode_chunk(spec, amp, seed, cid, hi - lo,
-                                   boundary_method, _densities=densities)
-        x[lo:hi] = xc
-        p[lo:hi] = pc
-
-    _run_chunks(n_traj, _threads(threads), fill)
-    return TrajectoryEnsemble(scenario, scenario.grid, x, p)
-
-
-# ---------------------------------------------------------------------------
-# single mode, amplified momentum
-
-
-def p_measurement_chunk(spec: Union[ModeSpec, SuperpositionSpec],
-                        amp: AmplifierSpec, seed: int, chunk_id: int,
-                        size: int, _densities=None
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """One chunk of momentum-amplified paths (negative gain rate)."""
-    if _densities is None:
-        bdens = marginal_p(spec, amp, amp.t_final)
-        xdens = marginal_x(spec, amp, 0.0)
-    else:
-        bdens, xdens = _densities
-    rng = RngStream(int(seed), chunk_id).generator()
-    n_cols = amp.n_steps + 1
-    x = np.empty((size, n_cols))
-    p = np.empty((size, n_cols))
-    rate = -amp.gain_rate_g
-    dt = amp.t_final / amp.n_steps
-    p_final = sample_fringe_density(bdens, rng, size)
-    _fill_backward(p, p_final, rate, dt, rng)
-    x_start = sample_fringe_density(xdens, rng, size)
-    _fill_forward(x, x_start, rate, dt, rng)
-    return x, p
+    return _simulate(spec, amp, n_traj, seed, threads, boundary_method)
 
 
 def simulate_p_measurement(spec: Union[ModeSpec, SuperpositionSpec],
@@ -296,58 +324,7 @@ def simulate_p_measurement(spec: Union[ModeSpec, SuperpositionSpec],
     """
     if amp.gain_rate_g >= 0.0:
         raise ScenarioError("momentum amplification needs gain_rate_g < 0")
-    scenario = validate_scenario(spec, amp)
-    n_traj = _check_traj_count(n_traj)
-    densities = (marginal_p(spec, amp, amp.t_final), marginal_x(spec, amp, 0.0))
-    n_cols = amp.n_steps + 1
-    x = np.empty((n_traj, n_cols))
-    p = np.empty((n_traj, n_cols))
-
-    def fill(cid):
-        lo, hi = chunk_bounds(n_traj, cid)
-        xc, pc = p_measurement_chunk(spec, amp, seed, cid, hi - lo,
-                                     _densities=densities)
-        x[lo:hi] = xc
-        p[lo:hi] = pc
-
-    _run_chunks(n_traj, _threads(threads), fill)
-    return TrajectoryEnsemble(scenario, scenario.grid, x, p)
-
-
-# ---------------------------------------------------------------------------
-# two modes, both positions amplified
-
-
-def two_mode_chunk(spec: TwoModeSpec, amp: AmplifierSpec, seed: int,
-                   chunk_id: int, size: int,
-                   amp_b: Optional[AmplifierSpec] = None, _densities=None):
-    """One chunk of joint system-meter paths.
-
-    Draw order per chunk: the correlated (x_a, x_b) pair at the final
-    time, backward relaxation of x_a then x_b, the correlated
-    (p_a, p_b) pair at t = 0, forward relaxation of p_a then p_b.
-    """
-    if amp_b is None:
-        amp_b = amp
-    if _densities is None:
-        bdens = two_mode_q(spec, amp, amp.t_final, amp_b).marginal("p_a", "p_b")
-        pdens = two_mode_q(spec, amp, 0.0, amp_b).marginal("x_a", "x_b")
-    else:
-        bdens, pdens = _densities
-    rng = RngStream(int(seed), chunk_id).generator()
-    n_cols = amp.n_steps + 1
-    xa = np.empty((size, n_cols))
-    pa = np.empty((size, n_cols))
-    xb = np.empty((size, n_cols))
-    pb = np.empty((size, n_cols))
-    dt = amp.t_final / amp.n_steps
-    x_final = sample_fringe_density(bdens, rng, size)
-    _fill_backward(xa, x_final[:, 0], amp.gain_rate_g, dt, rng)
-    _fill_backward(xb, x_final[:, 1], amp_b.gain_rate_g, dt, rng)
-    p_start = sample_fringe_density(pdens, rng, size)
-    _fill_forward(pa, p_start[:, 0], amp.gain_rate_g, dt, rng)
-    _fill_forward(pb, p_start[:, 1], amp_b.gain_rate_g, dt, rng)
-    return xa, pa, xb, pb
+    return _simulate(spec, amp, n_traj, seed, threads)
 
 
 def simulate_two_mode(spec: TwoModeSpec, amp: AmplifierSpec, n_traj: int,
@@ -362,30 +339,4 @@ def simulate_two_mode(spec: TwoModeSpec, amp: AmplifierSpec, n_traj: int,
     """
     if not isinstance(spec, TwoModeSpec):
         raise ScenarioError("simulate_two_mode needs a TwoModeSpec")
-    if amp_b is None:
-        amp_b = amp
-    if amp.gain_rate_g <= 0.0 or amp_b.gain_rate_g <= 0.0:
-        raise ScenarioError("two-mode runs amplify both positions: "
-                            "both gain rates must be positive")
-    scenario = validate_scenario(spec, amp, amp_b)
-    n_traj = _check_traj_count(n_traj)
-    densities = (
-        two_mode_q(spec, amp, amp.t_final, amp_b).marginal("p_a", "p_b"),
-        two_mode_q(spec, amp, 0.0, amp_b).marginal("x_a", "x_b"))
-    n_cols = amp.n_steps + 1
-    xa = np.empty((n_traj, n_cols))
-    pa = np.empty((n_traj, n_cols))
-    xb = np.empty((n_traj, n_cols))
-    pb = np.empty((n_traj, n_cols))
-
-    def fill(cid):
-        lo, hi = chunk_bounds(n_traj, cid)
-        ca, cpa, cb, cpb = two_mode_chunk(spec, amp, seed, cid, hi - lo,
-                                          amp_b, _densities=densities)
-        xa[lo:hi] = ca
-        pa[lo:hi] = cpa
-        xb[lo:hi] = cb
-        pb[lo:hi] = cpb
-
-    _run_chunks(n_traj, _threads(threads), fill)
-    return TrajectoryEnsemble(scenario, scenario.grid, xa, pa, xb, pb)
+    return _simulate(spec, amp, n_traj, seed, threads, amp_b=amp_b)

@@ -28,7 +28,6 @@ from qtraj.analytic import (
     marginal_p,
     marginal_x,
     meter_conditional_variances,
-    meter_fringe_damping_variants,
     q_single_mode,
     two_mode_q,
     variances_postselected_analytic,
@@ -721,26 +720,35 @@ class TestMeterConditionalVariances:
         sxb = spec.mode_b.sigma_x2
         spb = spec.mode_b.sigma_p2
         x1b = spec.x1b
-        sys_damp = meter_fringe_damping_variants(spec)["normalized"]
+        sxa = spec.mode_a.mode.sigma_x2
+        spa = spec.mode_a.mode.sigma_p2
+        sys_damp = math.exp(-0.5 * spec.x1 ** 2 * (1.0 + spa / sxa) / sxa)
         meter_damp = math.exp(-0.5 * x1b ** 2 * (1.0 + spb / sxb) / sxb)
         assert mom.mean_pb == pytest.approx(
             -(x1b * spb / sxb) * sys_damp * meter_damp, rel=1e-14)
 
 
 class TestMeterFringeDamping:
+    """The system's damping of the meter fringe inside <p_b>_+."""
+
+    @staticmethod
+    def system_damping(spec):
+        """<p_b>_+ divided by its meter-only factors."""
+        sxb, spb = spec.mode_b.sigma_x2, spec.mode_b.sigma_p2
+        x1b = spec.x1b
+        meter = -(x1b * spb / sxb) * math.exp(
+            -0.5 * x1b ** 2 * (1.0 + spb / sxb) / sxb)
+        return meter_conditional_variances(spec).mean_pb / meter
+
     def test_coherent_special_case(self):
         spec = two_mode(x1=1.3, r=0.0, x1b=1.0, r2=0.0)
-        variants = meter_fringe_damping_variants(spec)
-        assert variants["normalized"] == pytest.approx(
+        assert self.system_damping(spec) == pytest.approx(
             math.exp(-0.5 * 1.3 ** 2), rel=1e-14)
-        assert variants["raw"] == pytest.approx(math.exp(-2.0 * 1.3 ** 2),
-                                                rel=1e-14)
 
     def test_normalized_form_matches_system_trace_quadrature(self):
         # Integrating the interference term of the meter-conditioned
         # distribution over the system coordinates yields the damping
-        # applied to the meter fringe; only the "normalized" variant
-        # reproduces that integral.
+        # applied to the meter fringe.
         spec = two_mode(x1=1.0, r=1.5, x1b=2.0, r2=0.0)
         sup = spec.mode_a
         sxa = sup.mode.sigma_x2
@@ -754,6 +762,4 @@ class TestMeterFringeDamping:
         # complex amplitude of the fringe after tracing out the system
         integral = packet_damp * float(np.sum(gx * wxa)) \
             * float(np.sum(gp * np.cos(k_a * pa) * wpa))
-        variants = meter_fringe_damping_variants(spec)
-        assert integral == pytest.approx(variants["normalized"], abs=1e-9)
-        assert abs(integral - variants["raw"]) > 0.1 * integral
+        assert integral == pytest.approx(self.system_damping(spec), abs=1e-9)

@@ -28,6 +28,7 @@ from qtraj.cli import (
     shipped_scenarios,
 )
 from qtraj.core import ModeSpec, SuperpositionSpec, TwoModeSpec
+from qtraj.sde_engine import CHUNK
 
 SEED = 20210905
 
@@ -226,6 +227,13 @@ class TestMainValidation:
         code = main(["run", "--scenario", str(path), "--out",
                      str(tmp_path / "o"), "--trajectories", "0"])
         assert code == EXIT_VALIDATION
+        empty = write_scenario(
+            tmp_path, SQUEEZED.format(seed=1).replace(
+                "run.trajectories = 2000", "run.trajectories = 0"),
+            "empty.scenario")
+        for cmd in ("run", "born", "postselect"):
+            assert main([cmd, "--scenario", str(empty), "--out",
+                         str(tmp_path / cmd)]) == EXIT_VALIDATION
 
     def test_born_rejects_two_mode(self, tmp_path):
         path = write_scenario(tmp_path, TWO_MODE.format(x1b=2.0, n=100,
@@ -246,6 +254,20 @@ class TestMainValidation:
         code = main(["collapse", "--scenario", str(path), "--out",
                      str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
+
+    def test_overflowing_gain_exits_2_naming_the_key(self, tmp_path, capsys):
+        single = write_scenario(
+            tmp_path, SUPERPOSITION.format(gtf=400.0, n_steps=2, n=100,
+                                           seed=1), "single.scenario")
+        pair = write_scenario(
+            tmp_path, TWO_MODE.format(x1b=2.0, n=100, seed=1)
+            .replace("amp.gtf = 2.0", "amp.gtf = 400"), "pair.scenario")
+        for cmd, path in (("run", single), ("born", single),
+                          ("postselect", single), ("collapse", pair)):
+            code = main([cmd, "--scenario", str(path), "--out",
+                         str(tmp_path / cmd)])
+            assert code == EXIT_VALIDATION
+            assert "amp.gtf" in capsys.readouterr().err
 
     def test_output_path_collision_exits_3(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SQUEEZED.format(seed=1))
@@ -304,6 +326,25 @@ class TestCmdRun:
             ref = (out_a / name).read_bytes()
             assert (out_b / name).read_bytes() == ref
             assert (out_c / name).read_bytes() == ref
+        # Every command over three chunks: one thread and three threads
+        # write the same bytes.
+        single = write_scenario(tmp_path, SQUEEZED.format(seed=SEED),
+                                "single.scenario")
+        pair = write_scenario(tmp_path, TWO_MODE.format(x1b=2.0, n=100,
+                                                        seed=SEED),
+                              "pair.scenario")
+        for cmd, path in (("run", single), ("born", single),
+                          ("postselect", single), ("collapse", pair)):
+            outs = [tmp_path / f"{cmd}_{threads}" for threads in (1, 3)]
+            for out, threads in zip(outs, (1, 3)):
+                assert main([cmd, "--scenario", str(path), "--out", str(out),
+                             "--trajectories", str(2 * CHUNK + 1),
+                             "--threads", str(threads)]) == EXIT_OK
+            names = sorted(p.name for p in outs[0].iterdir())
+            assert names == sorted(p.name for p in outs[1].iterdir())
+            for name in names:
+                assert (outs[1] / name).read_bytes() \
+                    == (outs[0] / name).read_bytes(), (cmd, name)
 
     def test_seed_override_changes_output(self, tmp_path):
         out_a = self.run_once(tmp_path, "a")

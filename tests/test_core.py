@@ -248,3 +248,15 @@ class TestValidateScenario:
         other = AmplifierSpec(1.0, 2.0, 16)
         with pytest.raises(ScenarioError):
             validate_scenario(spec, amp, amp_b=other)
+
+    @pytest.mark.parametrize("rate", [1.0, -1.0])
+    def test_overflowing_gain_rejected(self, rate):
+        with pytest.raises(ScenarioError, match="amp.gtf"):
+            validate_scenario(self._cat(), AmplifierSpec(rate, 400.0, 2))
+        spec = TwoModeSpec(self._cat(), ModeSpec(4.0, 0.0))
+        with pytest.raises(ScenarioError, match="amp.gtf"):
+            validate_scenario(spec, AmplifierSpec(1.0, 2.0, 2),
+                              amp_b=AmplifierSpec(1.0e3, 2.0, 2))
+        # well inside the range: the closed forms stay finite
+        sc = validate_scenario(self._cat(), AmplifierSpec(rate, 300.0, 2))
+        assert math.isfinite(sc.gain_tf)

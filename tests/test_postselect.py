@@ -7,6 +7,7 @@ marginals.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from qtraj.postselect import (
     MomentEstimate,
     PostselectedEnsemble,
     TooFewSamples,
-    _meter_weights,
     bin_by_sign,
     build_loops,
     infer_state_A_numeric,
@@ -262,10 +262,16 @@ class TestUncertaintyProduct:
 
 
 class TestMeterWeights:
+    """Meter weights at t = 0, the form loops and state inference use."""
+
+    AMP = AmplifierSpec(1.0, 1.0, 2)
+
     def test_weights_and_suppression_identity(self):
         spec = two_spec()
         xb = np.array([-500.0, -3.0, -0.4, 0.0, 0.4, 3.0, 500.0])
-        w_plus, s = _meter_weights(spec, xb)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow at |u| = 1000
+            w_plus, s = meter_condition_weights(spec, self.AMP, 0.0, xb)
         assert np.all(np.isfinite(w_plus)) and np.all(np.isfinite(s))
         assert np.all((w_plus >= 0) & (w_plus <= 1))
         np.testing.assert_allclose(s * s, 4 * w_plus * (1 - w_plus),
@@ -274,12 +280,12 @@ class TestMeterWeights:
 
     def test_matches_reference_weight_form(self):
         spec = two_spec()
-        amp = AmplifierSpec(1.0, 1.0, 2)
         xb = np.linspace(-6, 6, 41)
-        w_plus, s = _meter_weights(spec, xb)
-        ref_w, ref_s = meter_condition_weights(spec, amp, 0.0, xb)
-        np.testing.assert_allclose(w_plus, ref_w, atol=1e-12)
-        np.testing.assert_allclose(s, ref_s, atol=1e-12)
+        w_plus, s = meter_condition_weights(spec, self.AMP, 0.0, xb)
+        u = xb * spec.x1b / spec.mode_b.sigma_x2
+        np.testing.assert_allclose(w_plus, 1.0 / (1.0 + np.exp(-2.0 * u)),
+                                   atol=1e-12)
+        np.testing.assert_allclose(s, 1.0 / np.cosh(u), atol=1e-12)
 
 
 class TestInferState:

@@ -25,11 +25,10 @@ from qtraj.core import (
 from qtraj.sampler import RngStream
 from qtraj.sde_engine import (
     CHUNK,
-    NonPositiveDt,
     TrajectoryEnsemble,
     chunk_bounds,
     n_chunks,
-    ou_step,
+    relax,
     simulate_p_measurement,
     simulate_single_mode,
     simulate_two_mode,
@@ -44,35 +43,53 @@ def cat(x1, r=0.0, phi=0.0):
                              phase_phi=phi)
 
 
+def ou_steps(start, rate, dt, rng, n_steps=1):
+    """Column n_steps of a ``relax`` fill: n_steps exact OU steps."""
+    out = np.empty((len(start), n_steps + 1))
+    relax(out, start, rate, dt, rng)
+    return out
+
+
 class TestOuStep:
+    """The exact Ornstein-Uhlenbeck step, as ``relax`` applies it."""
+
     def test_matches_exact_kernel(self):
         rate, dt = 0.7, 0.3
         value = np.array([1.0, -2.0, 0.5])
         z = RngStream(SUITE_SEED, 40).generator().standard_normal(3)
-        got = ou_step(value, rate, dt, RngStream(SUITE_SEED, 40).generator())
+        out = ou_steps(value, rate, dt, RngStream(SUITE_SEED, 40).generator())
         c = math.exp(-rate * dt)
         expected = c * value + math.sqrt(1.0 - c * c) * z
-        np.testing.assert_allclose(got, expected, rtol=1e-15)
+        np.testing.assert_array_equal(out[:, 0], value)
+        np.testing.assert_allclose(out[:, 1], expected, rtol=1e-15)
+
+    def test_reversed_view_fills_backward(self):
+        rate, dt = 0.7, 0.3
+        end = np.array([1.0, -2.0, 0.5])
+        fwd = ou_steps(end, rate, dt, RngStream(SUITE_SEED, 44).generator(),
+                       n_steps=4)
+        bwd = np.empty_like(fwd)
+        relax(bwd[:, ::-1], end, rate, dt,
+              RngStream(SUITE_SEED, 44).generator())
+        np.testing.assert_array_equal(bwd, fwd[:, ::-1])
 
     def test_preserves_stationary_variance(self):
         rng = RngStream(SUITE_SEED, 41).generator()
-        x = rng.standard_normal(200000)
-        for _ in range(5):
-            x = ou_step(x, 1.3, 0.25, rng)
-        assert float(x.var()) == pytest.approx(1.0, abs=0.02)
+        x = ou_steps(rng.standard_normal(200000), 1.3, 0.25, rng, n_steps=5)
+        assert float(x[:, -1].var()) == pytest.approx(1.0, abs=0.02)
 
     def test_large_step_forgets_the_start(self):
         rng = RngStream(SUITE_SEED, 42).generator()
-        x = ou_step(np.full(100000, 50.0), 1.0, 40.0, rng)
+        x = ou_steps(np.full(100000, 50.0), 1.0, 40.0, rng)[:, -1]
         assert float(x.mean()) == pytest.approx(0.0, abs=0.05)
         assert float(x.var()) == pytest.approx(1.0, abs=0.02)
 
     def test_rejects_bad_increments(self):
         rng = RngStream(SUITE_SEED, 43).generator()
-        with pytest.raises(NonPositiveDt):
-            ou_step(np.zeros(2), 1.0, 0.0, rng)
         with pytest.raises(ValueError):
-            ou_step(np.zeros(2), -1.0, 0.1, rng)
+            ou_steps(np.zeros(2), 1.0, 0.0, rng)
+        with pytest.raises(ValueError):
+            ou_steps(np.zeros(2), -1.0, 0.1, rng)
 
 
 class TestChunking:
@@ -96,14 +113,11 @@ class TestEnsembleContainer:
         return simulate_single_mode(ModeSpec(0.5, 0.0), amp, 10,
                                     SUITE_SEED + 45)
 
-    def test_trajectory_roundtrip(self):
+    def test_count_and_mode_flag(self):
         ens = self._ensemble()
-        traj = ens.trajectory(3)
-        np.testing.assert_array_equal(traj.x_path, ens.x_paths[3])
-        np.testing.assert_array_equal(traj.p_path, ens.p_paths[3])
-        assert traj.x_b_path is None
-        assert len(ens) == 10
-        assert len(list(ens)) == 10
+        assert ens.x_paths.shape == ens.p_paths.shape == (10, 3)
+        assert ens.x_b_paths is None
+        assert len(ens) == ens.count == 10
         assert not ens.is_two_mode
 
     def test_shape_validation(self):
@@ -209,14 +223,33 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.p_paths, b.p_paths)
 
     def test_thread_count_does_not_change_results(self):
-        amp = AmplifierSpec(1.0, 1.5, 5)
-        n = CHUNK + 500
-        a = simulate_single_mode(cat(1.0), amp, n, SUITE_SEED + 52,
-                                 threads=1)
-        b = simulate_single_mode(cat(1.0), amp, n, SUITE_SEED + 52,
-                                 threads=2)
-        np.testing.assert_array_equal(a.x_paths, b.x_paths)
-        np.testing.assert_array_equal(a.p_paths, b.p_paths)
+        # Every mode, at chunk-edge run sizes, through one scheduler.
+        runs = {
+            "single": lambda n, t: simulate_single_mode(
+                cat(1.0), AmplifierSpec(1.0, 1.5, 1), n, SUITE_SEED + 52,
+                threads=t),
+            "p": lambda n, t: simulate_p_measurement(
+                cat(1.0, 0.0, 0.5 * math.pi), AmplifierSpec(-1.0, 1.5, 1),
+                n, SUITE_SEED + 52, threads=t),
+            "two": lambda n, t: simulate_two_mode(
+                TwoModeSpec(cat(1.0, 0.0, 0.5 * math.pi), ModeSpec(2.0)),
+                AmplifierSpec(1.0, 1.5, 1), n, SUITE_SEED + 52, threads=t),
+        }
+        fields = ("x_paths", "p_paths", "x_b_paths", "p_b_paths")
+        for mode, run in runs.items():
+            for n in (1, CHUNK - 1, CHUNK, CHUNK + 1):
+                ref = run(n, 1)
+                assert ref.count == n
+                for threads in (2, 3):
+                    got = run(n, threads)
+                    for name in fields:
+                        a, b = getattr(ref, name), getattr(got, name)
+                        if a is None:
+                            assert b is None
+                            continue
+                        np.testing.assert_array_equal(
+                            a, b, err_msg=f"{mode} n={n} threads={threads} "
+                                          f"{name}")
 
     def test_seed_changes_results(self):
         amp = AmplifierSpec(1.0, 1.5, 5)
@@ -268,8 +301,6 @@ class TestTwoMode:
         assert ens.is_two_mode
         assert ens.x_b_paths.shape == (500, 6)
         assert ens.p_b_paths.shape == (500, 6)
-        traj = ens.trajectory(0)
-        assert traj.x_b_path is not None
 
     def test_boundary_columns_follow_their_marginals(self):
         spec = self._spec()
