@@ -31,7 +31,7 @@ from . import sde_engine
 from .analytic import born_p, born_x, marginal_p, marginal_x, two_mode_q
 from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
                    TwoModeSpec, validate_scenario)
-from .postselect import (PostselectedEnsemble, build_loops,
+from .postselect import (MIN_SAMPLES, PostselectedEnsemble, build_loops,
                          infer_state_A_numeric, uncertainty_product)
 from .sampler import RngStream
 from .stats import bin_z_scores, compare_density, histogram, ks_statistic
@@ -274,11 +274,20 @@ class _MomentTally:
         return (self.total_sq - self.n * m * m) / (self.n - 1)
 
 
-def _columns(chunks, n: int, picks):
+def _columns(sc: ScenarioFile, state, amp: AmplifierSpec, threads: int,
+             picks, stream_offset: int = 0):
     """One length-n array per (coordinate, time index) in ``picks``,
-    gathered from the streamed chunks of a run."""
+    gathered from the streamed chunks of a run.
+
+    Callers pick only t = 0 and t_final.  The relaxation kernel is exact
+    over any gap, so one step gives the same joint law of the two ends as
+    a full path, and the run is drawn at ``n_steps = 1``.
+    """
+    n = sc.trajectories
     cols = [np.empty(n) for _ in picks]
-    for lo, hi, arrays in chunks:
+    for lo, hi, arrays in sde_engine.iter_chunks(
+            state, replace(amp, n_steps=1), n, sc.seed, threads, sc.boundary,
+            stream_offset=stream_offset):
         for col, (i, j) in zip(cols, picks):
             col[lo:hi] = arrays[i][:, j]
         del arrays  # release the chunk before the next is submitted
@@ -293,6 +302,9 @@ def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     """Simulate the scenario; write trajectories, marginals and summary."""
     state, amp = build_state(sc)
     validate_scenario(state, amp)
+    if sc.trajectories < 2:
+        raise ScenarioError(f"run needs at least 2 trajectories for its "
+                            f"variances, got {sc.trajectories}")
     grid = np.linspace(0.0, amp.t_final, amp.n_steps + 1)
     names = _marginal_axes(state)
     tallies = [_MomentTally(len(grid)) for _ in names]
@@ -381,10 +393,9 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         g_signed = rate if basis == "x" else -rate
         amp = AmplifierSpec(g_signed, t_final, sc.n_steps)
         validate_scenario(state, amp)
-        (finals,) = _columns(sde_engine.iter_chunks(
-            state, amp, sc.trajectories, sc.seed, threads, sc.boundary,
-            stream_offset=offset_block * _STREAM_BLOCK),
-            sc.trajectories, [(0 if basis == "x" else 1, -1)])
+        (finals,) = _columns(sc, state, amp, threads,
+                             [(0 if basis == "x" else 1, -1)],
+                             stream_offset=offset_block * _STREAM_BLOCK)
         scale = math.exp(rate * t_final)
         scaled = finals / scale
         target = born_x(state) if basis == "x" else born_p(state)
@@ -424,6 +435,8 @@ def cmd_postselect(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     initial coordinates and the final sign, selects each branch,
     redraws momenta from the conditional given position, and reports
     observed variances and the uncertainty product with batch errors.
+    A branch with fewer than ``MIN_SAMPLES`` samples is skipped
+    with a line on stderr; a sweep that keeps no branch writes no CSV.
     """
     if sc.kind == "two_mode":
         raise ScenarioError("the separation sweep runs on single-mode "
@@ -438,14 +451,16 @@ def cmd_postselect(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         state, amp = build_state(sc_i)
         validate_scenario(state, amp)
         base = 2 * i * _STREAM_BLOCK
-        x0, p0, x_tf = _columns(sde_engine.iter_chunks(
-            state, amp, sc.trajectories, sc.seed, threads, sc.boundary,
-            stream_offset=base), sc.trajectories, [(0, 0), (1, 0), (0, -1)])
+        x0, p0, x_tf = _columns(sc, state, amp, threads,
+                                [(0, 0), (1, 0), (0, -1)], stream_offset=base)
         mask = x_tf >= 0.0
         loop_rng = RngStream(sc.seed, base + _STREAM_BLOCK // 2)
         for branch, sel in ((+1, mask), (-1, ~mask)):
             selected = PostselectedEnsemble(branch, x0[sel], p0[sel])
-            if selected.n < 100:
+            if selected.n < MIN_SAMPLES:
+                print(f"skipped: x1={_fmt(x1)} branch={branch:+d} "
+                      f"n={selected.n} < {MIN_SAMPLES} samples",
+                      file=sys.stderr)
                 continue
             loops = build_loops(selected, state,
                                 loop_rng.child(0 if branch > 0 else 1))
@@ -457,6 +472,10 @@ def cmd_postselect(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
                 prod.epsilon, prod.std_error,
                 int(prod.negative_variance)))
 
+    if not out_rows:
+        raise ScenarioError(
+            f"every branch had fewer than {MIN_SAMPLES} samples; "
+            f"raise run.trajectories (now {sc.trajectories})")
     _write_csv(out_dir, "postselect.csv", _comment_fields(sc),
                ("x1", "branch", "n", "observed_var_x", "var_x_err",
                 "observed_var_p", "var_p_err", "epsilon", "epsilon_err",
@@ -471,7 +490,7 @@ def cmd_collapse(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     validate_scenario(state, amp)
     n = sc.trajectories
     x0, p0, xb0, pb0, xa_tf, xb_tf = _columns(
-        sde_engine.iter_chunks(state, amp, n, sc.seed, threads), n,
+        sc, state, amp, threads,
         [(0, 0), (1, 0), (2, 0), (3, 0), (0, -1), (2, -1)])
     agreement = float(np.mean((xa_tf >= 0.0) == (xb_tf >= 0.0)))
     mask = xb_tf >= 0.0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -268,12 +268,27 @@ class Scenario:
 _MAX_LOG_SQUARE = math.log(sys.float_info.max) - 16.0
 
 
-def _check_gain(amp: AmplifierSpec, mode: ModeSpec) -> None:
-    """Reject a gain whose closed forms at t_final overflow a double: they
-    square G(t_final)^{+-1} times the packet's centre or t = 0 width."""
+def _check_overflow(amp: AmplifierSpec, mode: ModeSpec, x_key: str,
+                    r_key: str) -> None:
+    """Reject a packet, or a gain, whose closed forms overflow a double.
+
+    Every t = 0 product that ``GaussFringeDensity.moments`` squares (the
+    centre, the widths 1 + e^{+-2r} and the fringe's wave number times
+    its width, x1 e^{2r}) is at most max(|x1|, 1) 2 e^{2|r|}, and the
+    gain scales it by G(t_final)^{+-1}.  The packet is checked first,
+    so the bound quoted for the gain is positive.
+    """
+    room = 0.5 * _MAX_LOG_SQUARE - math.log(2.0 * max(abs(mode.mean_x), 1.0))
+    if room <= 0.0:
+        raise ScenarioError(f"{x_key} = {mode.mean_x:.6g} overflows the "
+                            f"closed forms of this state")
+    r = mode.squeeze_r
+    if 2.0 * abs(r) >= room:
+        raise ScenarioError(f"{r_key} = {r:.6g} overflows the closed forms "
+                            f"of this state; it needs |{r_key}| < "
+                            f"{0.5 * room:.4g}")
     gtf = amp.gain_rate_g * amp.t_final
-    limit = 0.5 * _MAX_LOG_SQUARE - max(math.log(max(abs(mode.mean_x), 1.0)),
-                                        abs(mode.squeeze_r) + 0.35)
+    limit = room - 2.0 * abs(r)
     if abs(gtf) >= limit:
         raise ScenarioError(f"amp.gtf = {gtf:.6g} overflows at t_final; "
                             f"this state needs |amp.gtf| < {limit:.4g}")
@@ -302,7 +317,8 @@ def validate_scenario(spec: StateSpec, amp: AmplifierSpec,
     NonNormalizedAmplitudes, ZeroGain, NonPositiveSteps
         Propagated from the component specs.
     ScenarioError
-        For a meter amplifier on a single-mode state, mismatched grids, or
+        For a meter amplifier on a single-mode state, mismatched grids, a
+        packet whose own closed forms would overflow (naming its key), or
         a gain whose closed forms at t_final would overflow.
     """
     grid = TimeGrid.from_amplifier(amp)
@@ -312,8 +328,8 @@ def validate_scenario(spec: StateSpec, amp: AmplifierSpec,
         if (amp_b.t_final != amp.t_final or amp_b.n_steps != amp.n_steps):
             raise ScenarioError("meter amplifier must share the time grid")
         sup = spec.mode_a
-        _check_gain(amp, sup.mode)
-        _check_gain(amp_b, spec.mode_b)
+        _check_overflow(amp, sup.mode, "state.x1", "state.r")
+        _check_overflow(amp_b, spec.mode_b, "meter.x1b", "meter.r2")
         ea = sup.mode.overlap_exponent
         eb = spec.mode_b.overlap_exponent
         f2 = 1.0 + math.cos(sup.phase_phi) * math.exp(-ea - eb)
@@ -326,7 +342,7 @@ def validate_scenario(spec: StateSpec, amp: AmplifierSpec,
     if amp_b is not None:
         raise ScenarioError("amp_b only applies to two-mode states")
     sup = as_superposition(spec)
-    _check_gain(amp, sup.mode)
+    _check_overflow(amp, sup.mode, "state.x1", "state.r")
     return Scenario(
         state=sup, amp=amp, grid=grid,
         sigma_x2=sup.mode.sigma_x2, sigma_p2=sup.mode.sigma_p2,

@@ -21,7 +21,7 @@ from .analytic import (FringeTerm, GaussComponent, GaussFringeDensity,
                        UnsupportedPhase, _phase_kind, meter_condition_weights)
 from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
                    TwoModeSpec)
-from .sampler import RngStream, _as_generator, sample_p_given_x
+from .sampler import _as_generator, sample_p_given_x
 from .sde_engine import TrajectoryEnsemble
 from .stats import Histogram, histogram
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .analytic import GaussFringeDensity, Marginal1D
-from .core import AmplifierSpec, ModeSpec, SuperpositionSpec, as_superposition
+from .analytic import GaussFringeDensity
+from .core import ModeSpec, SuperpositionSpec, as_superposition
 
 _MASK64 = (1 << 64) - 1
 

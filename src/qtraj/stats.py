@@ -10,8 +10,8 @@ z-scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 

@@ -10,6 +10,7 @@ import math
 import shutil
 import subprocess
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,55 @@ class TestMainValidation:
             assert code == EXIT_VALIDATION
             assert "amp.gtf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r", ["300", "400"])
+    def test_extreme_squeezing_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                      r):
+        text = (resources.files("qtraj") / "scenarios" / "fig_sup.scenario"
+                ).read_text(encoding="utf-8")
+        assert "state.r = 2\n" in text
+        single = write_scenario(tmp_path, text.replace(
+            "state.r = 2\n", f"state.r = {r}\n"), "single.scenario")
+        pair = write_scenario(tmp_path, TWO_MODE.format(
+            x1b=2.0, n=100, seed=1).replace("meter.r2 = 0.0",
+                                            f"meter.r2 = {r}"),
+            "pair.scenario")
+        for cmd, path, key in (("run", single, "state.r"),
+                               ("born", single, "state.r"),
+                               ("postselect", single, "state.r"),
+                               ("collapse", pair, "meter.r2")):
+            out = tmp_path / cmd
+            code = main([cmd, "--scenario", str(path), "--out", str(out),
+                         "--trajectories", "100"])
+            assert code == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert key in err and "amp.gtf" not in err
+            assert not out.exists()
+
+    def test_run_refuses_a_single_trajectory(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, SQUEEZED.format(seed=1))
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", str(path), "--out", str(out),
+                     "--trajectories", "1"])
+        assert code == EXIT_VALIDATION
+        assert "at least 2 trajectories" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_postselect_with_every_branch_skipped_exits_2(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "o"
+        code = main(["postselect", "--scenario", "fig_condvar", "--out",
+                     str(out), "--trajectories", "150"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        skipped = [line for line in err if line.startswith("skipped:")]
+        assert len(skipped) == 2 * 5
+        for x1 in ("0.5", "1", "2", "4", "6"):
+            for branch in ("+1", "-1"):
+                assert sum(f"x1={x1} branch={branch} n=" in line
+                           for line in skipped) == 1
+        assert err[-1].startswith("error:")
+        assert not out.exists()
+
     def test_output_path_collision_exits_3(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SQUEEZED.format(seed=1))
         blocker = tmp_path / "blocked"
@@ -432,6 +482,20 @@ class TestCmdBorn:
 
 
 class TestCmdPostselect:
+    def test_skipped_branches_are_reported(self, tmp_path, capsys):
+        # One packet at +x1: far from the origin its minus branch is empty.
+        path = write_scenario(tmp_path, SQUEEZED.format(seed=SEED))
+        out = tmp_path / "o"
+        assert main(["postselect", "--scenario", str(path), "--out",
+                     str(out)]) == EXIT_OK
+        skipped = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("skipped:")]
+        assert skipped
+        assert all("branch=-1 n=" in line for line in skipped)
+        _, header, rows = read_csv(out / "postselect.csv")
+        assert len(rows) + len(skipped) == 2 * 5
+        assert all(n >= 100 for n in column(header, rows, "n", int))
+
     def test_sweep_covers_both_branches(self, sweep_rows):
         header, rows = sweep_rows
         x1s = column(header, rows, "x1")
@@ -490,6 +554,36 @@ class TestCmdCollapse:
     def test_weak_meter_decorrelates(self, tmp_path):
         _, table = self.run_collapse(tmp_path, x1b=0.2)
         assert table["sign_agreement"] < 0.9
+
+
+class TestEndpointCommands:
+    """born, postselect and collapse read only t = 0 and t_final, which
+    one exact relaxation step yields; amp.n_steps does not reach them."""
+
+    @pytest.mark.parametrize("cmd", ["born", "postselect", "collapse"])
+    def test_output_ignores_n_steps(self, tmp_path, cmd):
+        outs = []
+        for n_steps in (2, 7):
+            if cmd == "collapse":
+                text = TWO_MODE.format(x1b=2.0, n=2000, seed=SEED).replace(
+                    "amp.n_steps = 1", f"amp.n_steps = {n_steps}")
+            else:
+                text = SUPERPOSITION.format(gtf=2.0, n_steps=n_steps, n=2000,
+                                            seed=SEED)
+            path = write_scenario(tmp_path, text, f"s{n_steps}.scenario")
+            out = tmp_path / f"{cmd}_{n_steps}"
+            assert main([cmd, "--scenario", str(path), "--out",
+                         str(out)]) == EXIT_OK
+            outs.append((out, load_scenario(str(path)).digest))
+        (out_a, digest_a), (out_b, digest_b) = outs
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == sorted(p.name for p in out_b.iterdir())
+        for name in names:
+            # The provenance line names each scenario file's own digest.
+            got = (out_b / name).read_text(encoding="utf-8")
+            same = got.replace(digest_b, digest_a) \
+                == (out_a / name).read_text(encoding="utf-8")
+            assert same, name
 
 
 class TestConsoleScript:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qtraj.analytic import marginal_p, marginal_x
 from qtraj.core import (
     AmplifierSpec,
     ModeSpec,
@@ -260,3 +261,31 @@ class TestValidateScenario:
         # well inside the range: the closed forms stay finite
         sc = validate_scenario(self._cat(), AmplifierSpec(rate, 300.0, 2))
         assert math.isfinite(sc.gain_tf)
+
+    @pytest.mark.parametrize("r", [300.0, -400.0])
+    def test_overflowing_squeezing_names_its_key(self, r):
+        big = SuperpositionSpec(ModeSpec(6.0, r), c1_mag=1 / math.sqrt(2),
+                                c2_mag=1 / math.sqrt(2), phase_phi=0.5)
+        with pytest.raises(ScenarioError, match=r"state\.r = .*\|state\.r\|"):
+            validate_scenario(big, AmplifierSpec(1.0, 1.0, 2))
+        pair = TwoModeSpec(self._cat(), ModeSpec(4.0, r))
+        with pytest.raises(ScenarioError, match="meter.r2"):
+            validate_scenario(pair, AmplifierSpec(1.0, 1.0, 2))
+
+    @pytest.mark.parametrize("r", [0.0, 100.0, 172.0])
+    def test_gain_bound_is_positive_and_holds(self, r):
+        spec = SuperpositionSpec(ModeSpec(6.0, r), c1_mag=1 / math.sqrt(2),
+                                 c2_mag=1 / math.sqrt(2), phase_phi=0.5)
+        for rate in (1.0, -1.0):
+            with pytest.raises(ScenarioError, match="amp.gtf") as err:
+                validate_scenario(spec, AmplifierSpec(rate, 1.0e3, 2))
+            limit = float(str(err.value).rsplit("< ", 1)[1])
+            assert limit > 0.0
+            # just inside the bound every closed-form moment is finite
+            amp = AmplifierSpec(rate, 0.99 * limit, 2)
+            validate_scenario(spec, amp)
+            with np.errstate(over="raise", invalid="raise"):
+                for t in (0.0, amp.t_final):
+                    for marg in (marginal_x(spec, amp, t),
+                                 marginal_p(spec, amp, t)):
+                        assert all(map(math.isfinite, marg.moments(0)))

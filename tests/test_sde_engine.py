@@ -185,6 +185,21 @@ class TestSingleModeLaw:
             assert got == pytest.approx(
                 sigma_x2_at(ModeSpec(1.0, 1.0), amp, t), abs=5 * se)
 
+    @pytest.mark.parametrize("n_steps", [1, 50])
+    def test_endpoint_covariance_does_not_depend_on_steps(self, n_steps):
+        # x(0) relaxes from x(t_f) over the whole window in any number of
+        # exact steps, so cov(x(0), x(t_f)) = e^{-g t_f} var(x(t_f)).
+        spec = ModeSpec(1.0, 1.0)
+        amp = AmplifierSpec(1.0, 2.0, n_steps)
+        ens = simulate_single_mode(spec, amp, self.N, SUITE_SEED + 62)
+        x0, x_tf = ens.x_paths[:, 0], ens.x_paths[:, -1]
+        _, var_tf = marginal_x(spec, amp, amp.t_final).moments(0)
+        expected = math.exp(-amp.gain_rate_g * amp.t_final) * var_tf
+        batch_covs = [np.cov(a, b)[0, 1] for a, b in
+                      zip(np.array_split(x0, 10), np.array_split(x_tf, 10))]
+        se = float(np.std(batch_covs, ddof=1)) / math.sqrt(10)
+        assert np.cov(x0, x_tf)[0, 1] == pytest.approx(expected, abs=5 * se)
+
     def test_wigner_boundary_matches_final_marginal(self):
         spec = cat(2.0, 0.0, 0.0)
         amp = AmplifierSpec(1.0, 2.0, 4)
