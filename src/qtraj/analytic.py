@@ -42,7 +42,8 @@ from .core import (
     sigma_x2_at,
 )
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
+# Conditionals taken at t = 0 involve no amplifier; any one stands in.
+_T0_AMP = AmplifierSpec(1.0, 1.0, 1)
 
 
 class TimeOutOfRange(ScenarioError):
@@ -651,6 +652,36 @@ def meter_condition_weights(spec: TwoModeSpec, amp: AmplifierSpec, t: float,
     return w_plus, s
 
 
+def _meter_branch_density(spec: TwoModeSpec, w_plus: float, s: float,
+                          amp: AmplifierSpec = _T0_AMP, t: float = 0.0,
+                          amp_b: Optional[AmplifierSpec] = None
+                          ) -> GaussFringeDensity:
+    """Un-normalised (x_a, p_a, p_b) density of the meter-conditioned state.
+
+    w_plus and s are the branch weight and interference suppression of
+    ``meter_condition_weights``.  Both enter linearly, so the density at
+    averaged factors is the average of the per-record densities.
+    """
+    if amp_b is None:
+        amp_b = amp
+    sup = spec.mode_a
+    ga = float(gain(amp, t))
+    sxa = sigma_x2_at(sup.mode, amp, t)
+    spa = sigma_p2_at(sup.mode, amp, t)
+    spb = sigma_p2_at(spec.mode_b, amp_b, t)
+    gb = float(gain(amp_b, t))
+    sxb = sigma_x2_at(spec.mode_b, amp_b, t)
+    x1 = ga * spec.x1
+    comps = (GaussComponent(w_plus, (x1, 0.0, 0.0), (sxa, spa, spb)),
+             GaussComponent(1.0 - w_plus, (-x1, 0.0, 0.0), (sxa, spa, spb)))
+    fringe = FringeTerm(
+        amplitude=s * math.exp(-0.5 * x1 ** 2 / sxa),
+        means=(0.0, 0.0, 0.0), variances=(sxa, spa, spb),
+        wave=(0.0, x1 / sxa, gb * spec.x1b / sxb), phase=sup.phase_phi)
+    return GaussFringeDensity(gaussians=comps, fringe=fringe, norm=1.0,
+                              axes=("x_a", "p_a", "p_b"))
+
+
 def conditional_given_meter_x(spec: TwoModeSpec, x_b: float,
                               amp: Optional[AmplifierSpec] = None,
                               t: float = 0.0,
@@ -664,30 +695,13 @@ def conditional_given_meter_x(spec: TwoModeSpec, x_b: float,
     backward-propagated meter values).
     """
     if amp is None:
-        amp = AmplifierSpec(1.0, 1.0, 1)  # scale-free at t = 0
+        amp = _T0_AMP
     if amp_b is None:
         amp_b = amp
-    sup = spec.mode_a
     t = _check_time(amp, t)
-    ga = float(gain(amp, t))
-    sxa = sigma_x2_at(sup.mode, amp, t)
-    spa = sigma_p2_at(sup.mode, amp, t)
-    spb = sigma_p2_at(spec.mode_b, amp_b, t)
-    gb = float(gain(amp_b, t))
-    sxb = sigma_x2_at(spec.mode_b, amp_b, t)
     w_plus, s = meter_condition_weights(spec, amp, t, x_b, amp_b)
-    w_plus, s = float(w_plus), float(s)
-    x1 = ga * spec.x1
-    comps = (GaussComponent(w_plus, (x1, 0.0, 0.0), (sxa, spa, spb)),
-             GaussComponent(1.0 - w_plus, (-x1, 0.0, 0.0), (sxa, spa, spb)))
-    fringe = FringeTerm(
-        amplitude=s * math.exp(-0.5 * x1 ** 2 / sxa),
-        means=(0.0, 0.0, 0.0), variances=(sxa, spa, spb),
-        wave=(0.0, x1 / sxa, gb * spec.x1b / sxb), phase=sup.phase_phi)
-    dens = GaussFringeDensity(gaussians=comps, fringe=fringe, norm=1.0,
-                              axes=("x_a", "p_a", "p_b"))
-    mass = dens.total_mass()
-    return replace(dens, norm=1.0 / mass)
+    dens = _meter_branch_density(spec, float(w_plus), float(s), amp, t, amp_b)
+    return replace(dens, norm=1.0 / dens.total_mass())
 
 
 def inferred_state_A_analytic(spec: TwoModeSpec, branch: int = +1

@@ -121,7 +121,7 @@ def parse_scenario_text(text: str, label: str) -> ScenarioFile:
     ------
     ScenarioFileError
         Naming the offending key for unknown, duplicate, missing or
-        inapplicable keys and for unparsable values.
+        inapplicable keys and for unparsable or non-finite values.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -142,6 +142,9 @@ def parse_scenario_text(text: str, label: str) -> ScenarioFile:
         except ValueError as exc:
             raise ScenarioFileError(
                 f"{label}:{lineno}: bad value for {key!r}: {exc}") from exc
+        if isinstance(values[key], float) and not math.isfinite(values[key]):
+            raise ScenarioFileError(
+                f"{label}:{lineno}: {key!r} must be finite, got {val!r}")
 
     kind = values.get("state.kind")
     if kind not in _KIND_KEYS:

@@ -47,6 +47,15 @@ class NonPositiveSteps(ScenarioError):
     """Time grid with fewer than one step or non-positive duration."""
 
 
+def _require_finite(spec, *names) -> None:
+    """Reject a NaN or infinite field, naming it."""
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ScenarioError(f"{type(spec).__name__}.{name} = {value!r} "
+                                f"is not finite")
+
+
 @dataclass(frozen=True)
 class ModeSpec:
     """A single squeezed wave packet.
@@ -61,6 +70,9 @@ class ModeSpec:
 
     mean_x: float
     squeeze_r: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(self, "mean_x", "squeeze_r")
 
     @property
     def sigma_x2(self) -> float:
@@ -92,6 +104,7 @@ class SuperpositionSpec:
     phase_phi: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "c1_mag", "c2_mag", "phase_phi")
         norm = self.c1_mag ** 2 + self.c2_mag ** 2
         if abs(norm - 1.0) > 1e-12:
             raise NonNormalizedAmplitudes(
@@ -151,6 +164,7 @@ class AmplifierSpec:
     n_steps: int = 300
 
     def __post_init__(self):
+        _require_finite(self, "gain_rate_g", "t_final", "n_steps")
         if self.gain_rate_g == 0.0:
             raise ZeroGain("amplifier rate g must be non-zero")
         if self.t_final <= 0.0:
@@ -216,52 +230,26 @@ def sigma_p2_at(mode: ModeSpec, amp: AmplifierSpec, t) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated state + amplifier pairing with derived constants.
+    """A validated state + amplifier pairing.
 
     Attributes
     ----------
     state : SuperpositionSpec or TwoModeSpec
     amp : AmplifierSpec
         Amplifier for the (first) mode.
+    grid : TimeGrid
     amp_b : AmplifierSpec or None
         Meter amplifier; defaults to ``amp`` for two-mode states.
-    grid : TimeGrid
-    sigma_x2, sigma_p2 : float
-        t = 0 phase-space variances of the system mode.
-    sigma_x2_b, sigma_p2_b : float or None
-        Same for the meter mode (two-mode states only).
-    norm_n : float
-        Norm factor of the system superposition taken alone.
-    norm_n2 : float or None
-        Norm factor of the entangled state (two-mode only).
-    fringe_f : float
-        Interference normalisation f(phi); equals 1/norm_n for a single
-        mode and 1 + cos(phi) e^{-E_a - E_b} for two modes.
-    gain_tf : float
-        G(t_final) for the system amplifier.
     """
 
     state: Union[SuperpositionSpec, TwoModeSpec]
     amp: AmplifierSpec
     grid: TimeGrid
-    sigma_x2: float
-    sigma_p2: float
-    norm_n: float
-    fringe_f: float
-    gain_tf: float
     amp_b: Optional[AmplifierSpec] = None
-    sigma_x2_b: Optional[float] = None
-    sigma_p2_b: Optional[float] = None
-    norm_n2: Optional[float] = None
 
     @property
     def is_two_mode(self) -> bool:
         return isinstance(self.state, TwoModeSpec)
-
-    @property
-    def sup(self) -> SuperpositionSpec:
-        """The system superposition (mode A for two-mode states)."""
-        return self.state.mode_a if self.is_two_mode else self.state
 
 
 # Largest exponent a double holds, with headroom for sums of squares.
@@ -296,7 +284,7 @@ def _check_overflow(amp: AmplifierSpec, mode: ModeSpec, x_key: str,
 
 def validate_scenario(spec: StateSpec, amp: AmplifierSpec,
                       amp_b: Optional[AmplifierSpec] = None) -> Scenario:
-    """Check a state/amplifier pairing and precompute derived constants.
+    """Check a state/amplifier pairing.
 
     Parameters
     ----------
@@ -327,24 +315,11 @@ def validate_scenario(spec: StateSpec, amp: AmplifierSpec,
             amp_b = amp
         if (amp_b.t_final != amp.t_final or amp_b.n_steps != amp.n_steps):
             raise ScenarioError("meter amplifier must share the time grid")
-        sup = spec.mode_a
-        _check_overflow(amp, sup.mode, "state.x1", "state.r")
+        _check_overflow(amp, spec.mode_a.mode, "state.x1", "state.r")
         _check_overflow(amp_b, spec.mode_b, "meter.x1b", "meter.r2")
-        ea = sup.mode.overlap_exponent
-        eb = spec.mode_b.overlap_exponent
-        f2 = 1.0 + math.cos(sup.phase_phi) * math.exp(-ea - eb)
-        return Scenario(
-            state=spec, amp=amp, amp_b=amp_b, grid=grid,
-            sigma_x2=sup.mode.sigma_x2, sigma_p2=sup.mode.sigma_p2,
-            sigma_x2_b=spec.mode_b.sigma_x2, sigma_p2_b=spec.mode_b.sigma_p2,
-            norm_n=sup.norm_factor, norm_n2=1.0 / math.sqrt(2.0 * f2),
-            fringe_f=f2, gain_tf=amp.gain_tf)
+        return Scenario(state=spec, amp=amp, grid=grid, amp_b=amp_b)
     if amp_b is not None:
         raise ScenarioError("amp_b only applies to two-mode states")
     sup = as_superposition(spec)
     _check_overflow(amp, sup.mode, "state.x1", "state.r")
-    return Scenario(
-        state=sup, amp=amp, grid=grid,
-        sigma_x2=sup.mode.sigma_x2, sigma_p2=sup.mode.sigma_p2,
-        norm_n=sup.norm_factor, fringe_f=1.0 / sup.norm_factor,
-        gain_tf=amp.gain_tf)
+    return Scenario(state=sup, amp=amp, grid=grid)

@@ -17,18 +17,16 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .analytic import (FringeTerm, GaussComponent, GaussFringeDensity,
-                       UnsupportedPhase, _phase_kind, meter_condition_weights)
-from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
-                   TwoModeSpec)
+from .analytic import (_T0_AMP, GaussFringeDensity, UnsupportedPhase,
+                       _meter_branch_density, _phase_kind,
+                       meter_condition_weights)
+from .core import ModeSpec, ScenarioError, SuperpositionSpec, TwoModeSpec
 from .sampler import _as_generator, sample_p_given_x
 from .sde_engine import TrajectoryEnsemble
 from .stats import Histogram, histogram
 
 N_BATCHES = 10
 MIN_SAMPLES = 100
-# Meter conditionals are taken at t = 0, where no amplifier enters.
-_T0_AMP = AmplifierSpec(1.0, 1.0, 1)
 
 
 class EmptyEnsemble(ValueError):
@@ -298,9 +296,11 @@ class InferredState:
     """System phase-space state reconstructed from meter records.
 
     ``moments_x`` / ``moments_p`` carry raw phase-space moments (no
-    floor subtraction); ``density`` is the closed-form reconstruction
-    using the ensemble-averaged branch weight and interference
-    suppression, and ``values`` samples it on the reporting grid.
+    floor subtraction); ``density`` is the closed-form reconstruction on
+    axes ("x_a", "p_a"), the meter-conditioned density of
+    ``conditional_given_meter_x`` at the ensemble-averaged branch weight
+    and interference suppression with p_b integrated out, and ``values``
+    samples it on the reporting grid.
     """
 
     density: GaussFringeDensity
@@ -314,26 +314,6 @@ class InferredState:
     grid_mass: float
     meter_hist: Histogram
     n: int
-
-
-def _inferred_density(spec: TwoModeSpec, w_plus_bar: float, sech_bar: float
-                      ) -> GaussFringeDensity:
-    sup = spec.mode_a
-    sxa = sup.mode.sigma_x2
-    spa = sup.mode.sigma_p2
-    sxb = spec.mode_b.sigma_x2
-    spb = spec.mode_b.sigma_p2
-    x1 = spec.x1
-    k_b = spec.x1b / sxb
-    meter_damp = math.exp(-0.5 * k_b ** 2 * spb)
-    comps = (GaussComponent(w_plus_bar, (x1, 0.0), (sxa, spa)),
-             GaussComponent(1.0 - w_plus_bar, (-x1, 0.0), (sxa, spa)))
-    fringe = FringeTerm(
-        amplitude=sech_bar * meter_damp * math.exp(-0.5 * x1 ** 2 / sxa),
-        means=(0.0, 0.0), variances=(sxa, spa),
-        wave=(0.0, x1 / sxa), phase=sup.phase_phi)
-    return GaussFringeDensity(gaussians=comps, fringe=fringe, norm=1.0,
-                              axes=("x", "p"))
 
 
 def infer_state_A_numeric(selected: PostselectedEnsemble, spec: TwoModeSpec,
@@ -376,20 +356,17 @@ def infer_state_A_numeric(selected: PostselectedEnsemble, spec: TwoModeSpec,
     w_plus, s = meter_condition_weights(spec, _T0_AMP, 0.0, x_b0)
     w_bar = float(np.mean(w_plus))
     s_bar = float(np.mean(s))
-    density = _inferred_density(spec, w_bar, s_bar)
 
-    def moments_from(wb, sb):
-        d = _inferred_density(spec, wb, sb)
-        return d.moments("x"), d.moments("p")
+    def moments_at(wb, sb):
+        d = _meter_branch_density(spec, wb, sb).marginal("p_b")
+        return d, d.moments(0) + d.moments(1)
 
-    (mx, vx), (mp, vp) = moments_from(w_bar, s_bar)
-    w_batches = np.array_split(w_plus, N_BATCHES)
-    s_batches = np.array_split(s, N_BATCHES)
-    b_moments = [moments_from(float(np.mean(wb)), float(np.mean(sb)))
-                 for wb, sb in zip(w_batches, s_batches)]
+    density, (mx, vx, mp, vp) = moments_at(w_bar, s_bar)
+    b_moments = [moments_at(float(np.mean(wb)), float(np.mean(sb)))[1]
+                 for wb, sb in zip(np.array_split(w_plus, N_BATCHES),
+                                   np.array_split(s, N_BATCHES))]
     se = [float(np.std(col, ddof=1)) / math.sqrt(N_BATCHES)
-          for col in zip(*[(m[0][0], m[0][1], m[1][0], m[1][1])
-                           for m in b_moments])]
+          for col in zip(*b_moments)]
     moments_x = MomentEstimate(mx, vx, se[0], se[1], selected.n)
     moments_p = MomentEstimate(mp, vp, se[2], se[3], selected.n)
 

@@ -21,19 +21,15 @@ bit-exactly regardless of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from .analytic import GaussFringeDensity
+from .analytic import GaussComponent, GaussFringeDensity
 from .core import ModeSpec, SuperpositionSpec, as_superposition
 
 _MASK64 = (1 << 64) - 1
-
-
-class BadWeights(ValueError):
-    """Mixture weights that are negative or do not sum to one."""
 
 
 class EnvelopeViolation(RuntimeError):
@@ -67,73 +63,26 @@ def _as_generator(rng) -> np.random.Generator:
     return rng
 
 
-def sample_gauss_mixture(components, rng, size: int) -> np.ndarray:
-    """Draw from a one-dimensional Gaussian mixture.
-
-    Parameters
-    ----------
-    components : sequence of (weight, mean, variance)
-        Weights must be non-negative and sum to 1 within 1e-12.
-    rng : numpy Generator or RngStream
-    size : int
-
-    Raises
-    ------
-    BadWeights
-    """
-    rng = _as_generator(rng)
-    comps = [(float(w), float(m), float(v)) for w, m, v in components]
-    weights = np.array([c[0] for c in comps])
-    if np.any(weights < 0):
-        raise BadWeights("negative mixture weight")
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-12:
-        raise BadWeights(f"mixture weights sum to {total!r}, expected 1")
-    means = np.array([c[1] for c in comps])
-    sigmas = np.sqrt([c[2] for c in comps])
-    idx = rng.choice(len(comps), size=size, p=weights / total)
-    return means[idx] + sigmas[idx] * rng.standard_normal(size)
-
-
 def _proposal_parts(density: GaussFringeDensity):
-    """Split a density into proposal mixture rows and the fringe handling.
+    """The dominating proposal of a density, and whether it is the density.
 
-    Returns (weights, means, variances, mode) where the first three rows
-    describe the positive proposal mixture (fringe envelope appended when
-    it oscillates or subtracts) and mode is one of "mixture" (exact,
-    fringe folded in or absent) or "reject".
+    Returns (proposal, exact).  The proposal keeps the density's norm and
+    mixture and has no fringe.  An oscillating fringe appends its
+    envelope |A| N(m, f^2) as one more component.  A non-oscillating
+    fringe folds in with weight A cos(theta) when that is non-negative,
+    and the proposal is then exact; when it subtracts, it is dropped.
     """
-    weights = [c.weight for c in density.gaussians]
-    means = [c.means for c in density.gaussians]
-    variances = [c.variances for c in density.gaussians]
+    comps, exact = density.gaussians, True
     f = density.fringe
-    if f is None or f.amplitude == 0.0:
-        return np.array(weights), np.array(means), np.array(variances), "mixture"
-    if all(k == 0.0 for k in f.wave):
-        eff = f.amplitude * math.cos(f.phase)
-        if eff >= 0.0:
-            weights = weights + [eff]
-            means = means + [f.means]
-            variances = variances + [f.variances]
-            return (np.array(weights), np.array(means), np.array(variances),
-                    "mixture")
-        return np.array(weights), np.array(means), np.array(variances), "reject"
-    weights = weights + [abs(f.amplitude)]
-    means = means + [f.means]
-    variances = variances + [f.variances]
-    return np.array(weights), np.array(means), np.array(variances), "reject"
-
-
-def _proposal_density(density, weights, means, variances, pts):
-    """Unnormalised proposal value norm * sum_i w_i prod_a N(pts_a)."""
-    total = 0.0
-    for w, mu, var in zip(weights, means, variances):
-        term = w
-        for a in range(pts.shape[1]):
-            term = term * np.exp(-0.5 * (pts[:, a] - mu[a]) ** 2 / var[a]) \
-                / math.sqrt(2.0 * math.pi * var[a])
-        total = total + term
-    return density.norm * total
+    if f is not None and f.amplitude != 0.0:
+        if all(k == 0.0 for k in f.wave):
+            weight = f.amplitude * math.cos(f.phase)
+            exact = weight >= 0.0
+        else:
+            weight, exact = abs(f.amplitude), False
+        if weight >= 0.0:
+            comps = comps + (GaussComponent(weight, f.means, f.variances),)
+    return replace(density, gaussians=comps, fringe=None), exact
 
 
 def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
@@ -157,14 +106,17 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
     Raises
     ------
     EnvelopeViolation
-        If the density evaluates above its proposal or below zero —
-        which for well-formed members of the family cannot happen, so
-        this flags a hand-built object that is not a density.
+        If a candidate's density or proposal is not finite, or the
+        density evaluates above its proposal or below zero — which for
+        well-formed members of the family cannot happen, so this flags a
+        hand-built object that is not a density.
     """
     rng = _as_generator(rng)
     ndim = density.ndim
-    weights, means, variances, mode = _proposal_parts(density)
-    sigmas = np.sqrt(variances)
+    proposal, exact = _proposal_parts(density)
+    weights = np.array([c.weight for c in proposal.gaussians])
+    means = np.array([c.means for c in proposal.gaussians])
+    sigmas = np.sqrt([c.variances for c in proposal.gaussians])
     probs = weights / weights.sum()
     bound = 1.0 / (density.norm * weights.sum())
 
@@ -173,7 +125,7 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
         z = rng.standard_normal((m, ndim))
         return means[idx] + sigmas[idx] * z
 
-    if mode == "mixture":
+    if exact:
         out = draw(size)
         if diagnostics is not None:
             diagnostics.update(n_proposed=size, n_accepted=size,
@@ -189,10 +141,13 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
         want = size - filled
         m = int(want / acc_est) + 16
         pts = draw(m)
-        target = density.density(*(pts[:, a] for a in range(ndim)))
-        prop = _proposal_density(density, weights, means, variances, pts)
+        target = density.density(*pts.T)
+        prop = proposal.density(*pts.T)
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(prop > 0.0, target / prop, 0.0)
+        if not (np.isfinite(target).all() and np.isfinite(prop).all()):
+            raise EnvelopeViolation("density or proposal is not finite "
+                                    "at a candidate")
         if np.any(ratio > 1.0 + 1e-9) or np.any(ratio < -1e-12):
             raise EnvelopeViolation(
                 f"density/proposal ratio outside [0, 1]: "
@@ -210,33 +165,6 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
         diagnostics.update(n_proposed=n_proposed, n_accepted=n_accepted,
                            acceptance_bound=bound)
     return out[:, 0] if ndim == 1 else out
-
-
-def check_envelope(density: GaussFringeDensity, n_points: int = 10000,
-                   seed: int = 0) -> float:
-    """Verify proposal >= target >= 0 on a point cloud; returns max ratio.
-
-    Uses a grid for one axis and quasi-random points in the support box
-    otherwise.
-    """
-    weights, means, variances, mode = _proposal_parts(density)
-    ndim = density.ndim
-    if ndim == 1:
-        lo = float(np.min(means[:, 0] - 10.0 * np.sqrt(variances[:, 0])))
-        hi = float(np.max(means[:, 0] + 10.0 * np.sqrt(variances[:, 0])))
-        pts = np.linspace(lo, hi, n_points)[:, None]
-    else:
-        rng = np.random.default_rng(seed)
-        lo = means.min(axis=0) - 10.0 * np.sqrt(variances.max(axis=0))
-        hi = means.max(axis=0) + 10.0 * np.sqrt(variances.max(axis=0))
-        pts = lo + (hi - lo) * rng.random((n_points, ndim))
-    target = density.density(*(pts[:, a] for a in range(ndim)))
-    prop = _proposal_density(density, weights, means, variances, pts)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(prop > 0.0, target / prop, 0.0)
-    if np.any(ratio > 1.0 + 1e-9) or np.any(target < -1e-12):
-        raise EnvelopeViolation("target exceeds proposal on the check grid")
-    return float(ratio.max())
 
 
 def sample_p_given_x(spec: Union[ModeSpec, SuperpositionSpec], x_at_t0, rng

@@ -21,6 +21,7 @@ import pytest
 
 from conftest import SUITE_SEED, gl_nodes, quad_grid, variance_batch_se
 from qtraj.analytic import (
+    _meter_branch_density,
     born_p,
     born_x,
     conditional_p_given_x,
@@ -41,7 +42,6 @@ from qtraj.core import (
     sigma_x2_at,
 )
 from qtraj.postselect import (
-    _inferred_density,
     bin_by_sign,
     build_loops,
     infer_state_A_numeric,
@@ -70,8 +70,8 @@ def cat(x1, r=0.0, phi=0.5 * math.pi):
 def scaled_finals(ens, which="x"):
     """Final-time record divided by the accumulated gain of its axis."""
     if which == "x":
-        return ens.x_paths[:, -1] / abs(ens.scenario.gain_tf)
-    return ens.p_paths[:, -1] * abs(ens.scenario.gain_tf)
+        return ens.x_paths[:, -1] / abs(ens.scenario.amp.gain_tf)
+    return ens.p_paths[:, -1] * abs(ens.scenario.amp.gain_tf)
 
 
 def momentum_record(t_final, offset):
@@ -295,7 +295,8 @@ class TestAcceptance:
     def test_criterion_08a_reconstruction_matches_exact_expectation(self, r):
         spec, inferred = collapse_branch(r)
         e_w, e_s = branch_meter_expectations(spec, AmplifierSpec(1.0, 2.0, 1))
-        emean, evar = _inferred_density(spec, e_w, e_s).moments("x")
+        exact = _meter_branch_density(spec, e_w, e_s).marginal("p_b")
+        emean, evar = exact.moments("x_a")
         mx = inferred.moments_x
         zm = abs(mx.mean - emean) / mx.std_error_mean
         zv = abs(mx.variance - evar) / mx.std_error_variance

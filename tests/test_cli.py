@@ -294,6 +294,22 @@ class TestMainValidation:
             assert key in err and "amp.gtf" not in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["amp.gtf", "amp.g", "state.x1",
+                                     "state.r", "state.phi"])
+    def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                     key):
+        text = (resources.files("qtraj") / "scenarios" / "fig_sup.scenario"
+                ).read_text(encoding="utf-8")
+        lines = [f"{key} = nan" if line.startswith(f"{key} =") else line
+                 for line in text.splitlines()]
+        assert f"{key} = nan" in lines
+        path = write_scenario(tmp_path, "\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_refuses_a_single_trajectory(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SQUEEZED.format(seed=1))
         out = tmp_path / "o"
@@ -373,9 +389,13 @@ class TestCmdRun:
         out_b = self.run_once(tmp_path, "b")
         out_c = self.run_once(tmp_path, "c", extra=("--threads", "2"))
         for name in ("trajectories.csv", "marginals.csv", "summary.csv"):
+            # Compared as booleans: pytest's diff of two large byte
+            # strings would take minutes to render on a mismatch.
             ref = (out_a / name).read_bytes()
-            assert (out_b / name).read_bytes() == ref
-            assert (out_c / name).read_bytes() == ref
+            same_b = (out_b / name).read_bytes() == ref
+            same_c = (out_c / name).read_bytes() == ref
+            assert same_b
+            assert same_c
         # Every command over three chunks: one thread and three threads
         # write the same bytes.
         single = write_scenario(tmp_path, SQUEEZED.format(seed=SEED),
@@ -393,8 +413,9 @@ class TestCmdRun:
             names = sorted(p.name for p in outs[0].iterdir())
             assert names == sorted(p.name for p in outs[1].iterdir())
             for name in names:
-                assert (outs[1] / name).read_bytes() \
-                    == (outs[0] / name).read_bytes(), (cmd, name)
+                same = ((outs[1] / name).read_bytes()
+                        == (outs[0] / name).read_bytes())
+                assert same, (cmd, name)
 
     def test_seed_override_changes_output(self, tmp_path):
         out_a = self.run_once(tmp_path, "a")

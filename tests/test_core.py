@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qtraj.analytic import marginal_p, marginal_x
+from qtraj.analytic import marginal_p, marginal_x, two_mode_q
 from qtraj.core import (
     AmplifierSpec,
     ModeSpec,
@@ -102,6 +102,28 @@ class TestTwoModeSpec:
                                 phase_phi=0.5 * math.pi)
         with pytest.raises(NonNormalizedAmplitudes):
             TwoModeSpec(sup, ModeSpec(4.0))
+
+
+class TestNonFiniteFields:
+    BUILD = {
+        "ModeSpec.mean_x": lambda v: ModeSpec(v, 0.0),
+        "ModeSpec.squeeze_r": lambda v: ModeSpec(1.0, v),
+        "SuperpositionSpec.c1_mag":
+            lambda v: SuperpositionSpec(ModeSpec(1.0), c1_mag=v),
+        "SuperpositionSpec.c2_mag":
+            lambda v: SuperpositionSpec(ModeSpec(1.0), c2_mag=v),
+        "SuperpositionSpec.phase_phi":
+            lambda v: SuperpositionSpec(ModeSpec(1.0), phase_phi=v),
+        "AmplifierSpec.gain_rate_g": lambda v: AmplifierSpec(v, 1.0),
+        "AmplifierSpec.t_final": lambda v: AmplifierSpec(1.0, v),
+        "AmplifierSpec.n_steps": lambda v: AmplifierSpec(1.0, 1.0, v),
+    }
+
+    @pytest.mark.parametrize("field", sorted(BUILD))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            self.BUILD[field](value)
 
 
 class TestAmplifierSpec:
@@ -203,12 +225,8 @@ class TestValidateScenario:
         amp = AmplifierSpec(1.0, 2.0, 8)
         sc = validate_scenario(sup, amp)
         assert not sc.is_two_mode
-        assert sc.sup is sup
-        assert sc.sigma_x2 == pytest.approx(sup.mode.sigma_x2)
-        assert sc.sigma_p2 == pytest.approx(sup.mode.sigma_p2)
-        assert sc.norm_n == pytest.approx(sup.norm_factor, rel=1e-15)
-        assert sc.fringe_f == pytest.approx(1.0 / sup.norm_factor, rel=1e-15)
-        assert sc.gain_tf == pytest.approx(math.exp(2.0), rel=1e-15)
+        assert sc.state is sup
+        assert sc.amp is amp and sc.amp_b is None
         assert len(sc.grid) == 9
 
     def test_bare_mode_is_promoted(self):
@@ -226,22 +244,19 @@ class TestValidateScenario:
         sc = validate_scenario(spec, amp)
         assert sc.is_two_mode
         assert sc.amp_b is amp
-        assert sc.sigma_x2_b == pytest.approx(2.0)
-        assert sc.sigma_p2_b == pytest.approx(2.0)
         # quarter phase: no interference in the joint norm
-        assert sc.fringe_f == pytest.approx(1.0, abs=1e-15)
-        assert sc.norm_n2 == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+        assert two_mode_q(spec, amp, 0.0).norm == pytest.approx(1.0,
+                                                               abs=1e-15)
 
     def test_two_mode_zero_phase_norm(self):
         spec = TwoModeSpec(self._cat(phi=0.0), ModeSpec(1.0, 0.0))
         amp = AmplifierSpec(1.0, 2.0, 8)
-        sc = validate_scenario(spec, amp)
+        assert validate_scenario(spec, amp).is_two_mode
         ea = spec.mode_a.mode.overlap_exponent
         eb = spec.mode_b.overlap_exponent
         f2 = 1.0 + math.exp(-ea - eb)
-        assert sc.fringe_f == pytest.approx(f2, rel=1e-14)
-        assert sc.norm_n2 == pytest.approx(1.0 / math.sqrt(2.0 * f2),
-                                           rel=1e-14)
+        assert two_mode_q(spec, amp, 0.0).norm == pytest.approx(1.0 / f2,
+                                                               rel=1e-14)
 
     def test_two_mode_grid_mismatch_rejected(self):
         spec = TwoModeSpec(self._cat(), ModeSpec(4.0, 0.0))
@@ -260,7 +275,7 @@ class TestValidateScenario:
                               amp_b=AmplifierSpec(1.0e3, 2.0, 2))
         # well inside the range: the closed forms stay finite
         sc = validate_scenario(self._cat(), AmplifierSpec(rate, 300.0, 2))
-        assert math.isfinite(sc.gain_tf)
+        assert math.isfinite(sc.amp.gain_tf)
 
     @pytest.mark.parametrize("r", [300.0, -400.0])
     def test_overflowing_squeezing_names_its_key(self, r):

@@ -6,29 +6,31 @@ samplers claim to realise.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SUITE_SEED
 from qtraj.analytic import (
     FringeTerm,
     GaussComponent,
+    GaussFringeDensity,
     Marginal1D,
     born_x,
     conditional_p_given_x,
     marginal_p,
     marginal_x,
     q_single_mode,
+    two_mode_q,
 )
-from qtraj.core import AmplifierSpec, ModeSpec, SuperpositionSpec
+from qtraj.core import AmplifierSpec, ModeSpec, SuperpositionSpec, TwoModeSpec
 from qtraj.sampler import (
-    BadWeights,
     EnvelopeViolation,
     RngStream,
-    check_envelope,
     sample_fringe_density,
-    sample_gauss_mixture,
     sample_p_given_x,
 )
 from qtraj.stats import ks_critical, ks_statistic
@@ -72,34 +74,6 @@ class TestRngStream:
     def test_huge_stream_indices_wrap(self):
         big = RngStream(SUITE_SEED, 2 ** 70)
         assert big.generator().standard_normal(4).shape == (4,)
-
-
-class TestSampleGaussMixture:
-    def test_rejects_bad_weights(self):
-        rng = RngStream(SUITE_SEED, 20).generator()
-        with pytest.raises(BadWeights):
-            sample_gauss_mixture([(-0.2, 0.0, 1.0), (1.2, 0.0, 1.0)], rng, 10)
-        with pytest.raises(BadWeights):
-            sample_gauss_mixture([(0.5, 0.0, 1.0), (0.4, 0.0, 1.0)], rng, 10)
-
-    def test_moments_of_two_component_mixture(self):
-        comps = [(0.3, -2.0, 0.5), (0.7, 1.0, 2.0)]
-        n = 400000
-        rng = RngStream(SUITE_SEED, 21)
-        x = sample_gauss_mixture(comps, rng, n)
-        assert x.shape == (n,)
-        mean = 0.3 * -2.0 + 0.7 * 1.0
-        second = 0.3 * (0.5 + 4.0) + 0.7 * (2.0 + 1.0)
-        var = second - mean * mean
-        se_mean = math.sqrt(var / n)
-        assert float(x.mean()) == pytest.approx(mean, abs=5 * se_mean)
-        assert float(x.var()) == pytest.approx(var, rel=0.02)
-
-    def test_reruns_are_bit_identical(self):
-        comps = [(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)]
-        a = sample_gauss_mixture(comps, RngStream(SUITE_SEED, 22), 1000)
-        b = sample_gauss_mixture(comps, RngStream(SUITE_SEED, 22), 1000)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestSampleFringeDensity:
@@ -179,17 +153,59 @@ class TestSampleFringeDensity:
         with pytest.raises(EnvelopeViolation):
             sample_fringe_density(dens, RngStream(SUITE_SEED, 29), 20000)
 
+    @pytest.mark.parametrize("field,value", [
+        ("phase", float("nan")), ("amplitude", float("nan")),
+        ("variances", (float("nan"),))])
+    def test_non_finite_density_raises(self, field, value):
+        # A NaN ratio is neither above 1 nor below 0, and is never
+        # accepted: without the check the loop would never end.
+        dens = marginal_p(cat(2.0, 0.0, 0.0), AMP, 0.0)
+        dens = replace(dens, fringe=replace(dens.fringe, **{field: value}))
+        with pytest.raises(EnvelopeViolation):
+            sample_fringe_density(dens, RngStream(SUITE_SEED, 37), 1000)
+
 
 class TestCheckEnvelope:
+    """The rejection loop checks its envelope on every candidate."""
+
     def test_valid_densities_pass(self):
         folded = born_x(cat(1.0, 0.0, 0.0))
-        assert check_envelope(folded) <= 1.0 + 1e-9
         osc = q_single_mode(cat(1.5, 0.5, 0.5 * math.pi), AMP, 0.8)
-        assert check_envelope(osc) <= 1.0 + 1e-9
+        for dens in (folded, osc):
+            diag = {}
+            sample_fringe_density(dens, RngStream(SUITE_SEED, 35), 100000,
+                                  diagnostics=diag)
+            n, bound = diag["n_proposed"], diag["acceptance_bound"]
+            binomial_se = math.sqrt(bound * (1.0 - bound) / n)
+            assert diag["n_accepted"] / n >= bound - 5.0 * binomial_se - 1e-12
 
     def test_negative_density_is_flagged(self):
+        # An oscillating fringe twice the mixture's height: the target
+        # dips below zero wherever cos(3 p) < -1/2.
+        comps = (GaussComponent(1.0, (0.0, 0.0), (1.0, 1.0)),)
+        fringe = FringeTerm(2.0, (0.0, 0.0), (1.0, 1.0), (0.0, 3.0), 0.0)
+        dens = GaussFringeDensity(gaussians=comps, fringe=fringe)
         with pytest.raises(EnvelopeViolation):
-            check_envelope(negative_dip_density())
+            sample_fringe_density(dens, RngStream(SUITE_SEED, 36), 1000)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(x1=st.floats(0.5, 6.0), r=st.floats(-1.0, 2.0),
+       phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       x1b=st.floats(0.5, 6.0), r2=st.floats(-1.0, 2.0),
+       t_frac=st.floats(0.0, 1.0))
+def test_family_members_never_violate_their_envelope(x1, r, phi, x1b, r2,
+                                                     t_frac):
+    t = t_frac * AMP.t_final
+    spec = cat(x1, r, phi)
+    joint = two_mode_q(TwoModeSpec(spec, ModeSpec(x1b, r2)), AMP, t)
+    densities = (marginal_x(spec, AMP, t), marginal_p(spec, AMP, t),
+                 q_single_mode(spec, AMP, t), joint.marginal("p_a", "p_b"),
+                 joint.marginal("x_a", "x_b"))
+    for i, dens in enumerate(densities):
+        draws = sample_fringe_density(dens, RngStream(SUITE_SEED, 40 + i),
+                                      2000)
+        assert np.isfinite(draws).all()
 
 
 class TestSamplePGivenX:

@@ -1,5 +1,7 @@
 """Static checks on the package source: no module imports a name it
-never uses (names listed in ``__all__`` count as used)."""
+never uses (names listed in ``__all__`` count as used), and no
+module-level function or class goes unused (referenced nowhere in the
+package outside its own definition, and not exported in ``__all__``)."""
 
 import ast
 from pathlib import Path
@@ -38,3 +40,30 @@ def test_sources_found():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert unused_imports(tree) == []
+
+
+def referenced_names():
+    """(file, name, line) of every name and attribute the package reads."""
+    refs = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path.name, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path.name, node.attr, node.lineno))
+    return refs
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_definitions(path):
+    refs = referenced_names()
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    dead = [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in qtraj.__all__
+            and not any(name == node.name
+                        and not (file == path.name
+                                 and node.lineno <= line <= node.end_lineno)
+                        for file, name, line in refs)]
+    assert dead == []
