@@ -36,6 +36,7 @@ from .core import (
     ScenarioError,
     SuperpositionSpec,
     TwoModeSpec,
+    _require_finite,
     as_superposition,
     gain,
     sigma_p2_at,
@@ -71,6 +72,7 @@ class GaussComponent:
     variances: Tuple[float, ...]
 
     def __post_init__(self):
+        _require_finite(self, "weight", "means", "variances")
         if self.weight < 0:
             raise ValueError(f"component weight {self.weight!r} < 0")
         if len(self.means) != len(self.variances):
@@ -90,6 +92,8 @@ class FringeTerm:
     phase: float
 
     def __post_init__(self):
+        _require_finite(self, "amplitude", "means", "variances", "wave",
+                        "phase")
         n = len(self.means)
         if len(self.variances) != n or len(self.wave) != n:
             raise ValueError("fringe parameter length mismatch")
@@ -121,6 +125,7 @@ class GaussFringeDensity:
     axes: Tuple[str, ...] = ("x", "p")
 
     def __post_init__(self):
+        _require_finite(self, "norm")
         if self.norm <= 0:
             raise ValueError(f"norm {self.norm!r} must be positive")
         n = len(self.axes)
@@ -165,27 +170,26 @@ class GaussFringeDensity:
     def total_mass(self) -> float:
         """Closed-form integral over all axes."""
         mass = sum(c.weight for c in self.gaussians)
-        if self.fringe is not None:
-            f = self.fringe
-            damp = sum(k * k * v for k, v in zip(f.wave, f.variances))
-            arg = f.phase + sum(k * m for k, m in zip(f.wave, f.means))
-            mass += f.amplitude * math.exp(-0.5 * damp) * math.cos(arg)
+        f = self._reduced_fringe(())
+        if f is not None:
+            mass += f.amplitude * math.cos(f.phase)
         return self.norm * mass
 
-    # -- closed-form moments --------------------------------------------
-
-    def _fringe_1d(self, ai: int) -> Optional[Tuple[float, float, float, float, float]]:
-        """Reduce the fringe to axis ai: (amplitude, mean, var, wave, phase)."""
-        if self.fringe is None:
-            return None
+    def _reduced_fringe(self, keep) -> Optional[FringeTerm]:
+        """The fringe with every axis outside ``keep`` integrated out."""
         f = self.fringe
+        if f is None:
+            return None
         amp, phase = f.amplitude, f.phase
         for j, (m, v, k) in enumerate(zip(f.means, f.variances, f.wave)):
-            if j == ai:
-                continue
-            amp *= math.exp(-0.5 * k * k * v)
-            phase += k * m
-        return amp, f.means[ai], f.variances[ai], f.wave[ai], phase
+            if j not in keep:
+                amp *= math.exp(-0.5 * k * k * v)
+                phase += k * m
+        return FringeTerm(amp, tuple(f.means[i] for i in keep),
+                          tuple(f.variances[i] for i in keep),
+                          tuple(f.wave[i] for i in keep), phase)
+
+    # -- closed-form moments --------------------------------------------
 
     def moments(self, axis: Union[int, str]) -> Tuple[float, float]:
         """Mean and variance along one axis (normalisation-independent)."""
@@ -194,12 +198,12 @@ class GaussFringeDensity:
         m1 = sum(c.weight * c.means[ai] for c in self.gaussians)
         m2 = sum(c.weight * (c.variances[ai] + c.means[ai] ** 2)
                  for c in self.gaussians)
-        red = self._fringe_1d(ai)
+        red = self._reduced_fringe((ai,))
         if red is not None:
-            a, m, v, k, th = red
-            damp = a * math.exp(-0.5 * k * k * v)
-            co = math.cos(k * m + th)
-            si = math.sin(k * m + th)
+            (m,), (v,), (k,) = red.means, red.variances, red.wave
+            damp = red.amplitude * math.exp(-0.5 * k * k * v)
+            co = math.cos(k * m + red.phase)
+            si = math.sin(k * m + red.phase)
             m0 += damp * co
             m1 += damp * (m * co - k * v * si)
             m2 += damp * ((v + m * m - k * k * v * v) * co
@@ -220,21 +224,10 @@ class GaussFringeDensity:
                            tuple(c.means[i] for i in keep),
                            tuple(c.variances[i] for i in keep))
             for c in self.gaussians)
-        fr = None
-        if self.fringe is not None:
-            f = self.fringe
-            amp, phase = f.amplitude, f.phase
-            for j in drop_idx:
-                amp *= math.exp(-0.5 * f.wave[j] ** 2 * f.variances[j])
-                phase += f.wave[j] * f.means[j]
-            fr = FringeTerm(amp,
-                            tuple(f.means[i] for i in keep),
-                            tuple(f.variances[i] for i in keep),
-                            tuple(f.wave[i] for i in keep),
-                            phase)
         axes = tuple(self.axes[i] for i in keep)
         cls = Marginal1D if len(keep) == 1 else GaussFringeDensity
-        return cls(gaussians=comps, fringe=fr, norm=self.norm, axes=axes)
+        return cls(gaussians=comps, fringe=self._reduced_fringe(keep),
+                   norm=self.norm, axes=axes)
 
     def scaled(self, axis: Union[int, str], factor: float) -> "GaussFringeDensity":
         """Density of u_axis / factor (e.g. gain-rescaled outcomes)."""
@@ -558,6 +551,12 @@ class PostselectedMoments:
         return math.sqrt(self.observed_var_x * self.observed_var_p)
 
 
+def _remnant_damping(mode: ModeSpec) -> float:
+    """exp(-x1^2 (1 + sigma_p^2/sigma_x^2) / (2 sigma_x^2)) of one packet."""
+    sx2, sp2 = mode.sigma_x2, mode.sigma_p2
+    return math.exp(-0.5 * mode.mean_x ** 2 * (1.0 + sp2 / sx2) / sx2)
+
+
 def variances_postselected_analytic(spec) -> PostselectedMoments:
     """Conditional moments of a sign-postselected balanced superposition.
 
@@ -583,8 +582,7 @@ def variances_postselected_analytic(spec) -> PostselectedMoments:
     x1 = sup.x1
     if sup.fringe_weight == 0.0:
         return PostselectedMoments(var_x=sx2, mean_p=0.0, var_p=sp2)
-    mean_p = -(sp2 * x1 / sx2) * math.exp(
-        -0.5 * x1 ** 2 * (1.0 + sp2 / sx2) / sx2)
+    mean_p = -(sp2 * x1 / sx2) * _remnant_damping(sup.mode)
     return PostselectedMoments(var_x=sx2, mean_p=mean_p,
                                var_p=sp2 - mean_p ** 2)
 
@@ -721,13 +719,11 @@ def inferred_state_A_analytic(spec: TwoModeSpec, branch: int = +1
         raise ValueError("branch must be +1 or -1")
     sxa = sup.mode.sigma_x2
     spa = sup.mode.sigma_p2
-    sxb = spec.mode_b.sigma_x2
-    spb = spec.mode_b.sigma_p2
-    x1, x1b = spec.x1, spec.x1b
-    meter_damp = math.exp(-0.5 * x1b ** 2 * (1.0 + spb / sxb) / sxb)
+    x1 = spec.x1
     comps = (GaussComponent(1.0, (branch * x1, 0.0), (sxa, spa)),)
     fringe = FringeTerm(
-        amplitude=meter_damp * math.exp(-0.5 * x1 ** 2 / sxa),
+        amplitude=(_remnant_damping(spec.mode_b)
+                   * math.exp(-0.5 * x1 ** 2 / sxa)),
         means=(0.0, 0.0), variances=(sxa, spa),
         wave=(0.0, x1 / sxa), phase=branch * 0.5 * math.pi)
     return GaussFringeDensity(gaussians=comps, fringe=fringe, norm=1.0,
@@ -761,12 +757,10 @@ def meter_conditional_variances(spec: TwoModeSpec) -> MeterMoments:
     sup = spec.mode_a
     if _phase_kind(sup.phase_phi) != "quarter":
         raise UnsupportedPhase("meter moments closed form needs phase pi/2")
-    sxa, spa = sup.mode.sigma_x2, sup.mode.sigma_p2
     sxb, spb = spec.mode_b.sigma_x2, spec.mode_b.sigma_p2
-    x1, x1b = spec.x1, spec.x1b
-    sys_damp = math.exp(-0.5 * x1 ** 2 * (1.0 + spa / sxa) / sxa)
-    meter_damp = math.exp(-0.5 * x1b ** 2 * (1.0 + spb / sxb) / sxb)
-    mean_pb = -(x1b * spb / sxb) * sys_damp * meter_damp
+    x1b = spec.x1b
+    mean_pb = (-(x1b * spb / sxb) * _remnant_damping(sup.mode)
+               * _remnant_damping(spec.mode_b))
     return MeterMoments(
         observed_var_xb=sxb - 1.0,
         mean_pb=mean_pb,

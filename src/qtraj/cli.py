@@ -12,6 +12,10 @@ Scenario files are flat ``key = value`` text.  Every command accepts
 command with the same scenario and seed writes byte-identical CSVs
 (chunked streams are keyed by chunk index, and reductions run in chunk
 order regardless of the thread count).
+
+``born``, ``postselect`` and ``collapse`` read only t = 0 and t_final.
+The relaxation kernel is exact over any gap, so one step gives the same
+joint law of the two ends as a full path, and they run at n_steps = 1.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from . import sde_engine
 from .analytic import born_p, born_x, marginal_p, marginal_x, two_mode_q
 from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
                    TwoModeSpec, validate_scenario)
-from .postselect import (MIN_SAMPLES, PostselectedEnsemble, build_loops,
-                         infer_state_A_numeric, uncertainty_product)
+from .postselect import (MIN_SAMPLES, bin_by_sign, build_loops,
+                         infer_state_A_numeric, meter_sign_agreement,
+                         uncertainty_product)
 from .sampler import RngStream
 from .stats import bin_z_scores, compare_density, histogram, ks_statistic
 
@@ -277,26 +282,6 @@ class _MomentTally:
         return (self.total_sq - self.n * m * m) / (self.n - 1)
 
 
-def _columns(sc: ScenarioFile, state, amp: AmplifierSpec, threads: int,
-             picks, stream_offset: int = 0):
-    """One length-n array per (coordinate, time index) in ``picks``,
-    gathered from the streamed chunks of a run.
-
-    Callers pick only t = 0 and t_final.  The relaxation kernel is exact
-    over any gap, so one step gives the same joint law of the two ends as
-    a full path, and the run is drawn at ``n_steps = 1``.
-    """
-    n = sc.trajectories
-    cols = [np.empty(n) for _ in picks]
-    for lo, hi, arrays in sde_engine.iter_chunks(
-            state, replace(amp, n_steps=1), n, sc.seed, threads, sc.boundary,
-            stream_offset=stream_offset):
-        for col, (i, j) in zip(cols, picks):
-            col[lo:hi] = arrays[i][:, j]
-        del arrays  # release the chunk before the next is submitted
-    return cols
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -304,11 +289,10 @@ def _columns(sc: ScenarioFile, state, amp: AmplifierSpec, threads: int,
 def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     """Simulate the scenario; write trajectories, marginals and summary."""
     state, amp = build_state(sc)
-    validate_scenario(state, amp)
+    grid = validate_scenario(state, amp).grid.times
     if sc.trajectories < 2:
         raise ScenarioError(f"run needs at least 2 trajectories for its "
                             f"variances, got {sc.trajectories}")
-    grid = np.linspace(0.0, amp.t_final, amp.n_steps + 1)
     names = _marginal_axes(state)
     tallies = [_MomentTally(len(grid)) for _ in names]
     saved = None
@@ -392,13 +376,16 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     rate = abs(sc.g)
     t_final = abs(sc.t_final)
     results = []
-    for offset_block, basis in ((0, "x"), (1, "p")):
+    for block, basis in ((0, "x"), (1, "p")):
         g_signed = rate if basis == "x" else -rate
-        amp = AmplifierSpec(g_signed, t_final, sc.n_steps)
+        amp = AmplifierSpec(g_signed, t_final, 1)
         validate_scenario(state, amp)
-        (finals,) = _columns(sc, state, amp, threads,
-                             [(0 if basis == "x" else 1, -1)],
-                             stream_offset=offset_block * _STREAM_BLOCK)
+        finals = np.empty(sc.trajectories)
+        for lo, hi, arrays in sde_engine.iter_chunks(
+                state, amp, sc.trajectories, sc.seed, threads, sc.boundary,
+                stream_offset=block * _STREAM_BLOCK):
+            finals[lo:hi] = arrays[0 if basis == "x" else 1][:, -1]
+            del arrays  # release the chunk before the next is submitted
         scale = math.exp(rate * t_final)
         scaled = finals / scale
         target = born_x(state) if basis == "x" else born_p(state)
@@ -450,16 +437,14 @@ def cmd_postselect(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     sweep = sorted(set(SWEEP_X1) | {sc.x1})
     out_rows = []
     for i, x1 in enumerate(sweep):
-        sc_i = replace(sc, x1=x1)
-        state, amp = build_state(sc_i)
-        validate_scenario(state, amp)
+        state, amp = build_state(replace(sc, x1=x1))
         base = 2 * i * _STREAM_BLOCK
-        x0, p0, x_tf = _columns(sc, state, amp, threads,
-                                [(0, 0), (1, 0), (0, -1)], stream_offset=base)
-        mask = x_tf >= 0.0
+        ens = sde_engine._simulate(state, replace(amp, n_steps=1),
+                                   sc.trajectories, sc.seed, threads,
+                                   sc.boundary, stream_offset=base)
         loop_rng = RngStream(sc.seed, base + _STREAM_BLOCK // 2)
-        for branch, sel in ((+1, mask), (-1, ~mask)):
-            selected = PostselectedEnsemble(branch, x0[sel], p0[sel])
+        for selected in bin_by_sign(ens):
+            branch = selected.branch
             if selected.n < MIN_SAMPLES:
                 print(f"skipped: x1={_fmt(x1)} branch={branch:+d} "
                       f"n={selected.n} < {MIN_SAMPLES} samples",
@@ -490,14 +475,9 @@ def cmd_collapse(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     state, amp = build_state(sc)
     if not isinstance(state, TwoModeSpec):
         raise ScenarioError("collapse analysis needs a two_mode scenario")
-    validate_scenario(state, amp)
-    n = sc.trajectories
-    x0, p0, xb0, pb0, xa_tf, xb_tf = _columns(
-        sc, state, amp, threads,
-        [(0, 0), (1, 0), (2, 0), (3, 0), (0, -1), (2, -1)])
-    agreement = float(np.mean((xa_tf >= 0.0) == (xb_tf >= 0.0)))
-    mask = xb_tf >= 0.0
-    plus = PostselectedEnsemble(+1, x0[mask], p0[mask], xb0[mask], pb0[mask])
+    ens = sde_engine._simulate(state, replace(amp, n_steps=1),
+                               sc.trajectories, sc.seed, threads, sc.boundary)
+    plus, minus = bin_by_sign(ens, mode="b")
     inferred = infer_state_A_numeric(plus, state)
 
     def grid_rows():
@@ -511,10 +491,10 @@ def cmd_collapse(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
 
     mx, mp = inferred.moments_x, inferred.moments_p
     corr_rows = [
-        ("sign_agreement", agreement),
-        ("n_trajectories", n),
-        ("n_plus", int(mask.sum())),
-        ("n_minus", int(n - mask.sum())),
+        ("sign_agreement", meter_sign_agreement(ens)),
+        ("n_trajectories", sc.trajectories),
+        ("n_plus", plus.n),
+        ("n_minus", minus.n),
         ("w_plus_bar", inferred.w_plus_bar),
         ("sech_bar", inferred.sech_bar),
         ("mean_x", mx.mean), ("mean_x_err", mx.std_error_mean),

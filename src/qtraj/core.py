@@ -48,10 +48,11 @@ class NonPositiveSteps(ScenarioError):
 
 
 def _require_finite(spec, *names) -> None:
-    """Reject a NaN or infinite field, naming it."""
+    """Reject a NaN or infinite field (or tuple entry), naming it."""
     for name in names:
         value = getattr(spec, name)
-        if not math.isfinite(value):
+        values = value if isinstance(value, tuple) else (value,)
+        if not all(map(math.isfinite, values)):
             raise ScenarioError(f"{type(spec).__name__}.{name} = {value!r} "
                                 f"is not finite")
 

@@ -225,6 +225,8 @@ def build_loops(selected: PostselectedEnsemble,
         if selected.x_b0 is None:
             raise ScenarioError("two-mode loops need meter coordinates")
         anchors = np.repeat(selected.x_b0, multiplicity)
+        if not np.isfinite(anchors).all():
+            raise ValueError("two-mode loops need finite meter positions")
         xa, pa, pb = _draw_conditional_triple(spec, anchors, rng)
         return PostselectedEnsemble(selected.branch, xa, pa, anchors, pb)
     anchors = np.repeat(selected.x0, multiplicity)

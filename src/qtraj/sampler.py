@@ -113,7 +113,11 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
     """
     rng = _as_generator(rng)
     ndim = density.ndim
-    proposal, exact = _proposal_parts(density)
+    try:
+        proposal, exact = _proposal_parts(density)
+    except ValueError as exc:  # an envelope the family refuses, e.g. NaN
+        raise EnvelopeViolation(
+            f"no proposal for this density: {exc}") from exc
     weights = np.array([c.weight for c in proposal.gaussians])
     means = np.array([c.means for c in proposal.gaussians])
     sigmas = np.sqrt([c.variances for c in proposal.gaussians])
@@ -184,13 +188,16 @@ def sample_p_given_x(spec: Union[ModeSpec, SuperpositionSpec], x_at_t0, rng
 
     Returns
     -------
-    ndarray matching the shape of ``x_at_t0``.
+    ndarray matching the shape of ``x_at_t0``; a NaN or infinite
+    position raises ValueError (its draw would never be accepted).
     """
     from .analytic import _branch_fringe_ratio
 
     rng = _as_generator(rng)
     sup = as_superposition(spec)
     x = np.asarray(x_at_t0, dtype=float).ravel()
+    if not np.isfinite(x).all():
+        raise ValueError("sample_p_given_x needs finite positions")
     sx2 = sup.mode.sigma_x2
     sp2 = sup.mode.sigma_p2
     k = sup.x1 / sx2

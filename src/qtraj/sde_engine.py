@@ -269,13 +269,14 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
 
 def _simulate(spec, amp: AmplifierSpec, n_traj: int, seed: int,
               threads: Optional[int], boundary_method: str = "direct",
-              amp_b: Optional[AmplifierSpec] = None) -> TrajectoryEnsemble:
+              amp_b: Optional[AmplifierSpec] = None,
+              stream_offset: int = 0) -> TrajectoryEnsemble:
     scenario = validate_scenario(spec, amp, amp_b)
     n_traj = _check_traj_count(n_traj)
     paths = [np.empty((n_traj, amp.n_steps + 1))
              for _ in range(4 if scenario.is_two_mode else 2)]
     for lo, hi, chunk in iter_chunks(spec, amp, n_traj, seed, threads,
-                                     boundary_method, amp_b):
+                                     boundary_method, amp_b, stream_offset):
         for out, block in zip(paths, chunk):
             out[lo:hi] = block
         del chunk, block  # release the chunk before the next is submitted

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gl_nodes, quad_grid, quad_moments_1d
 from qtraj.analytic import (
@@ -199,6 +201,39 @@ class TestDensityFamily:
         assert np.all(np.diff(c) >= -1e-13)
         assert c[0] == pytest.approx(0.0, abs=1e-10)
         assert c[-1] == pytest.approx(dens.total_mass(), abs=1e-9)
+
+
+class TestNonFiniteFields:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["weight", "means", "variances"])
+    def test_component_rejects_it_by_name(self, field, bad):
+        fields = {"weight": 1.0, "means": (0.0,), "variances": (1.0,)}
+        fields[field] = bad if field == "weight" else (bad,)
+        with pytest.raises(ValueError, match=f"GaussComponent.{field} "):
+            GaussComponent(**fields)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["amplitude", "means", "variances", "wave", "phase"])
+    def test_fringe_rejects_it_by_name(self, field, bad):
+        fields = {"amplitude": 0.5, "means": (0.0,), "variances": (1.0,),
+                  "wave": (2.0,), "phase": 0.0}
+        fields[field] = bad if field in ("amplitude", "phase") else (bad,)
+        with pytest.raises(ValueError, match=f"FringeTerm.{field} "):
+            FringeTerm(**fields)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_density_rejects_a_non_finite_norm(self, bad):
+        comps = (GaussComponent(1.0, (0.0,), (1.0,)),)
+        with pytest.raises(ValueError, match="GaussFringeDensity.norm "):
+            GaussFringeDensity(gaussians=comps, fringe=None, norm=bad,
+                               axes=("x",))
+
+    def test_nan_mean_never_reaches_the_sampler(self):
+        # A hand-built marginal with a NaN mean used to draw [nan nan nan].
+        with pytest.raises(ValueError, match="GaussComponent.means "):
+            Marginal1D(gaussians=(GaussComponent(1.0, (math.nan,), (1.0,)),),
+                       fringe=None, axes=("x",))
 
 
 class TestCheckTime:
@@ -763,3 +798,49 @@ class TestMeterFringeDamping:
         integral = packet_damp * float(np.sum(gx * wxa)) \
             * float(np.sum(gp * np.cos(k_a * pa) * wpa))
         assert integral == pytest.approx(self.system_damping(spec), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# properties over random family members
+
+MEMBERS = dict(x1=st.floats(0.5, 6.0), r=st.floats(-1.0, 2.0),
+               phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+               x1b=st.floats(0.5, 6.0), r2=st.floats(-1.0, 2.0),
+               t_frac=st.floats(0.0, 1.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(-8.0, 8.0), **MEMBERS)
+def test_every_constructor_has_unit_mass(x, x1, r, phi, x1b, r2, t_frac):
+    t = t_frac * AMP.t_final
+    spec = cat(x1, r, phi)
+    pair = TwoModeSpec(spec, ModeSpec(x1b, r2))
+    members = {
+        "marginal_x": marginal_x(spec, AMP, t),
+        "marginal_p": marginal_p(spec, AMP, t),
+        "conditional_p_given_x": conditional_p_given_x(spec, AMP, t, x),
+        "born_x": born_x(spec),
+        "born_p": born_p(spec),
+        # The Wigner closed form exists at phases 0 and pi/2.
+        "fbc_from_wigner": fbc_from_wigner(cat(x1, r, 0.0), AMP),
+        "fbc_from_wigner_quarter": fbc_from_wigner(
+            cat(x1, r, 0.5 * math.pi), AMP),
+        "two_mode_q": two_mode_q(pair, AMP, t),
+        "conditional_given_meter_x": conditional_given_meter_x(pair, x),
+    }
+    for name, dens in members.items():
+        assert dens.total_mass() == pytest.approx(1.0, abs=1e-12), name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**MEMBERS)
+def test_moments_equal_the_moments_of_the_marginal(x1, r, phi, x1b, r2,
+                                                   t_frac):
+    t = t_frac * AMP.t_final
+    spec = cat(x1, r, phi)
+    pair = TwoModeSpec(spec, ModeSpec(x1b, r2))
+    for dens in (q_single_mode(spec, AMP, t), two_mode_q(pair, AMP, t)):
+        for axis in dens.axes:
+            others = [a for a in dens.axes if a != axis]
+            assert dens.moments(axis) == pytest.approx(
+                dens.marginal(*others).moments(0), rel=1e-12, abs=1e-12)

@@ -28,8 +28,9 @@ from qtraj.cli import (
     parse_scenario_text,
     shipped_scenarios,
 )
-from qtraj.core import ModeSpec, SuperpositionSpec, TwoModeSpec
-from qtraj.sde_engine import CHUNK
+from qtraj.core import AmplifierSpec, ModeSpec, SuperpositionSpec, TwoModeSpec
+from qtraj.postselect import bin_by_sign, meter_sign_agreement
+from qtraj.sde_engine import CHUNK, simulate_single_mode, simulate_two_mode
 
 SEED = 20210905
 
@@ -605,6 +606,41 @@ class TestEndpointCommands:
             same = got.replace(digest_b, digest_a) \
                 == (out_a / name).read_text(encoding="utf-8")
             assert same, name
+
+    def test_collapse_counts_are_the_api_selection(self, tmp_path):
+        sc = load_scenario("fig_entmeter1")
+        out = tmp_path / "collapse"
+        assert main(["collapse", "--scenario", "fig_entmeter1", "--out",
+                     str(out), "--trajectories", "20000"]) == EXIT_OK
+        _, header, rows = read_csv(out / "meter_corr.csv")
+        table = dict(zip(column(header, rows, "quantity", str),
+                         column(header, rows, "value", str)))
+        state, _ = build_state(sc)
+        ens = simulate_two_mode(state, AmplifierSpec(sc.g, sc.t_final, 1),
+                                20000, sc.seed)
+        plus, minus = bin_by_sign(ens, mode="b")
+        assert int(table["n_plus"]) == plus.n
+        assert int(table["n_minus"]) == minus.n
+        assert table["sign_agreement"] == format(meter_sign_agreement(ens),
+                                                 ".10g")
+
+    def test_postselect_counts_are_the_api_selection(self, tmp_path):
+        sc = load_scenario("fig_condvar")
+        out = tmp_path / "postselect"
+        assert main(["postselect", "--scenario", "fig_condvar", "--out",
+                     str(out), "--trajectories", "20000"]) == EXIT_OK
+        _, header, rows = read_csv(out / "postselect.csv")
+        # The first sweep point draws from stream offset 0.
+        x1 = min(column(header, rows, "x1"))
+        counts = {b: n for v, b, n in zip(column(header, rows, "x1"),
+                                          column(header, rows, "branch", int),
+                                          column(header, rows, "n", int))
+                  if v == x1}
+        state, amp = build_state(replace(sc, x1=x1))
+        ens = simulate_single_mode(state, replace(amp, n_steps=1), 20000,
+                                   sc.seed, sc.boundary)
+        plus, minus = bin_by_sign(ens)
+        assert counts == {+1: plus.n, -1: minus.n}
 
 
 class TestConsoleScript:

@@ -188,6 +188,21 @@ class TestBuildLoops:
         with pytest.raises(ScenarioError):
             build_loops(bare, spec, RngStream(SUITE_SEED, 75))
 
+    @pytest.mark.parametrize("single_mode", [True, False],
+                             ids=["single_mode", "two_mode"])
+    def test_non_finite_anchor_raises(self, single_mode):
+        # A NaN anchor was never accepted: the loops ran forever.
+        anchors = np.array([0.0, math.nan, 1.0])
+        if single_mode:
+            spec, selected = cat(1.0), PostselectedEnsemble(+1, anchors,
+                                                            np.zeros(3))
+        else:
+            spec = two_spec()
+            selected = PostselectedEnsemble(+1, np.zeros(3), np.zeros(3),
+                                            anchors, np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            build_loops(selected, spec, RngStream(SUITE_SEED, 83))
+
     def test_empty_branch(self):
         empty = PostselectedEnsemble(+1, np.empty(0), np.empty(0))
         with pytest.raises(EmptyBranch):

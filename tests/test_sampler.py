@@ -158,9 +158,13 @@ class TestSampleFringeDensity:
         ("variances", (float("nan"),))])
     def test_non_finite_density_raises(self, field, value):
         # A NaN ratio is neither above 1 nor below 0, and is never
-        # accepted: without the check the loop would never end.
+        # accepted: without the check the loop would never end.  The
+        # constructors refuse a NaN field, so the fringe is patched after
+        # construction to reach the sampler's own check.
         dens = marginal_p(cat(2.0, 0.0, 0.0), AMP, 0.0)
-        dens = replace(dens, fringe=replace(dens.fringe, **{field: value}))
+        fringe = replace(dens.fringe)
+        object.__setattr__(fringe, field, value)
+        dens = replace(dens, fringe=fringe)
         with pytest.raises(EnvelopeViolation):
             sample_fringe_density(dens, RngStream(SUITE_SEED, 37), 1000)
 
@@ -228,6 +232,13 @@ class TestSamplePGivenX:
         se = math.sqrt(mode.sigma_p2 / n)
         assert float(p.mean()) == pytest.approx(0.0, abs=5 * se)
         assert float(p.var()) == pytest.approx(mode.sigma_p2, rel=0.02)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_position_raises(self, bad):
+        # A NaN anchor was never accepted: the draw looped forever.
+        with pytest.raises(ValueError, match="finite positions"):
+            sample_p_given_x(cat(1.0, 0.0, math.pi), np.array([0.0, bad]),
+                             RngStream(SUITE_SEED, 38))
 
     @pytest.mark.parametrize("phi", [0.0, 0.5 * math.pi])
     def test_matches_conditional_density(self, phi):

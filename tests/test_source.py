@@ -1,14 +1,19 @@
 """Static checks on the package source: no module imports a name it
-never uses (names listed in ``__all__`` count as used), and no
-module-level function or class goes unused (referenced nowhere in the
-package outside its own definition, and not exported in ``__all__``)."""
+never uses (names listed in ``__all__`` count as used), no module-level
+function or class goes unused (referenced nowhere in the package outside
+its own definition, and not exported in ``__all__``), and every name the
+benchmark's tracer wraps still exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import qtraj
+import qtraj.analytic
+import qtraj.cli
 
 SOURCES = sorted(Path(qtraj.__file__).parent.glob("*.py"))
 
@@ -67,3 +72,17 @@ def test_no_dead_definitions(path):
                                  and node.lineno <= line <= node.end_lineno)
                         for file, name, line in refs)]
     assert dead == []
+
+
+def test_traced_names_resolve():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{mod}.{attr}" for mod, attr, _ in tracing.WRAPPED_FUNCTIONS
+               if not hasattr(importlib.import_module(mod), attr)]
+    missing += [f"{cls}.{attr}" for cls, attr, _ in tracing.WRAPPED_METHODS
+                if not hasattr(getattr(qtraj.analytic, cls, None), attr)]
+    assert missing == []
+    assert set(qtraj.cli._COMMANDS) == {"run", "born", "postselect",
+                                        "collapse"}
