@@ -1,17 +1,25 @@
 """Counter-based random streams and exact samplers for the density family.
 
-Sampling follows the structure of the densities themselves: Gaussian
-mixtures are drawn exactly; densities with an interference term use
-rejection against the dominating proposal obtained by replacing the
-oscillation with its absolute amplitude,
+Each density is compiled once into its rejection envelope, cached by the
+frozen density so that every chunk of a run reuses one compile.
+Gaussian mixtures are drawn exactly, and so are densities whose
+non-oscillating fringe has non-negative weight: it folds into the
+mixture.  Multi-axis densities reject against the global proposal
 
-    proposal = sum_i w_i g_i + |A| * envelope  >=  target ,
+    proposal = sum_i w_i g_i + |A| * envelope  >=  target
 
-which bounds the acceptance rate below by 1 / (norm * (sum_i w_i + |A|)).
-When the interference does not oscillate (zero wave vector) the density
-is an exact signed mixture: non-negative interference weight folds into
-the mixture (no rejection at all), negative weight keeps the rejection
-against the positive components.
+(a subtracting non-oscillating fringe is dropped from it).  One-axis
+densities reject against a piecewise-constant envelope: an exact upper
+bound on each of ``_BINS`` equal bins spanning ``_RANGE_SIGMAS`` sigmas
+of every component, with the bin drawn from an alias table.  On a bin,
+one Gaussian times W + A cos(k u + theta) is bounded by the Gaussian's
+maximum times the bracket's (W + |A| on a crest); components of one
+variance v plus a non-oscillating fringe are N(u; c, v) h(u) with h
+convex, so h peaks at an edge; any member is bounded by the sum of its
+terms' maxima, and the tighter bound is kept.  Beyond the bins the
+envelope is the global proposal, drawn from its components' normal
+tails, so the draws stay exact.  A normalised density is accepted at the
+rate 1 / (mass of the envelope), reported as ``acceptance_bound``.
 
 Streams are counter-based (Philox) keyed by (seed, stream_index), so any
 chunk of work can be given its own independent stream and regenerated
@@ -20,16 +28,21 @@ bit-exactly regardless of scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from .analytic import GaussComponent, GaussFringeDensity
+from .analytic import (GaussComponent, GaussFringeDensity, Marginal1D,
+                       _gauss_pdf)
 from .core import ModeSpec, SuperpositionSpec, as_superposition
 
 _MASK64 = (1 << 64) - 1
+_BINS = 4096  # bins of a one-axis envelope
+_RANGE_SIGMAS = 10.0  # the bins span this many sigmas of every component
+_MAX_BATCH = 1 << 20  # candidates per rejection batch, to bound memory
 
 
 class EnvelopeViolation(RuntimeError):
@@ -85,6 +98,131 @@ def _proposal_parts(density: GaussFringeDensity):
     return replace(density, gaussians=comps, fringe=None), exact
 
 
+def _bin_bounds(density: GaussFringeDensity, a, b) -> np.ndarray:
+    """An upper bound of a one-axis density on each bin [a, b]."""
+    comps, f = density.gaussians, density.fringe
+    fm, fv, k = f.means[0], f.variances[0], f.wave[0]
+
+    def peak(mean, var):  # the largest N(u; mean, var) on each bin
+        return _gauss_pdf(np.clip(mean, a, b), mean, var)
+
+    # |A| times the largest sign(A) cos(k u + theta) on each bin
+    lo, hi = np.sort([k * a, k * b], axis=0) + f.phase + (
+        math.pi if f.amplitude < 0.0 else 0.0)
+    crest = 2.0 * math.pi * np.floor(hi / (2.0 * math.pi)) >= lo
+    wave = abs(f.amplitude) * np.where(crest, 1.0,
+                                       np.maximum(np.cos(lo), np.cos(hi)))
+    if all((c.means[0], c.variances[0]) == (fm, fv) for c in comps):
+        return density.norm * peak(fm, fv) * (
+            sum(c.weight for c in comps) + wave)
+    low = np.minimum(_gauss_pdf(a, fm, fv), _gauss_pdf(b, fm, fv))
+    bound = density.norm * (
+        wave * np.where(wave >= 0.0, peak(fm, fv), low)
+        + sum(c.weight * peak(c.means[0], c.variances[0]) for c in comps))
+    if k == 0.0 and all(c.variances[0] == fv for c in comps):
+        # h = density / N(u; fm, fv) is convex: its maximum is at an edge.
+        near = np.clip(fm, a, b)
+        bound = np.minimum(bound, np.maximum(*(
+            density.density(e)
+            * np.exp(0.5 * ((e - fm) ** 2 - (near - fm) ** 2) / fv)
+            for e in (a, b))))
+    return bound
+
+
+def _alias_table(masses: np.ndarray):
+    """Walker's alias table (Vose's construction): slot i yields i with
+    probability keep[i], else alias[i]; i is drawn ~ masses[i]."""
+    n = len(masses)
+    scaled = list(masses * (n / masses.sum()))
+    keep, alias = [1.0] * n, list(range(n))
+    small = [i for i, p in enumerate(scaled) if p < 1.0]
+    large = [i for i, p in enumerate(scaled) if p >= 1.0]
+    while small and large:
+        s, big = small.pop(), large.pop()
+        keep[s], alias[s] = scaled[s], big
+        scaled[big] = (scaled[big] + scaled[s]) - 1.0
+        (small if scaled[big] < 1.0 else large).append(big)
+    return np.array(keep), np.array(alias)
+
+
+class _Envelope:
+    """A density's rejection envelope (see the module docstring); ``mass``
+    is its total mass in the density's own units."""
+
+    def __init__(self, density: GaussFringeDensity):
+        try:
+            self.proposal, self.exact = _proposal_parts(density)
+        except ValueError as exc:  # an envelope the family refuses, e.g. NaN
+            raise EnvelopeViolation(
+                f"no proposal for this density: {exc}") from exc
+        comps = self.proposal.gaussians
+        weights = np.array([c.weight for c in comps])
+        self.means = np.array([c.means for c in comps])
+        self.sigmas = np.sqrt([c.variances for c in comps])
+        self.probs = weights / weights.sum()
+        self.mass = density.norm * weights.sum()
+        self.keep = None
+        if self.exact or density.ndim > 1:
+            return
+        mean, sigma = self.means[:, 0], self.sigmas[:, 0]
+        self.lo, hi = Marginal1D.support_hint(density, _RANGE_SIGMAS)
+        edges = np.linspace(self.lo, hi, _BINS + 1)
+        bounds = _bin_bounds(density, edges[:-1], edges[1:])
+        # A bound below zero (beyond rounding) means the density is negative.
+        if not np.all(bounds >= -1e-12 * np.max(bounds)):
+            raise EnvelopeViolation("density is negative or not finite "
+                                    "on a bin")
+        self.width = edges[1] - edges[0]
+        self.bounds = np.append(np.maximum(bounds, 0.0), 0.0)  # last: tails
+        # Beyond the bins: each component's normal tail past depth sigmas.
+        self.depth = np.append(mean - self.lo, hi - mean) / np.tile(sigma, 2)
+        self.tail_mean = np.tile(mean, 2)
+        self.tail_scale = np.append(-sigma, sigma)
+        tails = density.norm * np.tile(weights, 2) * [
+            0.5 * math.erfc(d / math.sqrt(2.0)) for d in self.depth]
+        self.tail_probs = tails / tails.sum()
+        masses = np.append(self.bounds[:-1] * self.width, tails.sum())
+        self.mass = masses.sum()
+        self.keep, self.alias = _alias_table(masses)
+
+    def mixture(self, rng, m):
+        idx = rng.choice(len(self.probs), size=m, p=self.probs)
+        z = rng.standard_normal((m, self.means.shape[1]))
+        return self.means[idx] + self.sigmas[idx] * z
+
+    def propose(self, rng, m):
+        """m candidates and the envelope's height at each."""
+        if self.keep is None:
+            pts = self.mixture(rng, m)
+            return pts, self.proposal.density(*pts.T)
+        y = rng.random(m) * (_BINS + 1)
+        slot = np.minimum(y.astype(np.intp), _BINS)
+        slot = np.where(y - slot < self.keep[slot], slot, self.alias[slot])
+        u = self.lo + (slot + rng.random(m)) * self.width
+        height = self.bounds[slot]
+        tail = np.flatnonzero(slot == _BINS)
+        if tail.size:
+            u[tail] = self._tail(rng, tail.size)
+            height[tail] = self.proposal.density(u[tail])
+        return u[:, None], height
+
+    def _tail(self, rng, n):
+        """n draws of the global proposal beyond the bins (Marsaglia's
+        method for each component's normal tail)."""
+        pick = rng.choice(len(self.tail_probs), size=n, p=self.tail_probs)
+        depth, x, todo = self.depth[pick], np.empty(n), np.arange(n)
+        while todo.size:
+            z = np.sqrt(depth[todo] ** 2
+                        - 2.0 * np.log1p(-rng.random(todo.size)))
+            ok = rng.random(todo.size) * z <= depth[todo]
+            x[todo[ok]] = z[ok]
+            todo = todo[~ok]
+        return self.tail_mean[pick] + self.tail_scale[pick] * x
+
+
+_compiled = functools.lru_cache(maxsize=32)(_Envelope)
+
+
 def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
                           diagnostics: Optional[dict] = None) -> np.ndarray:
     """Draw exact samples from a Gaussian-mixture-plus-fringe density.
@@ -106,69 +244,42 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
     Raises
     ------
     EnvelopeViolation
-        If a candidate's density or proposal is not finite, or the
-        density evaluates above its proposal or below zero — which for
-        well-formed members of the family cannot happen, so this flags a
-        hand-built object that is not a density.
+        If a bin's bound is negative, a candidate's density or envelope
+        is not finite, or the density evaluates above its envelope or
+        below zero — which for well-formed members of the family cannot
+        happen, so this flags a hand-built object that is not a density.
     """
     rng = _as_generator(rng)
-    ndim = density.ndim
-    try:
-        proposal, exact = _proposal_parts(density)
-    except ValueError as exc:  # an envelope the family refuses, e.g. NaN
-        raise EnvelopeViolation(
-            f"no proposal for this density: {exc}") from exc
-    weights = np.array([c.weight for c in proposal.gaussians])
-    means = np.array([c.means for c in proposal.gaussians])
-    sigmas = np.sqrt([c.variances for c in proposal.gaussians])
-    probs = weights / weights.sum()
-    bound = 1.0 / (density.norm * weights.sum())
-
-    def draw(m):
-        idx = rng.choice(len(probs), size=m, p=probs)
-        z = rng.standard_normal((m, ndim))
-        return means[idx] + sigmas[idx] * z
-
-    if exact:
-        out = draw(size)
-        if diagnostics is not None:
-            diagnostics.update(n_proposed=size, n_accepted=size,
-                               acceptance_bound=bound)
-        return out[:, 0] if ndim == 1 else out
-
-    out = np.empty((size, ndim))
-    filled = 0
-    n_proposed = 0
-    n_accepted = 0
-    acc_est = max(bound, 0.05)
-    while filled < size:
-        want = size - filled
-        m = int(want / acc_est) + 16
-        pts = draw(m)
-        target = density.density(*pts.T)
-        prop = proposal.density(*pts.T)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(prop > 0.0, target / prop, 0.0)
-        if not (np.isfinite(target).all() and np.isfinite(prop).all()):
-            raise EnvelopeViolation("density or proposal is not finite "
-                                    "at a candidate")
-        if np.any(ratio > 1.0 + 1e-9) or np.any(ratio < -1e-12):
-            raise EnvelopeViolation(
-                f"density/proposal ratio outside [0, 1]: "
-                f"[{ratio.min():.3g}, {ratio.max():.3g}]")
-        keep = rng.random(m) < ratio
-        n_proposed += m
-        got = pts[keep]
-        n_accepted += len(got)
-        take = min(len(got), want)
-        out[filled:filled + take] = got[:take]
-        filled += take
-        if n_proposed > 0:
-            acc_est = max((filled or 1) / n_proposed, bound, 0.01)
+    env = _compiled(density)
+    n_proposed = n_accepted = size
+    if env.exact:
+        out = env.mixture(rng, size)
+    else:
+        out = np.empty((size, density.ndim))
+        filled = n_proposed = n_accepted = 0
+        while filled < size:
+            m = min(math.ceil((size - filled) * env.mass), _MAX_BATCH)
+            pts, height = env.propose(rng, m)
+            target = density.density(*pts.T)
+            if not (np.isfinite(target).all() and np.isfinite(height).all()):
+                raise EnvelopeViolation("density or envelope is not finite "
+                                        "at a candidate")
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio = np.where(height > 0.0, target / height, 0.0)
+            if np.any(ratio > 1.0 + 1e-9) or np.any(ratio < -1e-12):
+                raise EnvelopeViolation(
+                    f"density/envelope ratio outside [0, 1]: "
+                    f"[{ratio.min():.3g}, {ratio.max():.3g}]")
+            got = pts[rng.random(m) < ratio]
+            n_proposed += m
+            n_accepted += len(got)
+            take = min(len(got), size - filled)
+            out[filled:filled + take] = got[:take]
+            filled += take
     if diagnostics is not None:
         diagnostics.update(n_proposed=n_proposed, n_accepted=n_accepted,
-                           acceptance_bound=bound)
-    return out[:, 0] if ndim == 1 else out
+                           acceptance_bound=1.0 / env.mass)
+    return out[:, 0] if density.ndim == 1 else out
 
 
 def sample_p_given_x(spec: Union[ModeSpec, SuperpositionSpec], x_at_t0, rng

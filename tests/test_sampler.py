@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SUITE_SEED
+from qtraj import sampler
 from qtraj.analytic import (
     FringeTerm,
     GaussComponent,
@@ -169,6 +170,50 @@ class TestSampleFringeDensity:
             sample_fringe_density(dens, RngStream(SUITE_SEED, 37), 1000)
 
 
+@pytest.fixture
+def narrow_bins(monkeypatch):
+    """Envelopes binned over 1.5 sigmas: the tails carry real mass."""
+    monkeypatch.setattr(sampler, "_RANGE_SIGMAS", 1.5)
+    sampler._compiled.cache_clear()
+    yield
+    sampler._compiled.cache_clear()
+
+
+class TestPiecewiseEnvelope:
+    """One-axis densities reject against a compiled piecewise envelope."""
+
+    @pytest.mark.parametrize("marginal,stream", [(marginal_x, 50),
+                                                 (marginal_p, 51)])
+    def test_odd_cat_near_one_photon_limit(self, marginal, stream):
+        # The fringe nearly cancels the mixture: a global envelope
+        # accepts 0.5% of x(0) and 0.25% of p(0) proposals here.
+        dens = marginal(cat(0.1, 0.0, math.pi), AMP, 0.0)
+        n = 400_000
+        diag = {}
+        x = sample_fringe_density(dens, RngStream(SUITE_SEED, stream), n,
+                                  diagnostics=diag)
+        assert diag["n_accepted"] / diag["n_proposed"] >= 0.5
+        assert ks_statistic(x, dens) < ks_critical(n, alpha=0.001)
+
+    @pytest.mark.parametrize("marginal,stream", [(marginal_x, 52),
+                                                 (marginal_p, 53)])
+    def test_tails_beyond_the_bins_are_drawn_exactly(self, narrow_bins,
+                                                     marginal, stream):
+        dens = marginal(cat(1.0, 0.0, math.pi), AMP, 0.0)
+        spans = [(c.means[0], c.variances[0])
+                 for c in dens.gaussians + (dens.fringe,)]
+        lo = min(m - 1.5 * math.sqrt(v) for m, v in spans)
+        hi = max(m + 1.5 * math.sqrt(v) for m, v in spans)
+        n = 200_000
+        x = sample_fringe_density(dens, RngStream(SUITE_SEED, stream), n)
+        beyond = 1.0 - float(dens.bin_masses(np.linspace(lo, hi, 65)).sum())
+        assert beyond > 0.1
+        frac = float(np.mean((x < lo) | (x > hi)))
+        assert frac == pytest.approx(
+            beyond, abs=5.0 * math.sqrt(beyond * (1.0 - beyond) / n))
+        assert ks_statistic(x, dens) < ks_critical(n, alpha=0.001)
+
+
 class TestCheckEnvelope:
     """The rejection loop checks its envelope on every candidate."""
 
@@ -194,7 +239,7 @@ class TestCheckEnvelope:
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(x1=st.floats(0.5, 6.0), r=st.floats(-1.0, 2.0),
+@given(x1=st.floats(0.1, 6.0), r=st.floats(-1.0, 2.0),
        phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
        x1b=st.floats(0.5, 6.0), r2=st.floats(-1.0, 2.0),
        t_frac=st.floats(0.0, 1.0))
@@ -207,9 +252,15 @@ def test_family_members_never_violate_their_envelope(x1, r, phi, x1b, r2,
                  q_single_mode(spec, AMP, t), joint.marginal("p_a", "p_b"),
                  joint.marginal("x_a", "x_b"))
     for i, dens in enumerate(densities):
+        diag = {}
         draws = sample_fringe_density(dens, RngStream(SUITE_SEED, 40 + i),
-                                      2000)
+                                      2000, diagnostics=diag)
         assert np.isfinite(draws).all()
+        if dens.ndim == 1:
+            n, bound = diag["n_proposed"], diag["acceptance_bound"]
+            binomial_se = math.sqrt(max(bound * (1.0 - bound), 0.0) / n)
+            assert bound >= 0.5
+            assert diag["n_accepted"] / n >= bound - 5.0 * binomial_se - 1e-12
 
 
 class TestSamplePGivenX:
