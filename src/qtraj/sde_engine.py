@@ -49,8 +49,9 @@ _BOUNDARY_METHODS = ("direct", "wigner")
 class TrajectoryEnsemble:
     """Array-backed collection of simulated paths.
 
-    Paths are stored row-per-trajectory with one column per grid time;
-    column 0 is t = 0 and the last column is the final time.
+    Paths are indexed (trajectory, grid time): column 0 is t = 0 and the
+    last column is the final time.  They are stored time-major, so each
+    column is contiguous.
     """
 
     scenario: Scenario
@@ -86,20 +87,23 @@ class TrajectoryEnsemble:
 
 
 def relax(out: np.ndarray, start, rate: float, dt: float, rng) -> None:
-    """Fill ``out`` column by column with the exact relaxation kernel.
+    """Fill ``out`` row by row with the exact relaxation kernel.
 
-    Column 0 is set to ``start`` and column k relaxes column k - 1 over
-    ``dt`` at ``rate``.  Run on the reversed view ``out[:, ::-1]`` it
-    fills backward from the last column.
+    Row 0 is set to ``start`` and row k relaxes row k - 1 over ``dt`` at
+    ``rate``; each row holds one grid time of every path, so each step
+    writes contiguous memory.  Run on the reversed view ``out[::-1]`` it
+    fills backward from the last row.
     """
     if rate <= 0.0 or dt <= 0.0:
         raise ValueError(f"relaxation needs rate, dt > 0: {rate!r}, {dt!r}")
     c = math.exp(-rate * dt)
     s = math.sqrt(1.0 - c * c)
-    m = out.shape[0]
-    out[:, 0] = start
-    for k in range(1, out.shape[1]):
-        out[:, k] = c * out[:, k - 1] + s * rng.standard_normal(m)
+    out[0] = start
+    for k in range(1, out.shape[0]):
+        row = out[k]
+        rng.standard_normal(out=row)
+        row *= s
+        row += c * out[k - 1]
 
 
 class PathDensities(NamedTuple):
@@ -148,26 +152,27 @@ def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
                 chunk_id: int, size: int) -> Tuple[np.ndarray, ...]:
     """One chunk of paths: (x, p) of each mode in mode order.
 
-    Draw order: the amplified coordinates at the final time, backward
+    Each is a (size, n_steps + 1) view of time-major storage.  Draw
+    order: the amplified coordinates at the final time, backward
     relaxation of each in mode order, their conjugates at t = 0, forward
     relaxation of each.  The chunk draws from its own stream, so it is
     deterministic in (seed, chunk_id, size) under any scheduling.
     """
     rng = RngStream(int(seed), chunk_id).generator()
     dt = amp.t_final / amp.n_steps
-    shape = (size, amp.n_steps + 1)
+    shape = (amp.n_steps + 1, size)
     amplified = [np.empty(shape) for _ in dens.rates]
     conjugate = [np.empty(shape) for _ in dens.rates]
     ends = sample_fringe_density(dens.boundary, rng, size).reshape(size, -1)
     for out, end, rate in zip(amplified, ends.T, dens.rates):
-        relax(out[:, ::-1], end, abs(rate), dt, rng)
+        relax(out[::-1], end, abs(rate), dt, rng)
     starts = sample_fringe_density(dens.initial, rng, size).reshape(size, -1)
     for out, start, rate in zip(conjugate, starts.T, dens.rates):
         relax(out, start, abs(rate), dt, rng)
     paths = ()
     for amp_path, conj_path, rate in zip(amplified, conjugate, dens.rates):
         paths += (amp_path, conj_path) if rate > 0.0 else (conj_path, amp_path)
-    return paths
+    return tuple(path.T for path in paths)
 
 
 def single_mode_chunk(spec: Union[ModeSpec, SuperpositionSpec],
@@ -273,14 +278,14 @@ def _simulate(spec, amp: AmplifierSpec, n_traj: int, seed: int,
               stream_offset: int = 0) -> TrajectoryEnsemble:
     scenario = validate_scenario(spec, amp, amp_b)
     n_traj = _check_traj_count(n_traj)
-    paths = [np.empty((n_traj, amp.n_steps + 1))
+    paths = [np.empty((amp.n_steps + 1, n_traj))
              for _ in range(4 if scenario.is_two_mode else 2)]
     for lo, hi, chunk in iter_chunks(spec, amp, n_traj, seed, threads,
                                      boundary_method, amp_b, stream_offset):
         for out, block in zip(paths, chunk):
-            out[lo:hi] = block
+            out[:, lo:hi] = block.T
         del chunk, block  # release the chunk before the next is submitted
-    return TrajectoryEnsemble(scenario, scenario.grid, *paths)
+    return TrajectoryEnsemble(scenario, scenario.grid, *(p.T for p in paths))
 
 
 def simulate_single_mode(spec: Union[ModeSpec, SuperpositionSpec],

@@ -44,10 +44,10 @@ def cat(x1, r=0.0, phi=0.0):
 
 
 def ou_steps(start, rate, dt, rng, n_steps=1):
-    """Column n_steps of a ``relax`` fill: n_steps exact OU steps."""
-    out = np.empty((len(start), n_steps + 1))
+    """A ``relax`` fill as (path, step): column k is k exact OU steps."""
+    out = np.empty((n_steps + 1, len(start)))
     relax(out, start, rate, dt, rng)
-    return out
+    return out.T
 
 
 class TestOuStep:
@@ -68,10 +68,10 @@ class TestOuStep:
         end = np.array([1.0, -2.0, 0.5])
         fwd = ou_steps(end, rate, dt, RngStream(SUITE_SEED, 44).generator(),
                        n_steps=4)
-        bwd = np.empty_like(fwd)
-        relax(bwd[:, ::-1], end, rate, dt,
+        bwd = np.empty((5, len(end)))
+        relax(bwd[::-1], end, rate, dt,
               RngStream(SUITE_SEED, 44).generator())
-        np.testing.assert_array_equal(bwd, fwd[:, ::-1])
+        np.testing.assert_array_equal(bwd.T, fwd[:, ::-1])
 
     def test_preserves_stationary_variance(self):
         rng = RngStream(SUITE_SEED, 41).generator()
@@ -238,7 +238,8 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.p_paths, b.p_paths)
 
     def test_thread_count_does_not_change_results(self):
-        # Every mode, at chunk-edge run sizes, through one scheduler.
+        # Every mode and a multi-step path, at chunk-edge run sizes,
+        # through one scheduler.
         runs = {
             "single": lambda n, t: simulate_single_mode(
                 cat(1.0), AmplifierSpec(1.0, 1.5, 1), n, SUITE_SEED + 52,
@@ -249,6 +250,9 @@ class TestDeterminism:
             "two": lambda n, t: simulate_two_mode(
                 TwoModeSpec(cat(1.0, 0.0, 0.5 * math.pi), ModeSpec(2.0)),
                 AmplifierSpec(1.0, 1.5, 1), n, SUITE_SEED + 52, threads=t),
+            "five steps": lambda n, t: simulate_single_mode(
+                cat(1.0), AmplifierSpec(1.0, 1.5, 5), n, SUITE_SEED + 52,
+                threads=t),
         }
         fields = ("x_paths", "p_paths", "x_b_paths", "p_b_paths")
         for mode, run in runs.items():
