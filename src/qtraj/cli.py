@@ -272,7 +272,7 @@ class _MomentTally:
     def add(self, block: np.ndarray):
         self.n += block.shape[0]
         self.total += block.sum(axis=0)
-        self.total_sq += (block * block).sum(axis=0)
+        self.total_sq += np.einsum("ij,ij->j", block, block)
 
     def mean(self) -> np.ndarray:
         return self.total / self.n
@@ -300,9 +300,8 @@ def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
             state, amp, sc.trajectories, sc.seed, threads, sc.boundary):
         for tally, block in zip(tallies, arrays):
             tally.add(block)
-        if lo == 0:
-            k = min(N_SAVED_PATHS, hi - lo)
-            saved = [a[:k].copy() for a in arrays]
+        if lo == 0:  # the slice stops at the chunk's end
+            saved = [a[:N_SAVED_PATHS].copy() for a in arrays]
         del arrays, block  # release the chunk before the next is submitted
 
     def traj_rows():

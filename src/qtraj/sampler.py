@@ -1,4 +1,4 @@
-"""Counter-based random streams and exact samplers for the density family.
+"""Named random streams and exact samplers for the density family.
 
 Each density is compiled once into its rejection envelope, cached by the
 frozen density so that every chunk of a run reuses one compile.
@@ -21,9 +21,9 @@ envelope is the global proposal, drawn from its components' normal
 tails, so the draws stay exact.  A normalised density is accepted at the
 rate 1 / (mass of the envelope), reported as ``acceptance_bound``.
 
-Streams are counter-based (Philox) keyed by (seed, stream_index), so any
-chunk of work can be given its own independent stream and regenerated
-bit-exactly regardless of scheduling.
+A stream is SFC64 seeded by ``SeedSequence(seed, spawn_key=(stream_index,))``,
+so any chunk of work can be given its own independent stream and
+regenerated bit-exactly regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class RngStream:
     stream_index: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream_index & _MASK64],
-                       dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(self.seed & _MASK64,
+                                     spawn_key=(self.stream_index & _MASK64,))
+        return np.random.Generator(np.random.SFC64(seq))
 
     def child(self, offset: int) -> "RngStream":
         return RngStream(self.seed, (self.stream_index + offset) & _MASK64)

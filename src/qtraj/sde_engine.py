@@ -15,11 +15,11 @@ share one path: :func:`path_densities` builds what a run samples, one
 chunk kernel draws and relaxes it, and :func:`iter_chunks` schedules the
 chunks for both the Python API and the command line.
 
-Work is split into fixed-size chunks, each drawing from its own
-counter-based stream keyed by (seed, chunk index).  Results are
-therefore bit-identical no matter how many threads run the chunks, and
-a consumer that streams chunk-by-chunk sees exactly the bytes a fully
-materialised ensemble would contain.
+Work is split into fixed-size chunks, each drawing from its own named
+stream keyed by (seed, chunk index).  Results are therefore
+bit-identical no matter how many threads run the chunks, and a consumer
+that streams chunk-by-chunk sees exactly the bytes a fully materialised
+ensemble would contain.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ _BOUNDARY_METHODS = ("direct", "wigner")
 class TrajectoryEnsemble:
     """Array-backed collection of simulated paths.
 
-    Paths are indexed (trajectory, grid time): column 0 is t = 0 and the
-    last column is the final time.  They are stored time-major, so each
-    column is contiguous.
+    Paths are indexed (trajectory, grid time) and stored time-major, so
+    each column is contiguous; column 0 is t = 0, the last is t_final.
     """
 
     scenario: Scenario
@@ -89,10 +88,9 @@ class TrajectoryEnsemble:
 def relax(out: np.ndarray, start, rate: float, dt: float, rng) -> None:
     """Fill ``out`` row by row with the exact relaxation kernel.
 
-    Row 0 is set to ``start`` and row k relaxes row k - 1 over ``dt`` at
-    ``rate``; each row holds one grid time of every path, so each step
-    writes contiguous memory.  Run on the reversed view ``out[::-1]`` it
-    fills backward from the last row.
+    Row 0 is set to ``start`` and row k, one grid time of every path,
+    relaxes row k - 1 over ``dt`` at ``rate``.  Run on the reversed view
+    ``out[::-1]`` it fills backward from the last row.
     """
     if rate <= 0.0 or dt <= 0.0:
         raise ValueError(f"relaxation needs rate, dt > 0: {rate!r}, {dt!r}")
@@ -100,10 +98,9 @@ def relax(out: np.ndarray, start, rate: float, dt: float, rng) -> None:
     s = math.sqrt(1.0 - c * c)
     out[0] = start
     for k in range(1, out.shape[0]):
-        row = out[k]
-        rng.standard_normal(out=row)
-        row *= s
-        row += c * out[k - 1]
+        rng.standard_normal(out=out[k])
+        out[k] *= s
+        out[k] += c * out[k - 1]
 
 
 class PathDensities(NamedTuple):
@@ -152,15 +149,14 @@ def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
                 chunk_id: int, size: int) -> Tuple[np.ndarray, ...]:
     """One chunk of paths: (x, p) of each mode in mode order.
 
-    Each is a (size, n_steps + 1) view of time-major storage.  Draw
-    order: the amplified coordinates at the final time, backward
+    Draw order: the amplified coordinates at the final time, backward
     relaxation of each in mode order, their conjugates at t = 0, forward
     relaxation of each.  The chunk draws from its own stream, so it is
     deterministic in (seed, chunk_id, size) under any scheduling.
     """
     rng = RngStream(int(seed), chunk_id).generator()
     dt = amp.t_final / amp.n_steps
-    shape = (amp.n_steps + 1, size)
+    shape = (amp.n_steps + 1, size)  # filled time-major, returned as .T
     amplified = [np.empty(shape) for _ in dens.rates]
     conjugate = [np.empty(shape) for _ in dens.rates]
     ends = sample_fringe_density(dens.boundary, rng, size).reshape(size, -1)

@@ -76,6 +76,17 @@ class TestRngStream:
         big = RngStream(SUITE_SEED, 2 ** 70)
         assert big.generator().standard_normal(4).shape == (4,)
 
+    @pytest.mark.parametrize("seed, index", [
+        (SUITE_SEED, 7), (-3, 5), (SUITE_SEED, 2 ** 70)])
+    def test_stream_is_sfc64_spawned_from_seed_and_index(self, seed, index):
+        # Pins the stream definition: changing it is a new seed.
+        mask = (1 << 64) - 1
+        expected = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed & mask, spawn_key=(index & mask,))))
+        got = RngStream(seed, index).generator()
+        np.testing.assert_array_equal(got.standard_normal(64),
+                                      expected.standard_normal(64))
+
 
 class TestSampleFringeDensity:
     def test_plain_gaussian_uses_direct_mixture_path(self):
