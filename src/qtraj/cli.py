@@ -32,7 +32,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import sde_engine
-from .analytic import born_p, born_x, marginal_p, marginal_x, two_mode_q
+from .analytic import (born_p, born_x, marginal_p, marginal_x, q_single_mode,
+                       two_mode_q)
 from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
                    TwoModeSpec, validate_scenario)
 from .postselect import (MIN_SAMPLES, bin_by_sign, build_loops,
@@ -329,13 +330,13 @@ def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     def summary_rows():
         means = [t.mean() for t in tallies]
         variances = [t.variance() for t in tallies]
-        exp_x, exp_p = ([_marginal_of(state, amp, t, axis).moments(0)[1]
-                         for t in grid] for axis in names[:2])
+        law = two_mode_q if isinstance(state, TwoModeSpec) else q_single_mode
         for j, t in enumerate(grid):
             row = [t, sc.trajectories]
             for m, v in zip(means, variances):
                 row += [m[j], v[j]]
-            row += [exp_x[j], exp_p[j]]
+            joint = law(state, amp, t)
+            row += [joint.moments(0)[1], joint.moments(1)[1]]
             yield tuple(row)
 
     header = ["t", "n"]

@@ -18,10 +18,10 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .analytic import (_T0_AMP, GaussFringeDensity, UnsupportedPhase,
-                       _meter_branch_density, _phase_kind,
-                       meter_condition_weights)
+                       _branch_fringe_ratio, _meter_branch_density,
+                       _phase_kind, meter_condition_weights)
 from .core import ModeSpec, ScenarioError, SuperpositionSpec, TwoModeSpec
-from .sampler import _as_generator, sample_p_given_x
+from .sampler import _as_generator, _fringe_stage, sample_p_given_x
 from .sde_engine import TrajectoryEnsemble
 from .stats import Histogram, histogram
 
@@ -131,10 +131,10 @@ def bin_by_sign(ensemble: TrajectoryEnsemble, mode: str = "a"
     mask = key >= 0.0
 
     def take(sel, branch):
-        xb = None if ensemble.x_b_paths is None else ensemble.x_b_paths[sel, 0]
-        pb = None if ensemble.p_b_paths is None else ensemble.p_b_paths[sel, 0]
-        return PostselectedEnsemble(branch, ensemble.x_paths[sel, 0],
-                                    ensemble.p_paths[sel, 0], xb, pb)
+        return PostselectedEnsemble(branch, *(
+            None if paths is None else paths[:, 0][sel]
+            for paths in (ensemble.x_paths, ensemble.p_paths,
+                          ensemble.x_b_paths, ensemble.p_b_paths)))
 
     return take(mask, +1), take(~mask, -1)
 
@@ -143,55 +143,42 @@ def _draw_conditional_triple(spec: TwoModeSpec, x_b0: np.ndarray, rng
                              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw (x_a, p_a, p_b) from the conditional given each initial meter value.
 
-    Rejection against the positive mixture obtained by replacing the
-    interference term with its envelope; per-candidate acceptance is at
-    least 1/(1 + s) >= 1/2.
+    A chain: x_a from its marginal, the packets at +-x1 plus a centred
+    Gaussian of weight s e^{-x1^2 / 2 sigma_xa^2} d, d = e^{-K^2 / 2}
+    cos(phi), K the whitened wave number of (p_a, p_b).  For d < 0 the
+    packets propose, kept with probability 1 + d sech(a + u) >= 1 - |d|
+    (a = x_a x1 / sigma_xa^2, u the meter's).  Then the fringe stage at
+    sech(a + u) along the wave vector and N(0, 1) across it.
     """
     sup = spec.mode_a
     sxa = sup.mode.sigma_x2
-    spa = sup.mode.sigma_p2
-    spb = spec.mode_b.sigma_p2
     sxb = spec.mode_b.sigma_x2
+    sig_pa = math.sqrt(sup.mode.sigma_p2)
+    sig_pb = math.sqrt(spec.mode_b.sigma_p2)
     x1 = spec.x1
-    k_a = x1 / sxa
-    k_b = spec.x1b / sxb
-    phi = sup.phase_phi
     w_plus, s = meter_condition_weights(spec, _T0_AMP, 0.0, x_b0)
-    e_amp = math.exp(-0.5 * x1 ** 2 / sxa)
-    sig_x, sig_pa, sig_pb = math.sqrt(sxa), math.sqrt(spa), math.sqrt(spb)
-    m = len(x_b0)
-    xa = np.empty(m)
-    pa = np.empty(m)
-    pb = np.empty(m)
-    fringe_w = s * e_amp
-    total = 1.0 + fringe_w
-    thr_plus = w_plus / total
-    thr_mix = 1.0 / total
-    pending = np.ones(m, dtype=bool)
-    while pending.any():
-        idx = np.flatnonzero(pending)
-        mm = len(idx)
-        pick = rng.random(mm)
-        on_plus = pick < thr_plus[idx]
-        on_minus = (~on_plus) & (pick < thr_mix[idx])
-        center = np.where(on_plus, x1, np.where(on_minus, -x1, 0.0))
-        cx = center + sig_x * rng.standard_normal(mm)
-        cpa = sig_pa * rng.standard_normal(mm)
-        cpb = sig_pb * rng.standard_normal(mm)
-        shift = cx * x1 / sxa - 0.5 * x1 ** 2 / sxa
-        a_plus = w_plus[idx] * np.exp(shift)
-        a_minus = (1.0 - w_plus[idx]) * np.exp(-cx * x1 / sxa
-                                               - 0.5 * x1 ** 2 / sxa)
-        osc = np.cos(phi + k_a * cpa + k_b * cpb)
-        ratio = ((a_plus + a_minus + fringe_w[idx] * osc)
-                 / (a_plus + a_minus + fringe_w[idx]))
-        accept = rng.random(mm) < ratio
-        tgt = idx[accept]
-        xa[tgt] = cx[accept]
-        pa[tgt] = cpa[accept]
-        pb[tgt] = cpb[accept]
-        pending[tgt] = False
-    return xa, pa, pb
+    u = x_b0 * spec.x1b / sxb
+    wa, wb = x1 / sxa * sig_pa, spec.x1b / sxb * sig_pb
+    wave = math.hypot(wa, wb)
+    d = math.exp(-0.5 * wave ** 2) * math.cos(sup.phase_phi)
+    centre_w = s * math.exp(-0.5 * x1 ** 2 / sxa) * max(d, 0.0)
+    xa = np.empty(len(x_b0))
+    todo = np.arange(len(x_b0))
+    while todo.size:
+        pick = rng.random(todo.size) * (1.0 + centre_w[todo])
+        xa[todo] = (np.where(pick < w_plus[todo], x1,
+                             np.where(pick < 1.0, -x1, 0.0))
+                    + math.sqrt(sxa) * rng.standard_normal(todo.size))
+        if d >= 0.0:
+            break
+        todo = todo[rng.random(todo.size) >= 1.0 + d * _branch_fringe_ratio(
+            sup, xa[todo] * x1 / sxa + u[todo])]
+    along = _fringe_stage(_branch_fringe_ratio(sup, xa * x1 / sxa + u),
+                          wave, sup.phase_phi, rng)
+    across = rng.standard_normal(len(xa))
+    ca, cb = (wa / wave, wb / wave) if wave > 0.0 else (1.0, 0.0)
+    return (xa, sig_pa * (ca * along - cb * across),
+            sig_pb * (cb * along + ca * across))
 
 
 def build_loops(selected: PostselectedEnsemble,

@@ -35,8 +35,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .analytic import (GaussComponent, GaussFringeDensity, Marginal1D,
-                       _gauss_pdf)
+from .analytic import (FringeTerm, GaussComponent, GaussFringeDensity,
+                       Marginal1D, _branch_fringe_ratio, _gauss_pdf)
 from .core import ModeSpec, SuperpositionSpec, as_superposition
 
 _MASK64 = (1 << 64) - 1
@@ -282,13 +282,34 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
     return out[:, 0] if density.ndim == 1 else out
 
 
+def _fringe_stage(s: np.ndarray, k: float, phi: float, rng) -> np.ndarray:
+    """Draw v ~ N(0, 1)(1 + s cos(phi + k v)), one s in [0, 1] per record.
+
+    As 1 + s cos = (1 - s) + s (1 + cos), a record draws from the crest
+    N(v)(1 + cos(phi + k v)) / M, M its mass, with probability
+    s M / (1 - s + s M), and from N(0, 1) otherwise.
+    """
+    crest = Marginal1D((GaussComponent(1.0, (0.0,), (1.0,)),),
+                       FringeTerm(1.0, (0.0,), (1.0,), (k,), phi),
+                       axes=("v",))
+    mass = crest.total_mass()
+    on_crest = rng.random(s.shape) * (1.0 - s + s * mass) < s * mass
+    n = np.count_nonzero(on_crest)
+    v = np.empty(s.shape)
+    v[~on_crest] = rng.standard_normal(s.size - n)
+    if n:
+        v[on_crest] = sample_fringe_density(
+            replace(crest, norm=1.0 / mass), rng, n)
+    return v
+
+
 def sample_p_given_x(spec: Union[ModeSpec, SuperpositionSpec], x_at_t0, rng
                      ) -> np.ndarray:
     """Draw one initial momentum per initial position from the conditional.
 
     The conditional at t = 0 is N(p; 0, sigma_p^2) modulated by
-    1 + s(x) cos(phi + p x1 / sigma_x^2); acceptance for a Gaussian
-    proposal is (1 + s cos)/(1 + s) >= 1/2 per candidate.
+    1 + s(x) cos(phi + p x1 / sigma_x^2), drawn exactly by the fringe
+    stage in units of sigma_p.
 
     Parameters
     ----------
@@ -300,32 +321,17 @@ def sample_p_given_x(spec: Union[ModeSpec, SuperpositionSpec], x_at_t0, rng
     Returns
     -------
     ndarray matching the shape of ``x_at_t0``; a NaN or infinite
-    position raises ValueError (its draw would never be accepted).
+    position raises ValueError.
     """
-    from .analytic import _branch_fringe_ratio
-
     rng = _as_generator(rng)
     sup = as_superposition(spec)
     x = np.asarray(x_at_t0, dtype=float).ravel()
     if not np.isfinite(x).all():
         raise ValueError("sample_p_given_x needs finite positions")
-    sx2 = sup.mode.sigma_x2
-    sp2 = sup.mode.sigma_p2
-    k = sup.x1 / sx2
-    s = _branch_fringe_ratio(sup, x * sup.x1 / sx2)
-    phi = sup.phase_phi
-    sigma_p = math.sqrt(sp2)
-    out = np.empty_like(x)
-    pending = np.ones(len(x), dtype=bool)
-    while pending.any():
-        idx = np.flatnonzero(pending)
-        m = len(idx)
-        p = sigma_p * rng.standard_normal(m)
-        u = rng.random(m)
-        sp = s[idx]
-        accept = u * (1.0 + sp) <= 1.0 + sp * np.cos(phi + k * p)
-        out[idx[accept]] = p[accept]
-        pending[idx[accept]] = False
+    k = sup.x1 / sup.mode.sigma_x2
+    sigma_p = math.sqrt(sup.mode.sigma_p2)
+    out = sigma_p * _fringe_stage(_branch_fringe_ratio(sup, x * k),
+                                  k * sigma_p, sup.phase_phi, rng)
     if np.isscalar(x_at_t0) or np.ndim(x_at_t0) == 0:
         return out[0]
     return out.reshape(np.shape(x_at_t0))

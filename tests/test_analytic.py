@@ -844,3 +844,45 @@ def test_moments_equal_the_moments_of_the_marginal(x1, r, phi, x1b, r2,
             others = [a for a in dens.axes if a != axis]
             assert dens.moments(axis) == pytest.approx(
                 dens.marginal(*others).moments(0), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(factor=st.floats(0.2, 5.0), flip=st.booleans(),
+       axis=st.integers(0, 3), **MEMBERS)
+def test_scaled_keeps_mass_and_rescales_moments(factor, flip, axis, x1, r,
+                                                phi, x1b, r2, t_frac):
+    t = t_frac * AMP.t_final
+    spec = cat(x1, r, phi)
+    c = -factor if flip else factor
+    for dens in (q_single_mode(spec, AMP, t),
+                 two_mode_q(TwoModeSpec(spec, ModeSpec(x1b, r2)), AMP, t)):
+        ax = dens.axes[axis % dens.ndim]
+        out = dens.scaled(ax, c)
+        assert out.total_mass() == pytest.approx(dens.total_mass(),
+                                                 rel=1e-12)
+        mean, var = dens.moments(ax)
+        # var is m2/m0 - mean^2: rounding scales with mean^2, not var.
+        tol = 1e-12 * (var + mean * mean)
+        got_mean, got_var = out.moments(ax)
+        assert got_mean == pytest.approx(mean / c, rel=1e-12, abs=1e-12)
+        assert got_var == pytest.approx(var / c ** 2, abs=tol / c ** 2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(added=st.floats(0.01, 10.0), **MEMBERS)
+def test_convolved_keeps_mass_and_mean_and_adds_variance(added, x1, r, phi,
+                                                         x1b, r2, t_frac):
+    t = t_frac * AMP.t_final
+    spec = cat(x1, r, phi)
+    for dens in (q_single_mode(spec, AMP, t),
+                 two_mode_q(TwoModeSpec(spec, ModeSpec(x1b, r2)), AMP, t)):
+        # The fringe oscillates along the momenta only.
+        for ax in (a for a in dens.axes if a.startswith("x")):
+            out = dens.convolved(ax, added)
+            assert out.total_mass() == pytest.approx(dens.total_mass(),
+                                                     rel=1e-12)
+            mean, var = dens.moments(ax)
+            tol = 1e-12 * (var + added + mean * mean)
+            got_mean, got_var = out.moments(ax)
+            assert got_mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
+            assert got_var == pytest.approx(var + added, abs=tol)

@@ -7,6 +7,7 @@ runs must be byte-identical regardless of the thread count.
 
 import csv
 import math
+import re
 import shutil
 import subprocess
 from dataclasses import replace
@@ -22,6 +23,7 @@ from qtraj.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     ScenarioFileError,
+    _KEY_TYPES,
     build_state,
     load_scenario,
     main,
@@ -156,6 +158,14 @@ class TestParseScenarioText:
         text = SQUEEZED.format(seed=1).replace("state.x1 = 1.0",
                                                "state.x1 = abc")
         with pytest.raises(ScenarioFileError, match="bad value.*state.x1"):
+            parse_scenario_text(text, "case")
+
+    @pytest.mark.parametrize("key", sorted(_KEY_TYPES))
+    def test_unparsable_value_names_its_key(self, key):
+        lines = [line for line in TWO_MODE.format(x1b=2.0, n=10, seed=1)
+                 .splitlines() if line.split("=")[0].strip() != key]
+        text = "\n".join(lines + [f"{key} = not-a-value"]) + "\n"
+        with pytest.raises(ScenarioFileError, match=re.escape(key)):
             parse_scenario_text(text, "case")
 
     def test_line_without_assignment(self):

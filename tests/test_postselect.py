@@ -12,9 +12,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SUITE_SEED
+from conftest import SUITE_SEED, quad_grid
 from qtraj.analytic import (
     UnsupportedPhase,
+    conditional_given_meter_x,
     inferred_state_A_analytic,
     marginal_p,
     marginal_x,
@@ -36,6 +37,7 @@ from qtraj.postselect import (
     MomentEstimate,
     PostselectedEnsemble,
     TooFewSamples,
+    _draw_conditional_triple,
     bin_by_sign,
     build_loops,
     infer_state_A_numeric,
@@ -214,6 +216,65 @@ class TestBuildLoops:
         with pytest.raises(ValueError):
             build_loops(plus, spec, RngStream(SUITE_SEED, 77),
                         multiplicity=0)
+
+
+class _Weighted:
+    """A density times a function of its coordinates, for quadrature."""
+
+    def __init__(self, dens, fn):
+        self.dens, self.fn = dens, fn
+
+    def density(self, *coords):
+        return self.fn(*coords) * self.dens.density(*coords)
+
+
+class TestConditionalTriple:
+    """Two-mode loops draw (x_a, p_a, p_b) as a chain: x_a from its
+    marginal, then the whitened momenta along and across the wave."""
+
+    N = 200_000
+    ANCHOR = 0.5
+
+    @pytest.fixture(scope="class", params=[0.0, 0.5 * math.pi, math.pi],
+                    ids=["phi0", "phi_quarter", "phi_pi"])
+    def draws(self, request):
+        # A weak pair, so the fringe survives the momentum integrals.
+        spec = two_spec(x1=1.0, r=0.0, x1b=0.5, phi=request.param)
+        rng = RngStream(SUITE_SEED, 90).generator()
+        triple = _draw_conditional_triple(spec, np.full(self.N, self.ANCHOR),
+                                          rng)
+        return conditional_given_meter_x(spec, self.ANCHOR), triple
+
+    def test_each_coordinate_matches_its_marginal(self, draws):
+        dens, triple = draws
+        crit = ks_critical(self.N, alpha=0.001)
+        for axis, values in zip(dens.axes, triple):
+            others = [a for a in dens.axes if a != axis]
+            assert ks_statistic(values, dens.marginal(*others)) < crit, axis
+
+    @pytest.mark.parametrize("pair", [("p_a", "p_b"), ("x_a", "p_b")])
+    def test_covariance_matches_quadrature(self, draws, pair):
+        dens, triple = draws
+        i, j = (dens.axis_index(a) for a in pair)
+        mi, mj = dens.moments(i)[0], dens.moments(j)[0]
+        spans = [(-8.0 - 4.0 * math.sqrt(v), 8.0 + 4.0 * math.sqrt(v))
+                 for v in dens.gaussians[0].variances]
+        expected = quad_grid(
+            _Weighted(dens, lambda *c: (c[i] - mi) * (c[j] - mj)), spans,
+            n=101)
+        prod = (triple[i] - mi) * (triple[j] - mj)
+        se = float(np.std(prod)) / math.sqrt(self.N)
+        assert float(np.mean(prod)) == pytest.approx(expected, abs=5.0 * se)
+
+    @pytest.mark.parametrize("anchor", [-1e3, 1e3])
+    def test_far_anchors_give_finite_draws(self, anchor):
+        spec = two_spec(x1=1.0, r=0.0, x1b=0.5, phi=math.pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            triple = _draw_conditional_triple(
+                spec, np.full(1000, anchor),
+                RngStream(SUITE_SEED, 91).generator())
+        assert all(np.isfinite(c).all() for c in triple)
 
 
 class TestObservedVariances:

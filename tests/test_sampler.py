@@ -274,6 +274,45 @@ def test_family_members_never_violate_their_envelope(x1, r, phi, x1b, r2,
             assert diag["n_accepted"] / n >= bound - 5.0 * binomial_se - 1e-12
 
 
+class TestFringeStage:
+    """N(0, 1)(1 + s cos(phi + k v)) as a per-record mixture of N(0, 1) and
+    one compiled crest density."""
+
+    @staticmethod
+    def closed_form(s, k, phi):
+        dens = Marginal1D((GaussComponent(1.0, (0.0,), (1.0,)),),
+                          FringeTerm(s, (0.0,), (1.0,), (k,), phi),
+                          axes=("v",))
+        return replace(dens, norm=1.0 / dens.total_mass())
+
+    @pytest.mark.parametrize("s,k,phi", [
+        (0.0, 1.0, 0.0), (0.5, 2.0, 1.0), (1.0, 3.0, 0.5 * math.pi),
+        (0.5, 0.1, math.pi), (1.0, 0.1, math.pi), (1.0, 0.0, 2.5)])
+    def test_matches_closed_form(self, s, k, phi):
+        n = 200_000
+        v = sampler._fringe_stage(np.full(n, s), k, phi,
+                                  RngStream(SUITE_SEED, 60).generator())
+        assert ks_statistic(v, self.closed_form(s, k, phi)) \
+            < ks_critical(n, alpha=0.001)
+
+    def test_each_record_keeps_its_own_ratio(self):
+        # Half the records at s = 0, half at s = 1: each half follows
+        # its own law, so the stage mixes per record, not per call.
+        n = 200_000
+        s = np.tile([0.0, 1.0], n // 2)
+        v = sampler._fringe_stage(s, 2.0, 0.0,
+                                  RngStream(SUITE_SEED, 61).generator())
+        crit = ks_critical(n // 2, alpha=0.001)
+        assert ks_statistic(v[0::2], self.closed_form(0.0, 2.0, 0.0)) < crit
+        assert ks_statistic(v[1::2], self.closed_form(1.0, 2.0, 0.0)) < crit
+
+    def test_zero_crest_mass_is_never_drawn(self):
+        # k = 0, phi = pi: the crest N(v)(1 + cos(pi)) has no mass.
+        v = sampler._fringe_stage(np.full(1000, 0.5), 0.0, math.pi,
+                                  RngStream(SUITE_SEED, 62).generator())
+        assert np.isfinite(v).all()
+
+
 class TestSamplePGivenX:
     def test_scalar_input_gives_scalar_output(self):
         p = sample_p_given_x(cat(1.0, 0.0, 0.5 * math.pi), 0.3,
@@ -314,6 +353,15 @@ class TestSamplePGivenX:
         mean, var = target.moments(0)
         assert float(p.mean()) == pytest.approx(
             mean, abs=5 * math.sqrt(var / n))
+
+    def test_odd_cat_at_small_separation(self):
+        # The fringe nearly cancels the Gaussian at x = 0: a rejection
+        # loop against N(p)(1 + s) accepted about 0.12% here.
+        spec = cat(0.1, 0.0, math.pi)
+        n = 200_000
+        p = sample_p_given_x(spec, np.zeros(n), RngStream(SUITE_SEED, 63))
+        target = conditional_p_given_x(spec, AMP, 0.0, 0.0)
+        assert ks_statistic(p, target) < ks_critical(n, alpha=0.001)
 
     def test_reruns_are_bit_identical(self):
         spec = cat(1.0, 0.0, 0.5 * math.pi)

@@ -1,8 +1,9 @@
 """Static checks on the package source: no module imports a name it
-never uses (names listed in ``__all__`` count as used), no module-level
-function or class goes unused (referenced nowhere in the package outside
-its own definition, and not exported in ``__all__``), and every name the
-benchmark's tracer wraps still exists."""
+never uses (names listed in ``__all__`` count as used), no function
+imports inside its body, no module-level function or class goes unused
+(referenced nowhere in the package outside its own definition, and not
+exported in ``__all__``), and every name the benchmark's tracer wraps
+still exists."""
 
 import ast
 import importlib
@@ -45,6 +46,17 @@ def test_sources_found():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    # A module-level import is one the unused-import scan can see.
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    local = sorted((node.lineno, fn.name) for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert local == []
 
 
 def referenced_names():
