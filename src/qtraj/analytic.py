@@ -296,32 +296,18 @@ class Marginal1D(GaussFringeDensity):
 
     def support_hint(self, n_sigma: float = 10.0) -> Tuple[float, float]:
         """Interval outside which the density is negligible."""
-        los, his = [], []
-        for c in self.gaussians:
-            s = math.sqrt(c.variances[0])
-            los.append(c.means[0] - n_sigma * s)
-            his.append(c.means[0] + n_sigma * s)
-        if self.fringe is not None:
-            s = math.sqrt(self.fringe.variances[0])
-            los.append(self.fringe.means[0] - n_sigma * s)
-            his.append(self.fringe.means[0] + n_sigma * s)
-        return min(los), max(his)
-
-    def cdf_interpolator(self, n_grid: int = 20001) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense grid and cumulative masses for CDF evaluation.
-
-        Returns (grid, cdf_values); use ``np.interp`` for points in
-        between.  The grid spans the support hint, so the truncated tail
-        mass is far below any statistical resolution.
-        """
-        lo, hi = self.support_hint(12.0)
-        grid = np.linspace(lo, hi, n_grid)
-        masses = self.bin_masses(grid, order=8)
-        cdf = np.concatenate([[0.0], np.cumsum(masses)])
-        return grid, cdf
+        terms = self.gaussians + (() if self.fringe is None else (self.fringe,))
+        reach = [(t.means[0], n_sigma * math.sqrt(t.variances[0]))
+                 for t in terms]
+        return min(m - r for m, r in reach), max(m + r for m, r in reach)
 
     def cdf(self, points) -> np.ndarray:
-        grid, cdfv = self.cdf_interpolator()
+        """The CDF, interpolated between cumulative masses on a dense grid
+        over the support hint (the truncated tail mass is far below any
+        statistical resolution)."""
+        grid = np.linspace(*self.support_hint(12.0), 20001)
+        cdfv = np.concatenate([[0.0],
+                               np.cumsum(self.bin_masses(grid, order=8))])
         return np.interp(np.asarray(points, dtype=float), grid, cdfv,
                          left=0.0, right=cdfv[-1])
 

@@ -16,6 +16,9 @@ order regardless of the thread count).
 ``born``, ``postselect`` and ``collapse`` read only t = 0 and t_final.
 The relaxation kernel is exact over any gap, so one step gives the same
 joint law of the two ends as a full path, and they run at n_steps = 1.
+They read no conjugate, so each chunk stops after the stage they read
+(:mod:`qtraj.sde_engine`): ``born`` after stage 1, the boundary draw,
+``postselect`` and ``collapse`` after stage 2, the backward relaxation.
 """
 
 from __future__ import annotations
@@ -377,17 +380,13 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     t_final = abs(sc.t_final)
     results = []
     for block, basis in ((0, "x"), (1, "p")):
-        g_signed = rate if basis == "x" else -rate
-        amp = AmplifierSpec(g_signed, t_final, 1)
+        amp = AmplifierSpec(rate if basis == "x" else -rate, t_final, 1)
         validate_scenario(state, amp)
-        finals = np.empty(sc.trajectories)
-        for lo, hi, arrays in sde_engine.iter_chunks(
-                state, amp, sc.trajectories, sc.seed, threads, sc.boundary,
-                stream_offset=block * _STREAM_BLOCK):
-            finals[lo:hi] = arrays[0 if basis == "x" else 1][:, -1]
-            del arrays  # release the chunk before the next is submitted
-        scale = math.exp(rate * t_final)
-        scaled = finals / scale
+        chunks = sde_engine.iter_chunks(  # a chunk holds its final records
+            state, amp, sc.trajectories, sc.seed, threads, sc.boundary,
+            stream_offset=block * _STREAM_BLOCK, _through=1)
+        scaled = (np.concatenate([arrays[0][:, -1] for _, _, arrays in chunks])
+                  / math.exp(rate * t_final))
         target = born_x(state) if basis == "x" else born_p(state)
         # 4 sigma keeps every bin's expected count well away from the
         # Poisson-skew regime that makes z-scores of ultra-thin tail
@@ -441,7 +440,7 @@ def cmd_postselect(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         base = 2 * i * _STREAM_BLOCK
         ens = sde_engine._simulate(state, replace(amp, n_steps=1),
                                    sc.trajectories, sc.seed, threads,
-                                   sc.boundary, stream_offset=base)
+                                   sc.boundary, stream_offset=base, through=2)
         loop_rng = RngStream(sc.seed, base + _STREAM_BLOCK // 2)
         for selected in bin_by_sign(ens):
             branch = selected.branch
@@ -475,8 +474,8 @@ def cmd_collapse(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     state, amp = build_state(sc)
     if not isinstance(state, TwoModeSpec):
         raise ScenarioError("collapse analysis needs a two_mode scenario")
-    ens = sde_engine._simulate(state, replace(amp, n_steps=1),
-                               sc.trajectories, sc.seed, threads, sc.boundary)
+    ens = sde_engine._simulate(state, replace(amp, n_steps=1), sc.trajectories,
+                               sc.seed, threads, sc.boundary, through=2)
     plus, minus = bin_by_sign(ens, mode="b")
     inferred = infer_state_A_numeric(plus, state)
 
@@ -548,6 +547,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.trajectories < 1:
                 raise ScenarioFileError("--trajectories must be >= 1")
             sc = replace(sc, trajectories=args.trajectories)
+        if args.threads is not None and args.threads < 1:
+            raise ScenarioFileError("--threads must be >= 1")
         if args.seed is not None:
             sc = replace(sc, seed=args.seed)
         threads = sde_engine.resolve_threads(args.threads)

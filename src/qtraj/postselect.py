@@ -43,11 +43,13 @@ class TooFewSamples(ValueError):
 
 @dataclass(frozen=True)
 class PostselectedEnsemble:
-    """Initial-time coordinates of the trajectories with one final sign."""
+    """Initial-time coordinates of the trajectories with one final sign.
+
+    ``p0`` and ``p_b0`` are None when the run never drew them."""
 
     branch: int
     x0: np.ndarray
-    p0: np.ndarray
+    p0: Optional[np.ndarray]
     x_b0: Optional[np.ndarray] = None
     p_b0: Optional[np.ndarray] = None
 
@@ -242,14 +244,14 @@ def observed_variances(selected: PostselectedEnsemble, mode: str = "a"
     TooFewSamples
         Fewer than 100 samples in the branch.
     """
-    if mode == "a":
-        xs, ps = selected.x0, selected.p0
-    elif mode == "b":
-        if selected.x_b0 is None:
-            raise ScenarioError("mode 'b' moments need a two-mode ensemble")
-        xs, ps = selected.x_b0, selected.p_b0
-    else:
+    if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+    if mode == "b" and selected.x_b0 is None:
+        raise ScenarioError("mode 'b' moments need a two-mode ensemble")
+    names = ("x0", "p0") if mode == "a" else ("x_b0", "p_b0")
+    xs, ps = (getattr(selected, name) for name in names)
+    if ps is None:
+        raise ValueError(f"{names[1]} was never drawn: loop the branch first")
     if len(xs) < MIN_SAMPLES:
         raise TooFewSamples(
             f"{len(xs)} samples in branch; need at least {MIN_SAMPLES}")

@@ -12,8 +12,11 @@ count only controls how finely the path is recorded.
 
 Position and momentum measurement and the entangled system-meter pair
 share one path: :func:`path_densities` builds what a run samples, one
-chunk kernel draws and relaxes it, and :func:`iter_chunks` schedules the
-chunks for both the Python API and the command line.
+chunk kernel draws it in three stages (1, the amplified coordinates at
+t_final; 2, their backward relaxation; 3, the conjugates at t = 0 and
+their forward relaxation), and :func:`iter_chunks` schedules the chunks
+for the Python API and ``run`` (all stages), ``born`` (stage 1 only),
+``postselect`` and ``collapse`` (stages 1 and 2).
 
 Work is split into fixed-size chunks, each drawing from its own named
 stream keyed by (seed, chunk index).  Results are therefore
@@ -51,12 +54,13 @@ class TrajectoryEnsemble:
 
     Paths are indexed (trajectory, grid time) and stored time-major, so
     each column is contiguous; column 0 is t = 0, the last is t_final.
+    A run stopped before stage 3 leaves ``p_paths``, ``p_b_paths`` None.
     """
 
     scenario: Scenario
     grid: TimeGrid
     x_paths: np.ndarray
-    p_paths: np.ndarray
+    p_paths: Optional[np.ndarray]
     x_b_paths: Optional[np.ndarray] = None
     p_b_paths: Optional[np.ndarray] = None
 
@@ -70,8 +74,9 @@ class TrajectoryEnsemble:
                 raise ValueError(f"{name} must have shape (count, {n_times})")
             if arr.shape[0] != self.x_paths.shape[0]:
                 raise ValueError("path arrays disagree on trajectory count")
-        if (self.x_b_paths is None) != (self.p_b_paths is None):
-            raise ValueError("meter paths must come as a pair")
+        if (self.p_b_paths is None) == (self.is_two_mode
+                                        and self.p_paths is not None):
+            raise ValueError("p_b_paths must come with x_b_paths and p_paths")
 
     @property
     def count(self) -> int:
@@ -146,22 +151,30 @@ def path_densities(spec, amp: AmplifierSpec, boundary_method: str = "direct",
 
 
 def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
-                chunk_id: int, size: int) -> Tuple[np.ndarray, ...]:
+                chunk_id: int, size: int, through: int = 3
+                ) -> Tuple[np.ndarray, ...]:
     """One chunk of paths: (x, p) of each mode in mode order.
 
-    Draw order: the amplified coordinates at the final time, backward
-    relaxation of each in mode order, their conjugates at t = 0, forward
-    relaxation of each.  The chunk draws from its own stream, so it is
-    deterministic in (seed, chunk_id, size) under any scheduling.
+    Draw order, in stages: 1, the amplified coordinates at the final
+    time; 2, backward relaxation of each in mode order; 3, their
+    conjugates at t = 0 and forward relaxation of each.  The chunk draws
+    from its own stream, so it is deterministic in (seed, chunk_id, size)
+    under any scheduling, and stopped after stage ``through`` < 3 it
+    returns the full chunk's amplified coordinates alone, in mode order:
+    their (size, 1) t_final column at stage 1, their paths at stage 2.
     """
     rng = RngStream(int(seed), chunk_id).generator()
     dt = amp.t_final / amp.n_steps
+    ends = sample_fringe_density(dens.boundary, rng, size).reshape(size, -1)
+    if through == 1:
+        return tuple(np.hsplit(ends, len(dens.rates)))
     shape = (amp.n_steps + 1, size)  # filled time-major, returned as .T
     amplified = [np.empty(shape) for _ in dens.rates]
-    conjugate = [np.empty(shape) for _ in dens.rates]
-    ends = sample_fringe_density(dens.boundary, rng, size).reshape(size, -1)
     for out, end, rate in zip(amplified, ends.T, dens.rates):
         relax(out[::-1], end, abs(rate), dt, rng)
+    if through == 2:
+        return tuple(path.T for path in amplified)
+    conjugate = [np.empty(shape) for _ in dens.rates]
     starts = sample_fringe_density(dens.initial, rng, size).reshape(size, -1)
     for out, start, rate in zip(conjugate, starts.T, dens.rates):
         relax(out, start, abs(rate), dt, rng)
@@ -174,29 +187,29 @@ def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
 def single_mode_chunk(spec: Union[ModeSpec, SuperpositionSpec],
                       amp: AmplifierSpec, seed: int, chunk_id: int,
                       size: int, boundary_method: str = "direct",
-                      _densities: Optional[PathDensities] = None
-                      ) -> Tuple[np.ndarray, np.ndarray]:
+                      _densities: Optional[PathDensities] = None,
+                      _through: int = 3) -> Tuple[np.ndarray, ...]:
     """One chunk of position-amplified paths: (x, p)."""
     dens = _densities or path_densities(spec, amp, boundary_method)
-    return _path_chunk(dens, amp, seed, chunk_id, size)
+    return _path_chunk(dens, amp, seed, chunk_id, size, _through)
 
 
 def p_measurement_chunk(spec: Union[ModeSpec, SuperpositionSpec],
                         amp: AmplifierSpec, seed: int, chunk_id: int,
-                        size: int, _densities: Optional[PathDensities] = None
-                        ) -> Tuple[np.ndarray, np.ndarray]:
+                        size: int, _densities: Optional[PathDensities] = None,
+                        _through: int = 3) -> Tuple[np.ndarray, ...]:
     """One chunk of momentum-amplified paths (negative gain rate): (x, p)."""
     return _path_chunk(_densities or path_densities(spec, amp),
-                       amp, seed, chunk_id, size)
+                       amp, seed, chunk_id, size, _through)
 
 
 def two_mode_chunk(spec: TwoModeSpec, amp: AmplifierSpec, seed: int,
                    chunk_id: int, size: int,
                    amp_b: Optional[AmplifierSpec] = None,
-                   _densities: Optional[PathDensities] = None):
+                   _densities: Optional[PathDensities] = None, _through=3):
     """One chunk of joint system-meter paths: (x_a, p_a, x_b, p_b)."""
     return _path_chunk(_densities or path_densities(spec, amp, amp_b=amp_b),
-                       amp, seed, chunk_id, size)
+                       amp, seed, chunk_id, size, _through)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +228,11 @@ def chunk_bounds(n_traj: int, chunk_id: int) -> Tuple[int, int]:
 def resolve_threads(threads: Optional[int]) -> int:
     """Worker count: ``threads``, else QTRAJ_THREADS, else 1; at least 1."""
     if threads is None:
-        threads = int(os.environ.get("QTRAJ_THREADS", "1"))
+        raw = os.environ.get("QTRAJ_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ScenarioError(f"QTRAJ_THREADS must be an integer: {raw!r}")
     return max(1, int(threads))
 
 
@@ -230,12 +247,16 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
                 threads: Optional[int] = None,
                 boundary_method: str = "direct",
                 amp_b: Optional[AmplifierSpec] = None,
-                stream_offset: int = 0
+                stream_offset: int = 0, _through: int = 3
                 ) -> Iterator[Tuple[int, int, Tuple[np.ndarray, ...]]]:
     """Yield ``(lo, hi, paths)`` for every chunk of a run, in chunk order.
 
     Chunk i holds trajectories lo:hi and draws from stream
-    ``stream_offset + i``.  At most ``threads`` chunks are in flight; a
+    ``stream_offset + i``, and ``_through`` < 3 stops it after that stage
+    of :func:`_path_chunk`: 1, the amplified coordinates at t_final
+    (``born``); 2, their backward relaxation (``postselect``,
+    ``collapse``); 3, the conjugates and their forward relaxation (``run``
+    and the Python API).  At most ``threads`` chunks are in flight; a
     new one is submitted as soon as the oldest has been consumed.
     Chunks are always yielded in index order, so any reduction over
     them is bitwise independent of the thread count.  A consumer that
@@ -253,7 +274,7 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
     def call(cid):
         lo, hi = chunk_bounds(n_traj, cid)
         return lo, hi, entry(spec, amp, seed, stream_offset + cid, hi - lo,
-                             _densities=dens)
+                             _densities=dens, _through=_through)
 
     ids = iter(range(n_chunks(n_traj)))
     threads = resolve_threads(threads)
@@ -271,17 +292,21 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
 def _simulate(spec, amp: AmplifierSpec, n_traj: int, seed: int,
               threads: Optional[int], boundary_method: str = "direct",
               amp_b: Optional[AmplifierSpec] = None,
-              stream_offset: int = 0) -> TrajectoryEnsemble:
+              stream_offset: int = 0, through: int = 3) -> TrajectoryEnsemble:
     scenario = validate_scenario(spec, amp, amp_b)
     n_traj = _check_traj_count(n_traj)
-    paths = [np.empty((amp.n_steps + 1, n_traj))
-             for _ in range(4 if scenario.is_two_mode else 2)]
+    n = 4 if scenario.is_two_mode else 2
+    # (x, p) of each mode; before stage 3 only the amplified one is filled.
+    slots = range(n) if through == 3 else range(amp.gain_rate_g < 0.0, n, 2)
+    paths = {i: np.empty((amp.n_steps + 1, n_traj)).T for i in slots}
     for lo, hi, chunk in iter_chunks(spec, amp, n_traj, seed, threads,
-                                     boundary_method, amp_b, stream_offset):
-        for out, block in zip(paths, chunk):
-            out[:, lo:hi] = block.T
+                                     boundary_method, amp_b, stream_offset,
+                                     _through=through):
+        for i, block in zip(slots, chunk):
+            paths[i][lo:hi] = block
         del chunk, block  # release the chunk before the next is submitted
-    return TrajectoryEnsemble(scenario, scenario.grid, *(p.T for p in paths))
+    return TrajectoryEnsemble(scenario, scenario.grid,
+                              *(paths.get(i) for i in range(n)))
 
 
 def simulate_single_mode(spec: Union[ModeSpec, SuperpositionSpec],

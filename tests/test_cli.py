@@ -321,6 +321,26 @@ class TestMainValidation:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_exits_2(self, tmp_path, capsys, threads):
+        path = write_scenario(tmp_path, SQUEEZED.format(seed=1))
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", str(path), "--out", str(out),
+                     "--threads", threads])
+        assert code == EXIT_VALIDATION
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_thread_variable_exits_2(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setenv("QTRAJ_THREADS", "abc")
+        path = write_scenario(tmp_path, SQUEEZED.format(seed=1))
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "QTRAJ_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_refuses_a_single_trajectory(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SQUEEZED.format(seed=1))
         out = tmp_path / "o"

@@ -48,6 +48,7 @@ from qtraj.postselect import (
 from qtraj.sampler import RngStream
 from qtraj.sde_engine import (
     TrajectoryEnsemble,
+    _simulate,
     simulate_single_mode,
     simulate_two_mode,
 )
@@ -307,6 +308,18 @@ class TestObservedVariances:
     def test_meter_mode_needs_meter(self):
         with pytest.raises(ScenarioError):
             observed_variances(self._branch(1.0, 1.0), mode="b")
+
+    @pytest.mark.parametrize("mode, spec, name", [
+        ("a", cat(1.0), "p0"), ("b", two_spec(), "p_b0")])
+    def test_undrawn_conjugate_is_refused_by_name(self, mode, spec, name):
+        # A run stopped after the backward relaxation draws no momenta.
+        ens = _simulate(spec, AmplifierSpec(1.0, 2.0, 1), 2000,
+                        SUITE_SEED + 82, 1, through=2)
+        plus, _ = bin_by_sign(ens, mode=mode)
+        assert getattr(plus, name) is None
+        for estimate in (observed_variances, uncertainty_product):
+            with pytest.raises(ValueError, match=name):
+                estimate(plus, mode=mode)
 
 
 class TestUncertaintyProduct:

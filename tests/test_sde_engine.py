@@ -22,12 +22,17 @@ from qtraj.core import (
     sigma_p2_at,
     sigma_x2_at,
 )
+import qtraj.sde_engine
+from qtraj.cli import EXIT_OK, main
 from qtraj.sampler import RngStream
 from qtraj.sde_engine import (
     CHUNK,
     TrajectoryEnsemble,
+    _path_chunk,
+    _simulate,
     chunk_bounds,
     n_chunks,
+    path_densities,
     relax,
     simulate_p_measurement,
     simulate_single_mode,
@@ -130,6 +135,17 @@ class TestEnsembleContainer:
             TrajectoryEnsemble(scenario=ens.scenario, grid=ens.grid,
                                x_paths=ens.x_paths, p_paths=ens.p_paths,
                                x_b_paths=ens.x_paths)
+
+    def test_conjugates_come_for_every_mode_or_none(self):
+        ens = self._ensemble()
+        x = ens.x_paths
+        part = TrajectoryEnsemble(ens.scenario, ens.grid, x, None, x, None)
+        assert part.is_two_mode and part.p_paths is None
+        for p_paths, x_b_paths, p_b_paths in ((x, x, None), (None, x, x),
+                                              (x, None, x), (None, None, x)):
+            with pytest.raises(ValueError, match="p_b_paths"):
+                TrajectoryEnsemble(ens.scenario, ens.grid, x, p_paths,
+                                   x_b_paths, p_b_paths)
 
 
 class TestSingleModeLaw:
@@ -369,3 +385,76 @@ class TestTwoMode:
         with pytest.raises(ScenarioError):
             simulate_two_mode(self._spec(), AmplifierSpec(1.0, 1.0, 2), 10,
                               SUITE_SEED, amp_b=AmplifierSpec(1.0, 2.0, 2))
+
+
+class TestStagePrefix:
+    """A chunk stopped after stage 1 or 2 holds the full chunk's values."""
+
+    RUNS = {
+        "x": (cat(1.0), 1.0),
+        "p": (cat(1.0, 0.0, 0.5 * math.pi), -1.0),
+        "two": (TwoModeSpec(cat(1.0, 0.0, 0.5 * math.pi), ModeSpec(2.0)),
+                1.0),
+    }
+
+    @pytest.mark.parametrize("size", [1, CHUNK - 1])
+    @pytest.mark.parametrize("n_steps", [1, 5])
+    @pytest.mark.parametrize("mode", sorted(RUNS))
+    def test_stopped_chunk_is_a_prefix_of_the_full_chunk(self, mode,
+                                                         n_steps, size):
+        spec, rate = self.RUNS[mode]
+        amp = AmplifierSpec(rate, 1.5, n_steps)
+        dens = path_densities(spec, amp)
+        full = _path_chunk(dens, amp, SUITE_SEED + 62, 7, size)
+        amplified = full[0::2] if rate > 0.0 else full[1::2]
+        ends, paths = (_path_chunk(dens, amp, SUITE_SEED + 62, 7, size,
+                                   through=stage) for stage in (1, 2))
+        assert len(ends) == len(paths) == len(amplified) == len(dens.rates)
+        for want, end, path in zip(amplified, ends, paths):
+            assert end.shape == (size, 1)
+            np.testing.assert_array_equal(end, want[:, -1:])
+            assert path.shape == (size, n_steps + 1)
+            np.testing.assert_array_equal(path, want)
+
+    @pytest.mark.parametrize("mode", ["x", "two"])
+    def test_stopped_ensemble_leaves_conjugates_none(self, mode):
+        spec, rate = self.RUNS[mode]
+        amp = AmplifierSpec(rate, 1.5, 3)
+        full = _simulate(spec, amp, CHUNK + 5, SUITE_SEED + 63, 2)
+        part = _simulate(spec, amp, CHUNK + 5, SUITE_SEED + 63, 2, through=2)
+        assert part.p_paths is None and part.p_b_paths is None
+        assert part.is_two_mode == full.is_two_mode
+        np.testing.assert_array_equal(part.x_paths, full.x_paths)
+        if full.is_two_mode:
+            np.testing.assert_array_equal(part.x_b_paths, full.x_b_paths)
+
+    def test_records_commands_never_draw_the_conjugates(self, tmp_path,
+                                                        monkeypatch):
+        initial, drawn = [], []
+        build = qtraj.sde_engine.path_densities
+        sample = qtraj.sde_engine.sample_fringe_density
+
+        def densities(*args, **kwargs):
+            dens = build(*args, **kwargs)
+            initial.append(dens.initial)
+            return dens
+
+        def counted(density, *args, **kwargs):
+            drawn.append(density)
+            return sample(density, *args, **kwargs)
+
+        monkeypatch.setattr(qtraj.sde_engine, "path_densities", densities)
+        monkeypatch.setattr(qtraj.sde_engine, "sample_fringe_density",
+                            counted)
+        for cmd, scenario in (("born", "fig_born_x"),
+                              ("postselect", "fig_condvar"),
+                              ("collapse", "fig_infer_eig"),
+                              ("run", "fig_sup")):
+            initial.clear()
+            drawn.clear()
+            assert main([cmd, "--scenario", scenario, "--out",
+                         str(tmp_path / cmd), "--trajectories", "2000",
+                         "--seed", str(SUITE_SEED)]) == EXIT_OK
+            assert drawn and initial, cmd
+            draws_initial = any(d is i for d in drawn for i in initial)
+            assert draws_initial == (cmd == "run"), cmd

@@ -2,12 +2,13 @@
 never uses (names listed in ``__all__`` count as used), no function
 imports inside its body, no module-level function or class goes unused
 (referenced nowhere in the package outside its own definition, and not
-exported in ``__all__``), and every name the benchmark's tracer wraps
-still exists."""
+exported in ``__all__``), every name the benchmark's tracer wraps
+still exists, and the tracer reads every chunk the engine returns."""
 
 import ast
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ import pytest
 import qtraj
 import qtraj.analytic
 import qtraj.cli
+from qtraj import sde_engine
+from qtraj.core import AmplifierSpec, ModeSpec, SuperpositionSpec, TwoModeSpec
 
 SOURCES = sorted(Path(qtraj.__file__).parent.glob("*.py"))
 
@@ -86,11 +89,17 @@ def test_no_dead_definitions(path):
     assert dead == []
 
 
-def test_traced_names_resolve():
+def load_tracing():
+    """The benchmark's tracer, loaded read-only from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    tracing = load_tracing()
     missing = [f"{mod}.{attr}" for mod, attr, _ in tracing.WRAPPED_FUNCTIONS
                if not hasattr(importlib.import_module(mod), attr)]
     missing += [f"{cls}.{attr}" for cls, attr, _ in tracing.WRAPPED_METHODS
@@ -98,3 +107,27 @@ def test_traced_names_resolve():
     assert missing == []
     assert set(qtraj.cli._COMMANDS) == {"run", "born", "postselect",
                                         "collapse"}
+
+
+@pytest.mark.parametrize("through", [1, 2, 3])
+def test_tracer_counts_the_normals_of_every_chunk_stage(through):
+    # The tracer derives normals from the chunk it is handed: the first
+    # array's shape times the number of arrays.  A stopped chunk must
+    # still hand it arrays, one per relaxed (or drawn) coordinate.
+    tracing = load_tracing()
+    half = 1.0 / math.sqrt(2.0)
+    cat = SuperpositionSpec(ModeSpec(1.0), c1_mag=half, c2_mag=half,
+                            phase_phi=0.5 * math.pi)
+    size, n_steps = 7, 4
+    amp = AmplifierSpec(1.0, 1.5, n_steps)
+    cases = ((sde_engine.single_mode_chunk, cat, amp, 1),
+             (sde_engine.p_measurement_chunk, cat,
+              AmplifierSpec(-1.0, 1.5, n_steps), 1),
+             (sde_engine.two_mode_chunk, TwoModeSpec(cat, ModeSpec(2.0)),
+              amp, 2))
+    for entry, spec, amp, modes in cases:
+        args, kwargs = (spec, amp, 5, 0, size), {"_through": through}
+        extra = tracing._chunk_after(None, args, kwargs,
+                                     entry(*args, **kwargs))
+        relaxed = {1: 0, 2: modes, 3: 2 * modes}[through]
+        assert extra["normals"] == size * n_steps * relaxed, entry.__name__
