@@ -577,59 +577,53 @@ def variances_postselected_analytic(spec) -> PostselectedMoments:
 # Two-mode (system + meter) distributions
 # ----------------------------------------------------------------------
 
-def two_mode_q(spec: TwoModeSpec, amp: AmplifierSpec, t: float,
-               amp_b: Optional[AmplifierSpec] = None) -> GaussFringeDensity:
+def two_mode_q(spec: TwoModeSpec, amp: AmplifierSpec, t: float
+               ) -> GaussFringeDensity:
     """Joint phase-space distribution of system and meter at time t.
 
     Axes ("x_a", "p_a", "x_b", "p_b").  Two branch Gaussians displaced
-    to +-(G_a x1, G_b x1b) plus one four-variable interference term
+    to +-G (x1, x1b) plus one four-variable interference term
     whose oscillation involves both momenta.
     """
     if not isinstance(spec, TwoModeSpec):
         raise ScenarioError("two_mode_q needs a TwoModeSpec")
-    if amp_b is None:
-        amp_b = amp
     t = _check_time(amp, t)
     sup = spec.mode_a
-    ga = float(gain(amp, t))
-    gb = float(gain(amp_b, t))
+    g = float(gain(amp, t))
     sxa = sigma_x2_at(sup.mode, amp, t)
     spa = sigma_p2_at(sup.mode, amp, t)
-    sxb = sigma_x2_at(spec.mode_b, amp_b, t)
-    spb = sigma_p2_at(spec.mode_b, amp_b, t)
+    sxb = sigma_x2_at(spec.mode_b, amp, t)
+    spb = sigma_p2_at(spec.mode_b, amp, t)
     x1, x1b = spec.x1, spec.x1b
     ea = sup.mode.overlap_exponent
     eb = spec.mode_b.overlap_exponent
     f2 = 1.0 + math.cos(sup.phase_phi) * math.exp(-ea - eb)
     comps = (
-        GaussComponent(0.5, (ga * x1, 0.0, gb * x1b, 0.0), (sxa, spa, sxb, spb)),
-        GaussComponent(0.5, (-ga * x1, 0.0, -gb * x1b, 0.0), (sxa, spa, sxb, spb)),
+        GaussComponent(0.5, (g * x1, 0.0, g * x1b, 0.0), (sxa, spa, sxb, spb)),
+        GaussComponent(0.5, (-g * x1, 0.0, -g * x1b, 0.0), (sxa, spa, sxb, spb)),
     )
     fringe = FringeTerm(
-        amplitude=math.exp(-0.5 * (ga * x1) ** 2 / sxa
-                           - 0.5 * (gb * x1b) ** 2 / sxb),
+        amplitude=math.exp(-0.5 * (g * x1) ** 2 / sxa
+                           - 0.5 * (g * x1b) ** 2 / sxb),
         means=(0.0, 0.0, 0.0, 0.0),
         variances=(sxa, spa, sxb, spb),
-        wave=(0.0, ga * x1 / sxa, 0.0, gb * x1b / sxb),
+        wave=(0.0, g * x1 / sxa, 0.0, g * x1b / sxb),
         phase=sup.phase_phi)
     return GaussFringeDensity(gaussians=comps, fringe=fringe, norm=1.0 / f2,
                               axes=("x_a", "p_a", "x_b", "p_b"))
 
 
 def meter_condition_weights(spec: TwoModeSpec, amp: AmplifierSpec, t: float,
-                            x_b, amp_b: Optional[AmplifierSpec] = None):
+                            x_b):
     """Branch weights and fringe ratio conditioned on a meter position.
 
-    Returns (w_plus, s) with u = x_b G_b x1b / sigma_xb^2(t): the weight
+    Returns (w_plus, s) with u = x_b G x1b / sigma_xb^2(t): the weight
     (1 + tanh u)/2 of the +x1 branch and the interference suppression
     factor sech u, both vectorised over x_b and finite for any |u|.
     """
-    if amp_b is None:
-        amp_b = amp
     t = _check_time(amp, t)
-    gb = float(gain(amp_b, t))
-    sxb = sigma_x2_at(spec.mode_b, amp_b, t)
-    u = np.asarray(x_b, dtype=float) * gb * spec.x1b / sxb
+    sxb = sigma_x2_at(spec.mode_b, amp, t)
+    u = np.asarray(x_b, dtype=float) * float(gain(amp, t)) * spec.x1b / sxb
     w_plus = 0.5 * (1.0 + np.tanh(u))
     au = np.abs(u)
     s = 2.0 * np.exp(-au) / (1.0 + np.exp(-2.0 * au))
@@ -637,8 +631,7 @@ def meter_condition_weights(spec: TwoModeSpec, amp: AmplifierSpec, t: float,
 
 
 def _meter_branch_density(spec: TwoModeSpec, w_plus: float, s: float,
-                          amp: AmplifierSpec = _T0_AMP, t: float = 0.0,
-                          amp_b: Optional[AmplifierSpec] = None
+                          amp: AmplifierSpec = _T0_AMP, t: float = 0.0
                           ) -> GaussFringeDensity:
     """Un-normalised (x_a, p_a, p_b) density of the meter-conditioned state.
 
@@ -646,31 +639,26 @@ def _meter_branch_density(spec: TwoModeSpec, w_plus: float, s: float,
     ``meter_condition_weights``.  Both enter linearly, so the density at
     averaged factors is the average of the per-record densities.
     """
-    if amp_b is None:
-        amp_b = amp
     sup = spec.mode_a
-    ga = float(gain(amp, t))
+    g = float(gain(amp, t))
     sxa = sigma_x2_at(sup.mode, amp, t)
     spa = sigma_p2_at(sup.mode, amp, t)
-    spb = sigma_p2_at(spec.mode_b, amp_b, t)
-    gb = float(gain(amp_b, t))
-    sxb = sigma_x2_at(spec.mode_b, amp_b, t)
-    x1 = ga * spec.x1
+    spb = sigma_p2_at(spec.mode_b, amp, t)
+    sxb = sigma_x2_at(spec.mode_b, amp, t)
+    x1 = g * spec.x1
     comps = (GaussComponent(w_plus, (x1, 0.0, 0.0), (sxa, spa, spb)),
              GaussComponent(1.0 - w_plus, (-x1, 0.0, 0.0), (sxa, spa, spb)))
     fringe = FringeTerm(
         amplitude=s * math.exp(-0.5 * x1 ** 2 / sxa),
         means=(0.0, 0.0, 0.0), variances=(sxa, spa, spb),
-        wave=(0.0, x1 / sxa, gb * spec.x1b / sxb), phase=sup.phase_phi)
+        wave=(0.0, x1 / sxa, g * spec.x1b / sxb), phase=sup.phase_phi)
     return GaussFringeDensity(gaussians=comps, fringe=fringe, norm=1.0,
                               axes=("x_a", "p_a", "p_b"))
 
 
 def conditional_given_meter_x(spec: TwoModeSpec, x_b: float,
-                              amp: Optional[AmplifierSpec] = None,
-                              t: float = 0.0,
-                              amp_b: Optional[AmplifierSpec] = None
-                              ) -> GaussFringeDensity:
+                              amp: AmplifierSpec = _T0_AMP,
+                              t: float = 0.0) -> GaussFringeDensity:
     """Distribution of (x_a, p_a, p_b) given the meter position at time t.
 
     A branch mixture weighted by w_plus/w_minus plus the
@@ -678,13 +666,9 @@ def conditional_given_meter_x(spec: TwoModeSpec, x_b: float,
     Defaults to t = 0 (the inferred-state construction conditions on
     backward-propagated meter values).
     """
-    if amp is None:
-        amp = _T0_AMP
-    if amp_b is None:
-        amp_b = amp
     t = _check_time(amp, t)
-    w_plus, s = meter_condition_weights(spec, amp, t, x_b, amp_b)
-    dens = _meter_branch_density(spec, float(w_plus), float(s), amp, t, amp_b)
+    w_plus, s = meter_condition_weights(spec, amp, t, x_b)
+    dens = _meter_branch_density(spec, float(w_plus), float(s), amp, t)
     return replace(dens, norm=1.0 / dens.total_mass())
 
 

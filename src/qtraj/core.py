@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -237,16 +237,13 @@ class Scenario:
     ----------
     state : SuperpositionSpec or TwoModeSpec
     amp : AmplifierSpec
-        Amplifier for the (first) mode.
+        The one amplifier of the run, shared by system and meter.
     grid : TimeGrid
-    amp_b : AmplifierSpec or None
-        Meter amplifier; defaults to ``amp`` for two-mode states.
     """
 
     state: Union[SuperpositionSpec, TwoModeSpec]
     amp: AmplifierSpec
     grid: TimeGrid
-    amp_b: Optional[AmplifierSpec] = None
 
     @property
     def is_two_mode(self) -> bool:
@@ -283,8 +280,7 @@ def _check_overflow(amp: AmplifierSpec, mode: ModeSpec, x_key: str,
                             f"this state needs |amp.gtf| < {limit:.4g}")
 
 
-def validate_scenario(spec: StateSpec, amp: AmplifierSpec,
-                      amp_b: Optional[AmplifierSpec] = None) -> Scenario:
+def validate_scenario(spec: StateSpec, amp: AmplifierSpec) -> Scenario:
     """Check a state/amplifier pairing.
 
     Parameters
@@ -292,10 +288,7 @@ def validate_scenario(spec: StateSpec, amp: AmplifierSpec,
     spec : ModeSpec, SuperpositionSpec or TwoModeSpec
         Bare packets are promoted to trivial superpositions.
     amp : AmplifierSpec
-        Amplifier acting on the (system) mode.
-    amp_b : AmplifierSpec, optional
-        Meter amplifier for two-mode states; must share the time grid of
-        ``amp``.  Defaults to ``amp``.
+        Amplifier acting on every mode of the state.
 
     Returns
     -------
@@ -306,21 +299,14 @@ def validate_scenario(spec: StateSpec, amp: AmplifierSpec,
     NonNormalizedAmplitudes, ZeroGain, NonPositiveSteps
         Propagated from the component specs.
     ScenarioError
-        For a meter amplifier on a single-mode state, mismatched grids, a
-        packet whose own closed forms would overflow (naming its key), or
-        a gain whose closed forms at t_final would overflow.
+        For a packet whose own closed forms would overflow (naming its
+        key), or a gain whose closed forms at t_final would overflow.
     """
     grid = TimeGrid.from_amplifier(amp)
     if isinstance(spec, TwoModeSpec):
-        if amp_b is None:
-            amp_b = amp
-        if (amp_b.t_final != amp.t_final or amp_b.n_steps != amp.n_steps):
-            raise ScenarioError("meter amplifier must share the time grid")
         _check_overflow(amp, spec.mode_a.mode, "state.x1", "state.r")
-        _check_overflow(amp_b, spec.mode_b, "meter.x1b", "meter.r2")
-        return Scenario(state=spec, amp=amp, grid=grid, amp_b=amp_b)
-    if amp_b is not None:
-        raise ScenarioError("amp_b only applies to two-mode states")
+        _check_overflow(amp, spec.mode_b, "meter.x1b", "meter.r2")
+        return Scenario(state=spec, amp=amp, grid=grid)
     sup = as_superposition(spec)
     _check_overflow(amp, sup.mode, "state.x1", "state.r")
     return Scenario(state=sup, amp=amp, grid=grid)

@@ -91,6 +91,12 @@ class UncertaintyProduct:
     var_p: MomentEstimate
 
 
+def _require_samples(n: int) -> None:
+    if n < MIN_SAMPLES:
+        raise TooFewSamples(
+            f"{n} samples in branch; need at least {MIN_SAMPLES}")
+
+
 def _moment_estimate(values: np.ndarray, correction: float = 0.0
                      ) -> MomentEstimate:
     n = len(values)
@@ -252,9 +258,7 @@ def observed_variances(selected: PostselectedEnsemble, mode: str = "a"
     xs, ps = (getattr(selected, name) for name in names)
     if ps is None:
         raise ValueError(f"{names[1]} was never drawn: loop the branch first")
-    if len(xs) < MIN_SAMPLES:
-        raise TooFewSamples(
-            f"{len(xs)} samples in branch; need at least {MIN_SAMPLES}")
+    _require_samples(len(xs))
     return (_moment_estimate(xs, correction=1.0),
             _moment_estimate(ps, correction=1.0))
 
@@ -327,7 +331,7 @@ def infer_state_A_numeric(selected: PostselectedEnsemble, spec: TwoModeSpec,
     Parameters
     ----------
     selected : PostselectedEnsemble
-        A two-mode branch (needs meter coordinates).
+        A two-mode branch (needs meter coordinates), at least 100 records.
     spec : TwoModeSpec
     n_bins : int
         Points per axis of the reporting grid (and meter histogram bins).
@@ -343,6 +347,7 @@ def infer_state_A_numeric(selected: PostselectedEnsemble, spec: TwoModeSpec,
     if _phase_kind(sup.phase_phi) != "quarter":
         raise UnsupportedPhase(
             "inferred-state reconstruction needs the quarter phase")
+    _require_samples(selected.n)
     x_b0 = selected.x_b0
     w_plus, s = meter_condition_weights(spec, _T0_AMP, 0.0, x_b0)
     w_bar = float(np.mean(w_plus))

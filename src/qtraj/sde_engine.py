@@ -109,45 +109,41 @@ def relax(out: np.ndarray, start, rate: float, dt: float, rng) -> None:
 
 
 class PathDensities(NamedTuple):
-    """What one run samples."""
+    """What one run samples, one axis per mode, all amplified by ``amp``."""
 
     boundary: GaussFringeDensity  # amplified coordinates at t_final
     initial: GaussFringeDensity  # their conjugates at t = 0
-    rates: Tuple[float, ...]  # signed gain rate per mode (< 0: p amplified)
 
 
-def path_densities(spec, amp: AmplifierSpec, boundary_method: str = "direct",
-                   amp_b: Optional[AmplifierSpec] = None) -> PathDensities:
+def path_densities(spec, amp: AmplifierSpec, boundary_method: str = "direct"
+                   ) -> PathDensities:
     """Build the boundary and initial densities of a run.
 
     The boundary of an amplified position is the marginal at the final
     time, or with ``boundary_method="wigner"`` the scaled-and-smoothed
     Wigner marginal (analytically the same density).  Two-mode states
-    amplify both positions and sample the (x_a, x_b) and (p_a, p_b)
-    pairs jointly.
+    amplify both positions with ``amp`` and sample the (x_a, x_b) and
+    (p_a, p_b) pairs jointly.
     """
     if boundary_method not in _BOUNDARY_METHODS:
         raise ValueError(
             f"boundary_method must be one of {_BOUNDARY_METHODS}, "
             f"got {boundary_method!r}")
     if isinstance(spec, TwoModeSpec):
-        amp_b = amp if amp_b is None else amp_b
-        if amp.gain_rate_g <= 0.0 or amp_b.gain_rate_g <= 0.0:
+        if amp.gain_rate_g <= 0.0:
             raise ScenarioError("two-mode runs amplify both positions: "
-                                "both gain rates must be positive")
+                                "the gain rate amp.g must be positive")
         return PathDensities(
-            two_mode_q(spec, amp, amp.t_final, amp_b).marginal("p_a", "p_b"),
-            two_mode_q(spec, amp, 0.0, amp_b).marginal("x_a", "x_b"),
-            (amp.gain_rate_g, amp_b.gain_rate_g))
+            two_mode_q(spec, amp, amp.t_final).marginal("p_a", "p_b"),
+            two_mode_q(spec, amp, 0.0).marginal("x_a", "x_b"))
     if amp.gain_rate_g < 0.0:
         return PathDensities(marginal_p(spec, amp, amp.t_final),
-                             marginal_x(spec, amp, 0.0), (amp.gain_rate_g,))
+                             marginal_x(spec, amp, 0.0))
     if boundary_method == "direct":
         boundary = marginal_x(spec, amp, amp.t_final)
     else:
         boundary = fbc_from_wigner(spec, amp)
-    return PathDensities(boundary, marginal_p(spec, amp, 0.0),
-                         (amp.gain_rate_g,))
+    return PathDensities(boundary, marginal_p(spec, amp, 0.0))
 
 
 def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
@@ -164,24 +160,24 @@ def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
     their (size, 1) t_final column at stage 1, their paths at stage 2.
     """
     rng = RngStream(int(seed), chunk_id).generator()
-    dt = amp.t_final / amp.n_steps
+    modes = dens.boundary.ndim
+    rate, dt = abs(amp.gain_rate_g), amp.t_final / amp.n_steps
     ends = sample_fringe_density(dens.boundary, rng, size).reshape(size, -1)
     if through == 1:
-        return tuple(np.hsplit(ends, len(dens.rates)))
+        return tuple(np.hsplit(ends, modes))
     shape = (amp.n_steps + 1, size)  # filled time-major, returned as .T
-    amplified = [np.empty(shape) for _ in dens.rates]
-    for out, end, rate in zip(amplified, ends.T, dens.rates):
-        relax(out[::-1], end, abs(rate), dt, rng)
+    amplified = [np.empty(shape) for _ in range(modes)]
+    for out, end in zip(amplified, ends.T):
+        relax(out[::-1], end, rate, dt, rng)
     if through == 2:
         return tuple(path.T for path in amplified)
-    conjugate = [np.empty(shape) for _ in dens.rates]
+    conjugate = [np.empty(shape) for _ in range(modes)]
     starts = sample_fringe_density(dens.initial, rng, size).reshape(size, -1)
-    for out, start, rate in zip(conjugate, starts.T, dens.rates):
-        relax(out, start, abs(rate), dt, rng)
-    paths = ()
-    for amp_path, conj_path, rate in zip(amplified, conjugate, dens.rates):
-        paths += (amp_path, conj_path) if rate > 0.0 else (conj_path, amp_path)
-    return tuple(path.T for path in paths)
+    for out, start in zip(conjugate, starts.T):
+        relax(out, start, rate, dt, rng)
+    pairs = (zip(amplified, conjugate) if amp.gain_rate_g > 0.0
+             else zip(conjugate, amplified))
+    return tuple(path.T for pair in pairs for path in pair)
 
 
 def single_mode_chunk(spec: Union[ModeSpec, SuperpositionSpec],
@@ -205,10 +201,9 @@ def p_measurement_chunk(spec: Union[ModeSpec, SuperpositionSpec],
 
 def two_mode_chunk(spec: TwoModeSpec, amp: AmplifierSpec, seed: int,
                    chunk_id: int, size: int,
-                   amp_b: Optional[AmplifierSpec] = None,
                    _densities: Optional[PathDensities] = None, _through=3):
     """One chunk of joint system-meter paths: (x_a, p_a, x_b, p_b)."""
-    return _path_chunk(_densities or path_densities(spec, amp, amp_b=amp_b),
+    return _path_chunk(_densities or path_densities(spec, amp),
                        amp, seed, chunk_id, size, _through)
 
 
@@ -226,14 +221,17 @@ def chunk_bounds(n_traj: int, chunk_id: int) -> Tuple[int, int]:
 
 
 def resolve_threads(threads: Optional[int]) -> int:
-    """Worker count: ``threads``, else QTRAJ_THREADS, else 1; at least 1."""
+    """Worker count: ``threads``, else QTRAJ_THREADS, else 1; refused < 1."""
+    name = "threads"
     if threads is None:
-        raw = os.environ.get("QTRAJ_THREADS", "1")
+        name, raw = "QTRAJ_THREADS", os.environ.get("QTRAJ_THREADS", "1")
         try:
             threads = int(raw)
         except ValueError:
             raise ScenarioError(f"QTRAJ_THREADS must be an integer: {raw!r}")
-    return max(1, int(threads))
+    if int(threads) < 1:
+        raise ScenarioError(f"{name} = {threads!r} must be >= 1")
+    return int(threads)
 
 
 def _check_traj_count(n_traj: int) -> int:
@@ -246,7 +244,6 @@ def _check_traj_count(n_traj: int) -> int:
 def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
                 threads: Optional[int] = None,
                 boundary_method: str = "direct",
-                amp_b: Optional[AmplifierSpec] = None,
                 stream_offset: int = 0, _through: int = 3
                 ) -> Iterator[Tuple[int, int, Tuple[np.ndarray, ...]]]:
     """Yield ``(lo, hi, paths)`` for every chunk of a run, in chunk order.
@@ -264,12 +261,11 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
     chunks alive.
     """
     n_traj = _check_traj_count(n_traj)
-    dens = path_densities(spec, amp, boundary_method, amp_b)
+    dens = path_densities(spec, amp, boundary_method)
     # Looked up at run time so that a wrapper around it sees every chunk.
-    if len(dens.rates) == 2:
-        entry = two_mode_chunk
-    else:
-        entry = single_mode_chunk if dens.rates[0] > 0 else p_measurement_chunk
+    entry = (two_mode_chunk if dens.boundary.ndim == 2 else
+             single_mode_chunk if amp.gain_rate_g > 0.0 else
+             p_measurement_chunk)
 
     def call(cid):
         lo, hi = chunk_bounds(n_traj, cid)
@@ -291,16 +287,15 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
 
 def _simulate(spec, amp: AmplifierSpec, n_traj: int, seed: int,
               threads: Optional[int], boundary_method: str = "direct",
-              amp_b: Optional[AmplifierSpec] = None,
               stream_offset: int = 0, through: int = 3) -> TrajectoryEnsemble:
-    scenario = validate_scenario(spec, amp, amp_b)
+    scenario = validate_scenario(spec, amp)
     n_traj = _check_traj_count(n_traj)
     n = 4 if scenario.is_two_mode else 2
     # (x, p) of each mode; before stage 3 only the amplified one is filled.
     slots = range(n) if through == 3 else range(amp.gain_rate_g < 0.0, n, 2)
     paths = {i: np.empty((amp.n_steps + 1, n_traj)).T for i in slots}
     for lo, hi, chunk in iter_chunks(spec, amp, n_traj, seed, threads,
-                                     boundary_method, amp_b, stream_offset,
+                                     boundary_method, stream_offset,
                                      _through=through):
         for i, block in zip(slots, chunk):
             paths[i][lo:hi] = block
@@ -355,8 +350,8 @@ def simulate_p_measurement(spec: Union[ModeSpec, SuperpositionSpec],
 
 
 def simulate_two_mode(spec: TwoModeSpec, amp: AmplifierSpec, n_traj: int,
-                      seed: int, amp_b: Optional[AmplifierSpec] = None,
-                      threads: Optional[int] = None) -> TrajectoryEnsemble:
+                      seed: int, threads: Optional[int] = None
+                      ) -> TrajectoryEnsemble:
     """Simulate the entangled system-meter pair with both positions amplified.
 
     The final-time (x_a, x_b) pair is drawn from the joint amplified
@@ -366,4 +361,4 @@ def simulate_two_mode(spec: TwoModeSpec, amp: AmplifierSpec, n_traj: int,
     """
     if not isinstance(spec, TwoModeSpec):
         raise ScenarioError("simulate_two_mode needs a TwoModeSpec")
-    return _simulate(spec, amp, n_traj, seed, threads, amp_b=amp_b)
+    return _simulate(spec, amp, n_traj, seed, threads)

@@ -10,6 +10,7 @@ import math
 import re
 import shutil
 import subprocess
+import warnings
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -341,6 +342,29 @@ class TestMainValidation:
         assert "QTRAJ_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_thread_variable_below_one_exits_2(self, tmp_path, capsys,
+                                               monkeypatch, threads):
+        monkeypatch.setenv("QTRAJ_THREADS", threads)
+        out = tmp_path / "o"
+        code = main(["born", "--scenario", "fig_born_x", "--out", str(out),
+                     "--trajectories", "2000"])
+        assert code == EXIT_VALIDATION
+        assert f"QTRAJ_THREADS = {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_gain_two_mode_exits_2(self, tmp_path, capsys):
+        text = TWO_MODE.format(x1b=4.0, n=100, seed=SEED).replace(
+            "amp.g = 1.0", "amp.g = -1.0").replace("amp.gtf = 2.0",
+                                                   "amp.gtf = -2.0")
+        path = write_scenario(tmp_path, text)
+        for cmd in ("run", "collapse"):
+            out = tmp_path / cmd
+            code = main([cmd, "--scenario", str(path), "--out", str(out)])
+            assert code == EXIT_VALIDATION
+            assert "gain rate amp.g" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_run_refuses_a_single_trajectory(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SQUEEZED.format(seed=1))
         out = tmp_path / "o"
@@ -606,6 +630,20 @@ class TestCmdCollapse:
     def test_weak_meter_decorrelates(self, tmp_path):
         _, table = self.run_collapse(tmp_path, x1b=0.2)
         assert table["sign_agreement"] < 0.9
+
+    def test_tiny_branch_is_refused_by_name(self, tmp_path, capsys):
+        # Twelve records leave fewer than one per batch in the + branch.
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["collapse", "--scenario", "fig_infer_eig", "--out",
+                         str(out), "--trajectories", "12"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert re.search(r"\b\d+ samples in branch; need at least 100", err)
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert not out.exists()
 
 
 class TestEndpointCommands:

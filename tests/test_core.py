@@ -226,24 +226,18 @@ class TestValidateScenario:
         sc = validate_scenario(sup, amp)
         assert not sc.is_two_mode
         assert sc.state is sup
-        assert sc.amp is amp and sc.amp_b is None
+        assert sc.amp is amp
         assert len(sc.grid) == 9
 
     def test_bare_mode_is_promoted(self):
         sc = validate_scenario(ModeSpec(1.0), AmplifierSpec(1.0, 1.0, 2))
         assert isinstance(sc.state, SuperpositionSpec)
 
-    def test_meter_amplifier_rejected_for_single_mode(self):
-        amp = AmplifierSpec(1.0, 1.0, 2)
-        with pytest.raises(ScenarioError):
-            validate_scenario(self._cat(), amp, amp_b=amp)
-
     def test_two_mode_defaults_meter_amplifier(self):
         spec = TwoModeSpec(self._cat(), ModeSpec(4.0, 0.0))
         amp = AmplifierSpec(1.0, 2.0, 8)
         sc = validate_scenario(spec, amp)
         assert sc.is_two_mode
-        assert sc.amp_b is amp
         # quarter phase: no interference in the joint norm
         assert two_mode_q(spec, amp, 0.0).norm == pytest.approx(1.0,
                                                                abs=1e-15)
@@ -258,21 +252,18 @@ class TestValidateScenario:
         assert two_mode_q(spec, amp, 0.0).norm == pytest.approx(1.0 / f2,
                                                                rel=1e-14)
 
-    def test_two_mode_grid_mismatch_rejected(self):
-        spec = TwoModeSpec(self._cat(), ModeSpec(4.0, 0.0))
-        amp = AmplifierSpec(1.0, 2.0, 8)
-        other = AmplifierSpec(1.0, 2.0, 16)
-        with pytest.raises(ScenarioError):
-            validate_scenario(spec, amp, amp_b=other)
-
     @pytest.mark.parametrize("rate", [1.0, -1.0])
     def test_overflowing_gain_rejected(self, rate):
         with pytest.raises(ScenarioError, match="amp.gtf"):
             validate_scenario(self._cat(), AmplifierSpec(rate, 400.0, 2))
-        spec = TwoModeSpec(self._cat(), ModeSpec(4.0, 0.0))
-        with pytest.raises(ScenarioError, match="amp.gtf"):
-            validate_scenario(spec, AmplifierSpec(1.0, 2.0, 2),
-                              amp_b=AmplifierSpec(1.0e3, 2.0, 2))
+        # The meter's packet sets the gain bound of a two-mode state: the
+        # system alone, or with a coherent meter, passes at this gain.
+        amp = AmplifierSpec(1.0, 200.0, 2)
+        with pytest.raises(ScenarioError, match=r"amp\.gtf = 200 .*< 144\.8"):
+            validate_scenario(TwoModeSpec(self._cat(), ModeSpec(4.0, 100.0)),
+                              amp)
+        validate_scenario(self._cat(), amp)
+        validate_scenario(TwoModeSpec(self._cat(), ModeSpec(4.0, 0.0)), amp)
         # well inside the range: the closed forms stay finite
         sc = validate_scenario(self._cat(), AmplifierSpec(rate, 300.0, 2))
         assert math.isfinite(sc.amp.gain_tf)

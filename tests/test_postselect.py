@@ -423,6 +423,13 @@ class TestInferState:
         with pytest.raises(UnsupportedPhase):
             infer_state_A_numeric(branch, two_spec(phi=0.0))
 
+    def test_too_few_samples(self):
+        # Fewer records than batches would leave empty batch means.
+        rng = RngStream(SUITE_SEED, 83).generator()
+        branch = PostselectedEnsemble(+1, *rng.standard_normal((4, 50)))
+        with pytest.raises(TooFewSamples, match="^50 samples"):
+            infer_state_A_numeric(branch, two_spec())
+
 
 class TestMeterSignAgreement:
     def test_matches_direct_count(self, two_mode_run):

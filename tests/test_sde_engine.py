@@ -286,6 +286,12 @@ class TestDeterminism:
                             a, b, err_msg=f"{mode} n={n} threads={threads} "
                                           f"{name}")
 
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_thread_count_below_one_is_refused(self, threads):
+        with pytest.raises(ScenarioError, match=r"^threads = "):
+            simulate_single_mode(cat(1.0), AmplifierSpec(1.0, 1.5, 1), 10,
+                                 SUITE_SEED, threads=threads)
+
     def test_seed_changes_results(self):
         amp = AmplifierSpec(1.0, 1.5, 5)
         a = simulate_single_mode(cat(1.0), amp, 1000, SUITE_SEED + 53)
@@ -381,10 +387,11 @@ class TestTwoMode:
             simulate_two_mode(cat(1.0), AmplifierSpec(1.0, 1.0, 2), 10,
                               SUITE_SEED)
 
-    def test_meter_grid_must_match(self):
-        with pytest.raises(ScenarioError):
-            simulate_two_mode(self._spec(), AmplifierSpec(1.0, 1.0, 2), 10,
-                              SUITE_SEED, amp_b=AmplifierSpec(1.0, 2.0, 2))
+    def test_negative_gain_is_refused(self):
+        # Both positions carry the boundary, so neither may be de-amplified.
+        with pytest.raises(ScenarioError, match="gain rate amp.g"):
+            simulate_two_mode(self._spec(), AmplifierSpec(-1.0, 2.0, 2), 10,
+                              SUITE_SEED)
 
 
 class TestStagePrefix:
@@ -409,7 +416,7 @@ class TestStagePrefix:
         amplified = full[0::2] if rate > 0.0 else full[1::2]
         ends, paths = (_path_chunk(dens, amp, SUITE_SEED + 62, 7, size,
                                    through=stage) for stage in (1, 2))
-        assert len(ends) == len(paths) == len(amplified) == len(dens.rates)
+        assert len(ends) == len(paths) == len(amplified) == dens.boundary.ndim
         for want, end, path in zip(amplified, ends, paths):
             assert end.shape == (size, 1)
             np.testing.assert_array_equal(end, want[:, -1:])
