@@ -21,12 +21,13 @@ from .analytic import (_T0_AMP, GaussFringeDensity, UnsupportedPhase,
                        _branch_fringe_ratio, _meter_branch_density,
                        _phase_kind, meter_condition_weights)
 from .core import ModeSpec, ScenarioError, SuperpositionSpec, TwoModeSpec
-from .sampler import _as_generator, _fringe_stage, sample_p_given_x
-from .sde_engine import TrajectoryEnsemble
+from .sampler import _as_generator, _fringe_stage, _rotate, sample_p_given_x
+from .sde_engine import TrajectoryEnsemble, _check_count
 from .stats import Histogram, histogram
 
 N_BATCHES = 10
 MIN_SAMPLES = 100
+_SELECT_BLOCK = 1 << 14  # rows per block of bin_by_sign's index
 
 
 class EmptyEnsemble(ValueError):
@@ -136,14 +137,24 @@ def bin_by_sign(ensemble: TrajectoryEnsemble, mode: str = "a"
         key = ensemble.x_b_paths[:, -1]
     else:
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    mask = key >= 0.0
-
-    def take(sel, branch):
-        return PostselectedEnsemble(branch, *(
-            None if paths is None else paths[:, 0][sel]
+    cols = [None if paths is None else paths[:, 0]
             for paths in (ensemble.x_paths, ensemble.p_paths,
-                          ensemble.x_b_paths, ensemble.p_b_paths)))
+                          ensemble.x_b_paths, ensemble.p_b_paths)]
 
+    def take(keep, branch):  # by an index per block, to keep it small
+        outs = [None if c is None else np.empty(np.count_nonzero(keep))
+                for c in cols]
+        at = 0
+        for lo in range(0, len(keep), _SELECT_BLOCK):
+            block = slice(lo, lo + _SELECT_BLOCK)
+            idx = np.flatnonzero(keep[block])
+            for c, out in zip(cols, outs):
+                if c is not None:  # mode="clip" writes to out unbuffered
+                    c[block].take(idx, out=out[at:at + idx.size], mode="clip")
+            at += idx.size
+        return PostselectedEnsemble(branch, *outs)
+
+    mask = key >= 0.0
     return take(mask, +1), take(~mask, -1)
 
 
@@ -184,9 +195,8 @@ def _draw_conditional_triple(spec: TwoModeSpec, x_b0: np.ndarray, rng
     along = _fringe_stage(_branch_fringe_ratio(sup, xa * x1 / sxa + u),
                           wave, sup.phase_phi, rng)
     across = rng.standard_normal(len(xa))
-    ca, cb = (wa / wave, wb / wave) if wave > 0.0 else (1.0, 0.0)
-    return (xa, sig_pa * (ca * along - cb * across),
-            sig_pb * (cb * along + ca * across))
+    axis = (wa / wave, wb / wave) if wave > 0.0 else (1.0, 0.0)
+    return (xa, *_rotate(along, across, axis, (sig_pa, sig_pb)))
 
 
 def build_loops(selected: PostselectedEnsemble,
@@ -213,8 +223,7 @@ def build_loops(selected: PostselectedEnsemble,
     """
     if selected.n == 0:
         raise EmptyBranch("no trajectories in the selected branch")
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be at least 1")
+    multiplicity = _check_count(multiplicity, "multiplicity")
     rng = _as_generator(rng)
     if isinstance(spec, TwoModeSpec):
         if selected.x_b0 is None:

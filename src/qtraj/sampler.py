@@ -4,7 +4,12 @@ Each density is compiled once into its rejection envelope, cached by the
 frozen density so that every chunk of a run reuses one compile.
 Gaussian mixtures are drawn exactly, and so are densities whose
 non-oscillating fringe has non-negative weight: it folds into the
-mixture.  Multi-axis densities reject against the global proposal
+mixture.  A two-axis member whose terms share one diagonal covariance is
+whitened (u_a / sigma_a) and rotated onto a draw axis e: the unit wave if
+the fringe oscillates, else the line of the means.  If every mean has one
+coordinate c across e, it is a one-axis member along e times N(c, 1),
+drawn so and mapped back.  Other multi-axis densities reject against the
+global proposal
 
     proposal = sum_i w_i g_i + |A| * envelope  >=  target
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -145,6 +151,12 @@ def _alias_table(masses: np.ndarray):
     return np.array(keep), np.array(alias)
 
 
+def _cdf(w):
+    """The CDF ``Generator.choice(p=w / w.sum())`` searches (side="right")."""
+    cdf = np.cumsum(w / w.sum())
+    return cdf / cdf[-1]
+
+
 class _Envelope:
     """A density's rejection envelope (see the module docstring); ``mass``
     is its total mass in the density's own units."""
@@ -159,7 +171,7 @@ class _Envelope:
         weights = np.array([c.weight for c in comps])
         self.means = np.array([c.means for c in comps])
         self.sigmas = np.sqrt([c.variances for c in comps])
-        self.probs = weights / weights.sum()
+        self.cdf = _cdf(weights)
         self.mass = density.norm * weights.sum()
         self.keep = None
         if self.exact or density.ndim > 1:
@@ -180,15 +192,15 @@ class _Envelope:
         self.tail_scale = np.append(-sigma, sigma)
         tails = density.norm * np.tile(weights, 2) * [
             0.5 * math.erfc(d / math.sqrt(2.0)) for d in self.depth]
-        self.tail_probs = tails / tails.sum()
+        self.tail_cdf = _cdf(tails)
         masses = np.append(self.bounds[:-1] * self.width, tails.sum())
         self.mass = masses.sum()
         self.keep, self.alias = _alias_table(masses)
 
     def mixture(self, rng, m):
-        idx = rng.choice(len(self.probs), size=m, p=self.probs)
+        idx = np.searchsorted(self.cdf, rng.random(m), side="right")
         z = rng.standard_normal((m, self.means.shape[1]))
-        return self.means[idx] + self.sigmas[idx] * z
+        return self.means.take(idx, 0) + self.sigmas.take(idx, 0) * z
 
     def propose(self, rng, m):
         """m candidates and the envelope's height at each."""
@@ -209,7 +221,7 @@ class _Envelope:
     def _tail(self, rng, n):
         """n draws of the global proposal beyond the bins (Marsaglia's
         method for each component's normal tail)."""
-        pick = rng.choice(len(self.tail_probs), size=n, p=self.tail_probs)
+        pick = np.searchsorted(self.tail_cdf, rng.random(n), side="right")
         depth, x, todo = self.depth[pick], np.empty(n), np.arange(n)
         while todo.size:
             z = np.sqrt(depth[todo] ** 2
@@ -220,7 +232,45 @@ class _Envelope:
         return self.tail_mean[pick] + self.tail_scale[pick] * x
 
 
-_compiled = functools.lru_cache(maxsize=32)(_Envelope)
+def _rotate(along, across, axis, scales):
+    """Columns of scales * (along e + across n), n = axis e turned 90°."""
+    (ca, cb), (sa, sb) = axis, scales
+    return sa * (ca * along - cb * across), sb * (cb * along + ca * across)
+
+
+# A two-axis member as _rotate(along, across + N(0, 1), axis, scales).
+_Factored = namedtuple("_Factored", "along axis scales across")
+
+
+def _factored(density: GaussFringeDensity) -> Optional[_Factored]:
+    """The factored form (module docstring) or None; the wave is along e."""
+    f = density.fringe
+    terms = density.gaussians + (() if f is None else (f,))
+    if density.ndim != 2 or len({t.variances for t in terms}) != 1:
+        return None
+    scales = np.sqrt(terms[0].variances)
+    means = np.array([t.means for t in terms]) / scales
+    wave = np.zeros(2) if f is None else np.multiply(f.wave, scales)
+    ref = wave if wave.any() else max(means - means[0],
+                                      key=lambda d: math.hypot(*d))
+    ca, cb = ref / math.hypot(*ref) if ref.any() else (1.0, 0.0)
+    along = ca * means[:, 0] + cb * means[:, 1]
+    across = ca * means[:, 1] - cb * means[:, 0]
+    if np.ptp(across) > 1e-12 * (1.0 + np.abs(means).max()):
+        return None
+    fringe = None if f is None else replace(
+        f, means=(along[-1],), variances=(1.0,),
+        wave=(ca * wave[0] + cb * wave[1],))
+    comps = tuple(replace(c, means=(a,), variances=(1.0,))
+                  for c, a in zip(density.gaussians, along))
+    return _Factored(Marginal1D(comps, fringe, density.norm, ("u",)),
+                     (ca, cb), tuple(scales), across[0])
+
+
+@functools.lru_cache(maxsize=32)
+def _compiled(density: GaussFringeDensity):
+    """A density's compile, once: its factored form, else its envelope."""
+    return _factored(density) or _Envelope(density)
 
 
 def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
@@ -240,6 +290,8 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
         If given, filled with ``n_proposed``, ``n_accepted`` (every
         accepted proposal, including any beyond ``size`` that the last
         batch drew and dropped) and the analytic ``acceptance_bound``.
+        A factored two-axis member reports its one-axis stage's counts
+        and bound: its across normal is drawn exactly.
 
     Raises
     ------
@@ -251,6 +303,10 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
     """
     rng = _as_generator(rng)
     env = _compiled(density)
+    if isinstance(env, _Factored):
+        along = sample_fringe_density(env.along, rng, size, diagnostics)
+        across = rng.standard_normal(size) + env.across
+        return np.column_stack(_rotate(along, across, env.axis, env.scales))
     n_proposed = n_accepted = size
     if env.exact:
         out = env.mixture(rng, size)
@@ -261,15 +317,19 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
             m = min(math.ceil((size - filled) * env.mass), _MAX_BATCH)
             pts, height = env.propose(rng, m)
             target = density.density(*pts.T)
-            if not (np.isfinite(target).all() and np.isfinite(height).all()):
-                raise EnvelopeViolation("density or envelope is not finite "
-                                        "at a candidate")
             with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(height > 0.0, target / height, 0.0)
-            if np.any(ratio > 1.0 + 1e-9) or np.any(ratio < -1e-12):
-                raise EnvelopeViolation(
-                    f"density/envelope ratio outside [0, 1]: "
-                    f"[{ratio.min():.3g}, {ratio.max():.3g}]")
+                ratio = target / height
+            # In range in one pass, or the full check (NaN fails the first).
+            if not (ratio.min() >= -1e-12 and ratio.max() <= 1.0 + 1e-9):
+                if not (np.isfinite(target).all()
+                        and np.isfinite(height).all()):
+                    raise EnvelopeViolation("density or envelope is not "
+                                            "finite at a candidate")
+                ratio = np.where(height > 0.0, ratio, 0.0)
+                if np.any(ratio > 1.0 + 1e-9) or np.any(ratio < -1e-12):
+                    raise EnvelopeViolation(
+                        f"density/envelope ratio outside [0, 1]: "
+                        f"[{ratio.min():.3g}, {ratio.max():.3g}]")
             got = pts[rng.random(m) < ratio]
             n_proposed += m
             n_accepted += len(got)

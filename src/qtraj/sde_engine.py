@@ -28,6 +28,7 @@ ensemble would contain.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -234,11 +235,15 @@ def resolve_threads(threads: Optional[int]) -> int:
     return int(threads)
 
 
-def _check_traj_count(n_traj: int) -> int:
-    n_traj = int(n_traj)
-    if n_traj < 1:
-        raise ValueError("need at least one trajectory")
-    return n_traj
+def _check_count(value, name: str) -> int:
+    """A count of at least 1; ``operator.index`` refuses 2.5 by name."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
@@ -260,7 +265,7 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
     drops its chunk before asking for the next keeps at most ``threads``
     chunks alive.
     """
-    n_traj = _check_traj_count(n_traj)
+    n_traj = _check_count(n_traj, "n_traj")
     dens = path_densities(spec, amp, boundary_method)
     # Looked up at run time so that a wrapper around it sees every chunk.
     entry = (two_mode_chunk if dens.boundary.ndim == 2 else
@@ -289,7 +294,7 @@ def _simulate(spec, amp: AmplifierSpec, n_traj: int, seed: int,
               threads: Optional[int], boundary_method: str = "direct",
               stream_offset: int = 0, through: int = 3) -> TrajectoryEnsemble:
     scenario = validate_scenario(spec, amp)
-    n_traj = _check_traj_count(n_traj)
+    n_traj = _check_count(n_traj, "n_traj")
     n = 4 if scenario.is_two_mode else 2
     # (x, p) of each mode; before stage 3 only the amplified one is filled.
     slots = range(n) if through == 3 else range(amp.gain_rate_g < 0.0, n, 2)

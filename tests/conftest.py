@@ -51,6 +51,16 @@ def quad_grid(density, spans, n=201):
     return float(total)
 
 
+class Weighted:
+    """A density times a function of its coordinates, for quadrature."""
+
+    def __init__(self, dens, fn):
+        self.dens, self.fn = dens, fn
+
+    def density(self, *coords):
+        return self.fn(*coords) * self.dens.density(*coords)
+
+
 def quad_moments_1d(density, lo: float, hi: float, n: int = 400):
     """Mean and variance of a one-axis density by direct quadrature."""
     x, w = gl_nodes(lo, hi, n)

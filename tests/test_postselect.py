@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SUITE_SEED, quad_grid
+from conftest import SUITE_SEED, Weighted, quad_grid
+from qtraj import postselect
 from qtraj.analytic import (
     UnsupportedPhase,
     conditional_given_meter_x,
@@ -141,6 +142,22 @@ class TestBinBySign:
         with pytest.raises(EmptyEnsemble):
             bin_by_sign(empty)
 
+    @pytest.mark.parametrize("mode", ["a", "b"])
+    def test_blockwise_index_equals_mask_selection(self, mode):
+        # A ragged count spanning several index blocks.
+        n = 3 * postselect._SELECT_BLOCK + 37
+        rng = RngStream(SUITE_SEED, 84).generator()
+        ens = synthetic_ensemble(rng.standard_normal(n),
+                                 rng.standard_normal(n))
+        key = (ens.x_paths if mode == "a" else ens.x_b_paths)[:, -1]
+        mask = key >= 0.0
+        for branch, sel in zip(bin_by_sign(ens, mode), (mask, ~mask)):
+            for name, paths in (("x0", ens.x_paths), ("p0", ens.p_paths),
+                                ("x_b0", ens.x_b_paths),
+                                ("p_b0", ens.p_b_paths)):
+                np.testing.assert_array_equal(getattr(branch, name),
+                                              paths[:, 0][sel])
+
     def test_branches_partition_the_run(self, single_run):
         _, _, ens = single_run
         plus, minus = bin_by_sign(ens)
@@ -211,22 +228,27 @@ class TestBuildLoops:
         with pytest.raises(EmptyBranch):
             build_loops(empty, cat(1.0), RngStream(SUITE_SEED, 76))
 
+    def test_non_integral_multiplicity_is_refused_by_name(self, single_run):
+        # np.repeat truncated 2.5 to two loops per anchor.
+        spec, _, ens = single_run
+        plus, _ = bin_by_sign(ens)
+        with pytest.raises(ValueError, match="multiplicity"):
+            build_loops(plus, spec, RngStream(SUITE_SEED, 85),
+                        multiplicity=2.5)
+
+    def test_numpy_integer_multiplicity_is_accepted(self, single_run):
+        spec, _, ens = single_run
+        plus, _ = bin_by_sign(ens)
+        loops = build_loops(plus, spec, RngStream(SUITE_SEED, 86),
+                            multiplicity=np.int64(2))
+        assert loops.n == 2 * plus.n
+
     def test_bad_multiplicity(self, single_run):
         spec, _, ens = single_run
         plus, _ = bin_by_sign(ens)
         with pytest.raises(ValueError):
             build_loops(plus, spec, RngStream(SUITE_SEED, 77),
                         multiplicity=0)
-
-
-class _Weighted:
-    """A density times a function of its coordinates, for quadrature."""
-
-    def __init__(self, dens, fn):
-        self.dens, self.fn = dens, fn
-
-    def density(self, *coords):
-        return self.fn(*coords) * self.dens.density(*coords)
 
 
 class TestConditionalTriple:
@@ -261,7 +283,7 @@ class TestConditionalTriple:
         spans = [(-8.0 - 4.0 * math.sqrt(v), 8.0 + 4.0 * math.sqrt(v))
                  for v in dens.gaussians[0].variances]
         expected = quad_grid(
-            _Weighted(dens, lambda *c: (c[i] - mi) * (c[j] - mj)), spans,
+            Weighted(dens, lambda *c: (c[i] - mi) * (c[j] - mj)), spans,
             n=101)
         prod = (triple[i] - mi) * (triple[j] - mj)
         se = float(np.std(prod)) / math.sqrt(self.N)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SUITE_SEED
+from conftest import SUITE_SEED, Weighted, quad_grid
 from qtraj import sampler
 from qtraj.analytic import (
     FringeTerm,
@@ -249,10 +249,19 @@ class TestCheckEnvelope:
             sample_fringe_density(dens, RngStream(SUITE_SEED, 36), 1000)
 
 
+def assert_acceptance_bounded(diag, floor):
+    """The bound is at least ``floor`` and the counted acceptance is no
+    more than 5 binomial errors below it."""
+    n, bound = diag["n_proposed"], diag["acceptance_bound"]
+    binomial_se = math.sqrt(max(bound * (1.0 - bound), 0.0) / n)
+    assert bound >= floor
+    assert diag["n_accepted"] / n >= bound - 5.0 * binomial_se - 1e-12
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(x1=st.floats(0.1, 6.0), r=st.floats(-1.0, 2.0),
        phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
-       x1b=st.floats(0.5, 6.0), r2=st.floats(-1.0, 2.0),
+       x1b=st.floats(0.1, 6.0), r2=st.floats(-1.0, 2.0),
        t_frac=st.floats(0.0, 1.0))
 def test_family_members_never_violate_their_envelope(x1, r, phi, x1b, r2,
                                                      t_frac):
@@ -267,11 +276,119 @@ def test_family_members_never_violate_their_envelope(x1, r, phi, x1b, r2,
         draws = sample_fringe_density(dens, RngStream(SUITE_SEED, 40 + i),
                                       2000, diagnostics=diag)
         assert np.isfinite(draws).all()
-        if dens.ndim == 1:
-            n, bound = diag["n_proposed"], diag["acceptance_bound"]
-            binomial_se = math.sqrt(max(bound * (1.0 - bound), 0.0) / n)
-            assert bound >= 0.5
-            assert diag["n_accepted"] / n >= bound - 5.0 * binomial_se - 1e-12
+        # q_single_mode is a chain (x, then p given x), not one stage: it
+        # keeps the global envelope, whose bound is not asserted.
+        if dens is not densities[2]:
+            assert_acceptance_bounded(diag, 0.5)
+
+
+class TestFactoredPairs:
+    """Two-axis members of the shared-covariance form: one compiled
+    one-axis stage along the draw axis times a normal across it."""
+
+    N = 200_000
+    PAIRS = {"odd_r0": (0.1, 0.0, math.pi, 0.1),
+             "odd_r-1": (0.1, -1.0, math.pi, 0.1),
+             "quarter": (1.0, 0.5, 0.5 * math.pi, 2.0)}
+    CASES = [(name, t, keep) for name in PAIRS for t in (0.0, AMP.t_final)
+             for keep in (("x_a", "x_b"), ("p_a", "p_b"))]
+
+    @pytest.fixture(scope="class", params=range(len(CASES)),
+                    ids=[f"{n}-t{t:g}-{k[0][0]}" for n, t, k in CASES])
+    def draws(self, request):
+        name, t, keep = self.CASES[request.param]
+        x1, r, phi, x1b = self.PAIRS[name]
+        joint = two_mode_q(TwoModeSpec(cat(x1, r, phi), ModeSpec(x1b, 0.0)),
+                           AMP, t)
+        dens = joint.marginal(*(a for a in joint.axes if a not in keep))
+        diag = {}
+        pairs = sample_fringe_density(
+            dens, RngStream(SUITE_SEED, 70 + request.param), self.N,
+            diagnostics=diag)
+        return dens, pairs, diag
+
+    def test_compiles_to_one_axis_stage(self, draws):
+        dens, _, _ = draws
+        assert isinstance(sampler._compiled(dens), sampler._Factored)
+
+    def test_each_axis_matches_its_marginal(self, draws):
+        dens, pairs, _ = draws
+        for i, axis in enumerate(dens.axes):
+            other = dens.axes[1 - i]
+            assert ks_statistic(pairs[:, i], dens.marginal(other)) \
+                < ks_critical(self.N, alpha=0.001), axis
+
+    def test_covariance_matches_quadrature(self, draws):
+        dens, pairs, _ = draws
+        m0, m1 = dens.moments(0)[0], dens.moments(1)[0]
+        spans = [(min(c.means[a] for c in dens.gaussians)
+                  - 12.0 * math.sqrt(dens.gaussians[0].variances[a]),
+                  max(c.means[a] for c in dens.gaussians)
+                  + 12.0 * math.sqrt(dens.gaussians[0].variances[a]))
+                 for a in (0, 1)]
+        expected = quad_grid(Weighted(dens, lambda u, v: (u - m0) * (v - m1)),
+                             spans)
+        prod = (pairs[:, 0] - m0) * (pairs[:, 1] - m1)
+        se = float(np.std(prod)) / math.sqrt(self.N)
+        assert float(np.mean(prod)) == pytest.approx(expected, abs=5.0 * se)
+
+    def test_acceptance_is_bounded(self, draws):
+        assert_acceptance_bounded(draws[2], 0.9)
+
+    def test_hand_built_member_off_the_origin(self):
+        # Means on a tilted line that misses the origin, unequal scales
+        # and a subtracting flat fringe: the across mean is not zero and
+        # the one-axis stage rejects.
+        var = (2.0, 0.5)
+        comps = (GaussComponent(0.5, (1.0, 3.0), var),
+                 GaussComponent(0.5, (-1.0, 2.0), var))
+        fringe = FringeTerm(-0.3, (0.0, 2.5), var, (0.0, 0.0), 0.0)
+        dens = GaussFringeDensity(comps, fringe)
+        dens = replace(dens, norm=1.0 / dens.total_mass())
+        assert isinstance(sampler._compiled(dens), sampler._Factored)
+        diag = {}
+        pairs = sample_fringe_density(dens, RngStream(SUITE_SEED, 84),
+                                      self.N, diagnostics=diag)
+        assert diag["n_proposed"] > diag["n_accepted"]
+        for i, axis in enumerate(dens.axes):
+            assert ks_statistic(pairs[:, i], dens.marginal(dens.axes[1 - i])) \
+                < ks_critical(self.N, alpha=0.001), axis
+
+    def test_member_outside_the_form_keeps_the_global_envelope(self):
+        # Unequal component variances: not one shared covariance.
+        comps = (GaussComponent(0.5, (0.0, 0.0), (1.0, 2.0)),
+                 GaussComponent(0.5, (0.0, 0.0), (1.5, 2.0)))
+        fringe = FringeTerm(0.4, (0.0, 0.0), (1.0, 2.0), (0.0, 2.0), 0.0)
+        dens = GaussFringeDensity(comps, fringe)
+        dens = replace(dens, norm=1.0 / dens.total_mass())
+        assert isinstance(sampler._compiled(dens), sampler._Envelope)
+        diag = {}
+        pairs = sample_fringe_density(dens, RngStream(SUITE_SEED, 82),
+                                      self.N, diagnostics=diag)
+        assert diag["n_proposed"] > diag["n_accepted"]
+        for i, axis in enumerate(dens.axes):
+            assert ks_statistic(pairs[:, i], dens.marginal(dens.axes[1 - i])) \
+                < ks_critical(self.N, alpha=0.001), axis
+
+
+class TestCompiledPick:
+    """Components are picked from a CDF compiled once, with the indices
+    and the stream position of ``Generator.choice(p=...)``."""
+
+    @pytest.mark.parametrize("weights", [(0.3, 0.7), (1.0, 2.0, 3.0, 4.0)])
+    def test_mixture_equals_generator_choice(self, weights):
+        comps = tuple(GaussComponent(w, (float(i), -0.5 * i), (1.0 + i, 2.0))
+                      for i, w in enumerate(weights))
+        env = sampler._Envelope(GaussFringeDensity(comps, None))
+        a, b = (RngStream(SUITE_SEED, 83).generator() for _ in range(2))
+        got = env.mixture(a, 10_000)
+        w = np.array(weights)
+        idx = b.choice(len(w), size=10_000, p=w / w.sum())
+        z = b.standard_normal((10_000, 2))
+        means = np.array([c.means for c in comps])
+        sigmas = np.sqrt([c.variances for c in comps])
+        np.testing.assert_array_equal(got, means[idx] + sigmas[idx] * z)
+        np.testing.assert_array_equal(a.random(8), b.random(8))
 
 
 class TestFringeStage:

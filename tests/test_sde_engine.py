@@ -244,6 +244,17 @@ class TestSingleModeLaw:
             simulate_single_mode(ModeSpec(1.0, 0.0),
                                  AmplifierSpec(1.0, 1.0, 2), 0, SUITE_SEED)
 
+    def test_non_integral_count_is_refused_by_name(self):
+        # int() truncated 1.5 to a one-trajectory run.
+        with pytest.raises(ValueError, match="n_traj"):
+            simulate_single_mode(cat(1.0), AmplifierSpec(1.0, 1.0, 2), 1.5,
+                                 SUITE_SEED)
+
+    def test_numpy_integer_count_is_accepted(self):
+        ens = simulate_single_mode(cat(1.0), AmplifierSpec(1.0, 1.0, 2),
+                                   np.int64(3), SUITE_SEED)
+        assert ens.count == 3
+
 
 class TestDeterminism:
     def test_rerun_is_bit_identical(self):
