@@ -398,14 +398,11 @@ def conditional_p_given_x(spec, amp: AmplifierSpec, t: float,
     sp2 = sigma_p2_at(sup.mode, amp, t)
     k = g * sup.x1 / sx2
     s = float(_branch_fringe_ratio(sup, x * g * sup.x1 / sx2))
-    comps = (GaussComponent(1.0, (0.0,), (sp2,)),)
-    fringe = None
-    mass = 1.0
-    if s != 0.0:
-        fringe = FringeTerm(s, (0.0,), (sp2,), (k,), sup.phase_phi)
-        mass = 1.0 + s * math.exp(-0.5 * k * k * sp2) * math.cos(sup.phase_phi)
-    return Marginal1D(gaussians=comps, fringe=fringe, norm=1.0 / mass,
-                      axes=("p",))
+    fringe = (FringeTerm(s, (0.0,), (sp2,), (k,), sup.phase_phi)
+              if s != 0.0 else None)
+    dens = Marginal1D(gaussians=(GaussComponent(1.0, (0.0,), (sp2,)),),
+                      fringe=fringe, axes=("p",))
+    return replace(dens, norm=1.0 / dens.total_mass())
 
 
 def born_x(spec) -> Marginal1D:
@@ -619,15 +616,13 @@ def meter_condition_weights(spec: TwoModeSpec, amp: AmplifierSpec, t: float,
 
     Returns (w_plus, s) with u = x_b G x1b / sigma_xb^2(t): the weight
     (1 + tanh u)/2 of the +x1 branch and the interference suppression
-    factor sech u, both vectorised over x_b and finite for any |u|.
+    factor sech u (the branch fringe ratio at the equal amplitudes of a
+    TwoModeSpec), both vectorised over x_b and finite for any |u|.
     """
     t = _check_time(amp, t)
     sxb = sigma_x2_at(spec.mode_b, amp, t)
     u = np.asarray(x_b, dtype=float) * float(gain(amp, t)) * spec.x1b / sxb
-    w_plus = 0.5 * (1.0 + np.tanh(u))
-    au = np.abs(u)
-    s = 2.0 * np.exp(-au) / (1.0 + np.exp(-2.0 * au))
-    return w_plus, s
+    return 0.5 * (1.0 + np.tanh(u)), _branch_fringe_ratio(spec.mode_a, u)
 
 
 def _meter_branch_density(spec: TwoModeSpec, w_plus: float, s: float,

@@ -293,7 +293,7 @@ class _MomentTally:
 def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     """Simulate the scenario; write trajectories, marginals and summary."""
     state, amp = build_state(sc)
-    grid = validate_scenario(state, amp).grid.times
+    grid = validate_scenario(state, amp).grid
     if sc.trajectories < 2:
         raise ScenarioError(f"run needs at least 2 trajectories for its "
                             f"variances, got {sc.trajectories}")

@@ -178,32 +178,6 @@ class AmplifierSpec:
         return math.exp(self.gain_rate_g * self.t_final)
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid of n_steps + 1 times from 0 to t_final inclusive."""
-
-    times: np.ndarray
-
-    @classmethod
-    def from_amplifier(cls, amp: AmplifierSpec) -> "TimeGrid":
-        return cls(np.linspace(0.0, amp.t_final, amp.n_steps + 1))
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
-    @property
-    def dt(self) -> float:
-        return self.times[1] - self.times[0]
-
-    @property
-    def t_final(self) -> float:
-        return self.times[-1]
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
 StateSpec = Union[ModeSpec, SuperpositionSpec, TwoModeSpec]
 
 
@@ -238,12 +212,13 @@ class Scenario:
     state : SuperpositionSpec or TwoModeSpec
     amp : AmplifierSpec
         The one amplifier of the run, shared by system and meter.
-    grid : TimeGrid
+    grid : np.ndarray
+        The n_steps + 1 grid times, 0 to t_final inclusive.
     """
 
     state: Union[SuperpositionSpec, TwoModeSpec]
     amp: AmplifierSpec
-    grid: TimeGrid
+    grid: np.ndarray
 
     @property
     def is_two_mode(self) -> bool:
@@ -302,7 +277,7 @@ def validate_scenario(spec: StateSpec, amp: AmplifierSpec) -> Scenario:
         For a packet whose own closed forms would overflow (naming its
         key), or a gain whose closed forms at t_final would overflow.
     """
-    grid = TimeGrid.from_amplifier(amp)
+    grid = np.linspace(0.0, amp.t_final, amp.n_steps + 1)
     if isinstance(spec, TwoModeSpec):
         _check_overflow(amp, spec.mode_a.mode, "state.x1", "state.r")
         _check_overflow(amp, spec.mode_b, "meter.x1b", "meter.r2")

@@ -22,12 +22,14 @@ from .analytic import (_T0_AMP, GaussFringeDensity, UnsupportedPhase,
                        _phase_kind, meter_condition_weights)
 from .core import ModeSpec, ScenarioError, SuperpositionSpec, TwoModeSpec
 from .sampler import _as_generator, _fringe_stage, _rotate, sample_p_given_x
-from .sde_engine import TrajectoryEnsemble, _check_count
+from .sde_engine import TrajectoryEnsemble
 from .stats import Histogram, histogram
 
 N_BATCHES = 10
 MIN_SAMPLES = 100
 _SELECT_BLOCK = 1 << 14  # rows per block of bin_by_sign's index
+_INFER_BINS = 100  # points per axis of the inferred-state grid and meter bins
+_INFER_SPAN = 8.0  # grid half-width beyond the packet centres, in sigmas
 
 
 class EmptyEnsemble(ValueError):
@@ -57,10 +59,6 @@ class PostselectedEnsemble:
     @property
     def n(self) -> int:
         return len(self.x0)
-
-    @property
-    def is_two_mode(self) -> bool:
-        return self.x_b0 is not None
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,7 @@ def _require_samples(n: int) -> None:
             f"{n} samples in branch; need at least {MIN_SAMPLES}")
 
 
-def _moment_estimate(values: np.ndarray, correction: float = 0.0
-                     ) -> MomentEstimate:
+def _moment_estimate(values: np.ndarray, correction: float) -> MomentEstimate:
     n = len(values)
     mean = float(np.mean(values))
     var = float(np.var(values, ddof=1)) - correction
@@ -201,41 +198,38 @@ def _draw_conditional_triple(spec: TwoModeSpec, x_b0: np.ndarray, rng
 
 def build_loops(selected: PostselectedEnsemble,
                 spec: Union[ModeSpec, SuperpositionSpec, TwoModeSpec],
-                rng, multiplicity: int = 1) -> PostselectedEnsemble:
+                rng) -> PostselectedEnsemble:
     """Redraw the unmeasured coordinates conditioned on the measured ones.
 
     Single mode: keeps each initial position and draws a fresh initial
     momentum from the conditional given that position.  Two modes:
     keeps each initial meter position and draws fresh
-    (x_a, p_a, p_b) from the conditional given it.
+    (x_a, p_a, p_b) from the conditional given it.  One loop per anchor:
+    for k loops each, pass a branch with every anchor repeated k times.
 
     Parameters
     ----------
     selected : PostselectedEnsemble
     spec : state specification matching the ensemble
     rng : numpy Generator or RngStream
-    multiplicity : int
-        Number of fresh draws per kept trajectory (loops per anchor).
 
     Returns
     -------
-    PostselectedEnsemble with n * multiplicity samples.
+    PostselectedEnsemble with the n anchors of ``selected``.
     """
     if selected.n == 0:
         raise EmptyBranch("no trajectories in the selected branch")
-    multiplicity = _check_count(multiplicity, "multiplicity")
     rng = _as_generator(rng)
     if isinstance(spec, TwoModeSpec):
-        if selected.x_b0 is None:
+        anchors = selected.x_b0
+        if anchors is None:
             raise ScenarioError("two-mode loops need meter coordinates")
-        anchors = np.repeat(selected.x_b0, multiplicity)
         if not np.isfinite(anchors).all():
             raise ValueError("two-mode loops need finite meter positions")
         xa, pa, pb = _draw_conditional_triple(spec, anchors, rng)
         return PostselectedEnsemble(selected.branch, xa, pa, anchors, pb)
-    anchors = np.repeat(selected.x0, multiplicity)
-    p0 = sample_p_given_x(spec, anchors, rng)
-    return PostselectedEnsemble(selected.branch, anchors, p0)
+    p0 = sample_p_given_x(spec, selected.x0, rng)
+    return PostselectedEnsemble(selected.branch, selected.x0, p0)
 
 
 def observed_variances(selected: PostselectedEnsemble, mode: str = "a"
@@ -320,8 +314,7 @@ class InferredState:
     n: int
 
 
-def infer_state_A_numeric(selected: PostselectedEnsemble, spec: TwoModeSpec,
-                          n_bins: int = 100, span_sigma: float = 8.0
+def infer_state_A_numeric(selected: PostselectedEnsemble, spec: TwoModeSpec
                           ) -> InferredState:
     """Reconstruct the system state from one branch's meter records.
 
@@ -342,11 +335,6 @@ def infer_state_A_numeric(selected: PostselectedEnsemble, spec: TwoModeSpec,
     selected : PostselectedEnsemble
         A two-mode branch (needs meter coordinates), at least 100 records.
     spec : TwoModeSpec
-    n_bins : int
-        Points per axis of the reporting grid (and meter histogram bins).
-    span_sigma : float
-        Half-width of the grid in packet standard deviations beyond the
-        packet centers.
     """
     if selected.n == 0:
         raise EmptyBranch("no trajectories in the selected branch")
@@ -377,10 +365,10 @@ def infer_state_A_numeric(selected: PostselectedEnsemble, spec: TwoModeSpec,
 
     sig_x = math.sqrt(sup.mode.sigma_x2)
     sig_p = math.sqrt(sup.mode.sigma_p2)
-    half_x = spec.x1 + span_sigma * sig_x
-    half_p = span_sigma * sig_p
-    x_centers = _bin_centers(-half_x, half_x, n_bins)
-    p_centers = _bin_centers(-half_p, half_p, n_bins)
+    half_x = spec.x1 + _INFER_SPAN * sig_x
+    half_p = _INFER_SPAN * sig_p
+    x_centers = _bin_centers(-half_x, half_x, _INFER_BINS)
+    p_centers = _bin_centers(-half_p, half_p, _INFER_BINS)
     values = density.density(x_centers[:, None], p_centers[None, :])
     dx = x_centers[1] - x_centers[0]
     dp = p_centers[1] - p_centers[0]
@@ -388,8 +376,8 @@ def infer_state_A_numeric(selected: PostselectedEnsemble, spec: TwoModeSpec,
 
     center = float(np.mean(x_b0))
     spread = float(np.std(x_b0))
-    edges = np.linspace(center - span_sigma * spread,
-                        center + span_sigma * spread, n_bins + 1)
+    edges = np.linspace(center - _INFER_SPAN * spread,
+                        center + _INFER_SPAN * spread, _INFER_BINS + 1)
     meter_hist = histogram(x_b0, edges)
     return InferredState(density, moments_x, moments_p, w_bar, s_bar,
                          x_centers, p_centers, values, grid_mass,

@@ -41,7 +41,7 @@ import numpy as np
 from .analytic import (GaussFringeDensity, fbc_from_wigner, marginal_p,
                        marginal_x, two_mode_q)
 from .core import (AmplifierSpec, ModeSpec, Scenario, ScenarioError,
-                   SuperpositionSpec, TimeGrid, TwoModeSpec, validate_scenario)
+                   SuperpositionSpec, TwoModeSpec, validate_scenario)
 from .sampler import RngStream, sample_fringe_density
 
 CHUNK = 8192
@@ -59,7 +59,7 @@ class TrajectoryEnsemble:
     """
 
     scenario: Scenario
-    grid: TimeGrid
+    grid: np.ndarray
     x_paths: np.ndarray
     p_paths: Optional[np.ndarray]
     x_b_paths: Optional[np.ndarray] = None
@@ -222,7 +222,7 @@ def chunk_bounds(n_traj: int, chunk_id: int) -> Tuple[int, int]:
 
 
 def resolve_threads(threads: Optional[int]) -> int:
-    """Worker count: ``threads``, else QTRAJ_THREADS, else 1; refused < 1."""
+    """Worker count: ``threads``, else QTRAJ_THREADS, else 1; whole, >= 1."""
     name = "threads"
     if threads is None:
         name, raw = "QTRAJ_THREADS", os.environ.get("QTRAJ_THREADS", "1")
@@ -230,20 +230,18 @@ def resolve_threads(threads: Optional[int]) -> int:
             threads = int(raw)
         except ValueError:
             raise ScenarioError(f"QTRAJ_THREADS must be an integer: {raw!r}")
-    if int(threads) < 1:
-        raise ScenarioError(f"{name} = {threads!r} must be >= 1")
-    return int(threads)
+    return _check_count(threads, name)
 
 
 def _check_count(value, name: str) -> int:
     """A count of at least 1; ``operator.index`` refuses 2.5 by name."""
     try:
-        value = operator.index(value)
+        count = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return value
+        raise ScenarioError(f"{name} = {value!r} is not an integer") from None
+    if count < 1:
+        raise ScenarioError(f"{name} = {value!r} must be >= 1")
+    return count
 
 
 def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,

@@ -13,7 +13,6 @@ from qtraj.core import (
     NonPositiveSteps,
     ScenarioError,
     SuperpositionSpec,
-    TimeGrid,
     TwoModeSpec,
     ZeroGain,
     as_superposition,
@@ -153,13 +152,9 @@ class TestAmplifierSpec:
 class TestTimeGrid:
     def test_from_amplifier(self):
         amp = AmplifierSpec(1.0, 2.0, n_steps=4)
-        grid = TimeGrid.from_amplifier(amp)
-        assert len(grid) == 5
-        assert grid.n_steps == 4
-        assert grid.dt == pytest.approx(0.5)
-        assert grid.times[0] == 0.0
-        assert grid.t_final == 2.0
-        np.testing.assert_allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0])
+        grid = validate_scenario(ModeSpec(1.0), amp).grid
+        np.testing.assert_array_equal(grid, np.linspace(0.0, 2.0, 5))
+        np.testing.assert_array_equal(grid, [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
 class TestEvolvedVariances:

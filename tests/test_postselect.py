@@ -28,7 +28,6 @@ from qtraj.core import (
     ModeSpec,
     ScenarioError,
     SuperpositionSpec,
-    TimeGrid,
     TwoModeSpec,
     validate_scenario,
 )
@@ -72,18 +71,25 @@ def synthetic_ensemble(finals, x_b_finals=None):
     spec = cat(1.0) if x_b_finals is None else two_spec()
     amp = AmplifierSpec(1.0, 1.0, 1)
     scenario = validate_scenario(spec, amp)
-    grid = TimeGrid.from_amplifier(amp)
     n = len(finals)
     tags = np.arange(n, dtype=float)
     x = np.column_stack([tags, np.asarray(finals, dtype=float)])
     p = np.column_stack([10.0 + tags, np.zeros(n)])
     if x_b_finals is None:
-        return TrajectoryEnsemble(scenario=scenario, grid=grid, x_paths=x,
-                                  p_paths=p)
+        return TrajectoryEnsemble(scenario=scenario, grid=scenario.grid,
+                                  x_paths=x, p_paths=p)
     xb = np.column_stack([20.0 + tags, np.asarray(x_b_finals, dtype=float)])
     pb = np.column_stack([30.0 + tags, np.zeros(n)])
-    return TrajectoryEnsemble(scenario=scenario, grid=grid, x_paths=x,
-                              p_paths=p, x_b_paths=xb, p_b_paths=pb)
+    return TrajectoryEnsemble(scenario=scenario, grid=scenario.grid,
+                              x_paths=x, p_paths=p, x_b_paths=xb, p_b_paths=pb)
+
+
+def repeated(selected, k):
+    """The branch with each trajectory repeated k times: k loops an anchor."""
+    return PostselectedEnsemble(
+        selected.branch, *(None if a is None else np.repeat(a, k)
+                           for a in (selected.x0, selected.p0,
+                                     selected.x_b0, selected.p_b0)))
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +116,7 @@ class TestBinBySign:
         np.testing.assert_array_equal(plus.x0, [0.0, 2.0, 3.0])
         np.testing.assert_array_equal(minus.x0, [1.0, 4.0])
         np.testing.assert_array_equal(plus.p0, [10.0, 12.0, 13.0])
-        assert not plus.is_two_mode
+        assert plus.x_b0 is None
 
     def test_tie_goes_to_plus(self):
         plus, minus = bin_by_sign(synthetic_ensemble([0.0, -0.0]))
@@ -124,7 +130,7 @@ class TestBinBySign:
         np.testing.assert_array_equal(plus.x0, [1.0, 2.0])
         np.testing.assert_array_equal(plus.x_b0, [21.0, 22.0])
         np.testing.assert_array_equal(minus.x_b0, [20.0])
-        assert plus.is_two_mode
+        assert plus.x_b0 is not None
 
     def test_meter_mode_needs_meter(self):
         with pytest.raises(ScenarioError):
@@ -169,8 +175,8 @@ class TestBuildLoops:
     def test_single_mode_anchors_and_multiplicity(self, single_run):
         spec, _, ens = single_run
         plus, _ = bin_by_sign(ens)
-        loops = build_loops(plus, spec, RngStream(SUITE_SEED, 72),
-                            multiplicity=3)
+        loops = build_loops(repeated(plus, 3), spec,
+                            RngStream(SUITE_SEED, 72))
         assert loops.n == 3 * plus.n
         np.testing.assert_array_equal(loops.x0, np.repeat(plus.x0, 3))
         assert loops.branch == +1
@@ -191,10 +197,10 @@ class TestBuildLoops:
         spec, amp, ens = two_mode_run
         plus, minus = bin_by_sign(ens, mode="b")
         rng = RngStream(SUITE_SEED, 74)
-        lp = build_loops(plus, spec, rng, multiplicity=2)
+        lp = build_loops(repeated(plus, 2), spec, rng)
         assert lp.n == 2 * plus.n
         np.testing.assert_array_equal(lp.x_b0, np.repeat(plus.x_b0, 2))
-        lm = build_loops(minus, spec, rng, multiplicity=2)
+        lm = build_loops(repeated(minus, 2), spec, rng)
         xa = np.concatenate([lp.x0, lm.x0])
         pb = np.concatenate([lp.p_b0, lm.p_b0])
         joint = two_mode_q(spec, amp, 0.0)
@@ -227,28 +233,6 @@ class TestBuildLoops:
         empty = PostselectedEnsemble(+1, np.empty(0), np.empty(0))
         with pytest.raises(EmptyBranch):
             build_loops(empty, cat(1.0), RngStream(SUITE_SEED, 76))
-
-    def test_non_integral_multiplicity_is_refused_by_name(self, single_run):
-        # np.repeat truncated 2.5 to two loops per anchor.
-        spec, _, ens = single_run
-        plus, _ = bin_by_sign(ens)
-        with pytest.raises(ValueError, match="multiplicity"):
-            build_loops(plus, spec, RngStream(SUITE_SEED, 85),
-                        multiplicity=2.5)
-
-    def test_numpy_integer_multiplicity_is_accepted(self, single_run):
-        spec, _, ens = single_run
-        plus, _ = bin_by_sign(ens)
-        loops = build_loops(plus, spec, RngStream(SUITE_SEED, 86),
-                            multiplicity=np.int64(2))
-        assert loops.n == 2 * plus.n
-
-    def test_bad_multiplicity(self, single_run):
-        spec, _, ens = single_run
-        plus, _ = bin_by_sign(ens)
-        with pytest.raises(ValueError):
-            build_loops(plus, spec, RngStream(SUITE_SEED, 77),
-                        multiplicity=0)
 
 
 class TestConditionalTriple:

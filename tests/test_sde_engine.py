@@ -34,6 +34,7 @@ from qtraj.sde_engine import (
     n_chunks,
     path_densities,
     relax,
+    resolve_threads,
     simulate_p_measurement,
     simulate_single_mode,
     simulate_two_mode,
@@ -171,7 +172,7 @@ class TestSingleModeLaw:
         spec = cat(1.5, 1.0, 0.5 * math.pi)
         amp = AmplifierSpec(1.0, 2.0, 8)
         ens = simulate_single_mode(spec, amp, self.N, SUITE_SEED + 47)
-        for j, t in enumerate(ens.grid.times):
+        for j, t in enumerate(ens.grid):
             for arr, marg in ((ens.x_paths, marginal_x(spec, amp, t)),
                               (ens.p_paths, marginal_p(spec, amp, t))):
                 _, var = marg.moments(0)
@@ -194,7 +195,7 @@ class TestSingleModeLaw:
         fine = AmplifierSpec(1.0, 2.0, 8)
         for amp, col in ((coarse, 2), (fine, 4)):
             ens = simulate_single_mode(spec, amp, self.N, SUITE_SEED + 49)
-            t = ens.grid.times[col]
+            t = ens.grid[col]
             assert t == pytest.approx(1.0)
             got = float(np.var(ens.x_paths[:, col], ddof=1))
             se = variance_batch_se(ens.x_paths[:, col])
@@ -303,6 +304,16 @@ class TestDeterminism:
             simulate_single_mode(cat(1.0), AmplifierSpec(1.0, 1.5, 1), 10,
                                  SUITE_SEED, threads=threads)
 
+    @pytest.mark.parametrize("threads", [1.9, 2.5])
+    def test_non_integral_thread_count_is_refused_by_name(self, threads):
+        # int() truncated 1.9 to a one-thread run.
+        with pytest.raises(ScenarioError, match=r"^threads = "):
+            simulate_single_mode(cat(1.0), AmplifierSpec(1.0, 1.5, 1), 10,
+                                 SUITE_SEED, threads=threads)
+
+    def test_numpy_integer_thread_count_is_accepted(self):
+        assert resolve_threads(np.int64(2)) == 2
+
     def test_seed_changes_results(self):
         amp = AmplifierSpec(1.0, 1.5, 5)
         a = simulate_single_mode(cat(1.0), amp, 1000, SUITE_SEED + 53)
@@ -329,7 +340,7 @@ class TestPMeasurement:
         spec = ModeSpec(0.0, 2.0)
         amp = AmplifierSpec(-1.0, 2.0, 4)
         ens = simulate_p_measurement(spec, amp, self.N, SUITE_SEED + 56)
-        t = ens.grid.t_final
+        t = ens.grid[-1]
         got = float(np.var(ens.x_paths[:, -1], ddof=1))
         se = variance_batch_se(ens.x_paths[:, -1])
         assert got == pytest.approx(sigma_x2_at(spec, amp, t), abs=5 * se)
