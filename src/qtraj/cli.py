@@ -265,27 +265,6 @@ def _comment_fields(sc: ScenarioFile) -> dict:
             "trajectories": sc.trajectories}
 
 
-class _MomentTally:
-    """Streaming per-time mean/variance accumulator for one coordinate."""
-
-    def __init__(self, n_cols: int):
-        self.n = 0
-        self.total = np.zeros(n_cols)
-        self.total_sq = np.zeros(n_cols)
-
-    def add(self, block: np.ndarray):
-        self.n += block.shape[0]
-        self.total += block.sum(axis=0)
-        self.total_sq += np.einsum("ij,ij->j", block, block)
-
-    def mean(self) -> np.ndarray:
-        return self.total / self.n
-
-    def variance(self) -> np.ndarray:
-        m = self.mean()
-        return (self.total_sq - self.n * m * m) / (self.n - 1)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -298,20 +277,19 @@ def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         raise ScenarioError(f"run needs at least 2 trajectories for its "
                             f"variances, got {sc.trajectories}")
     names = _marginal_axes(state)
-    tallies = [_MomentTally(len(grid)) for _ in names]
-    saved = None
-    for lo, hi, arrays in sde_engine.iter_chunks(
-            state, amp, sc.trajectories, sc.seed, threads, sc.boundary):
-        for tally, block in zip(tallies, arrays):
-            tally.add(block)
-        if lo == 0:  # the slice stops at the chunk's end
-            saved = [a[:N_SAVED_PATHS].copy() for a in arrays]
-        del arrays, block  # release the chunk before the next is submitted
+    # Per coordinate and grid time: sum and sum of squares, in chunk order.
+    totals = np.zeros((len(names), len(grid), 2))
+    for lo, _, tallies in sde_engine.iter_chunks(
+            state, amp, sc.trajectories, sc.seed, threads, sc.boundary,
+            _keep=N_SAVED_PATHS):
+        totals += [t[:, :2] for t in tallies]
+        if lo == 0:
+            saved = [t[:, 2:] for t in tallies]
 
     def traj_rows():
-        for i in range(len(saved[0])):
+        for i in range(saved[0].shape[1]):
             for j, t in enumerate(grid):
-                yield (i, t) + tuple(a[i, j] for a in saved)
+                yield (i, t) + tuple(a[j, i] for a in saved)
 
     fields = _comment_fields(sc)
     _write_csv(out_dir, "trajectories.csv", fields,
@@ -331,8 +309,9 @@ def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
                ("t", "axis", "coord", "density"), marginal_rows())
 
     def summary_rows():
-        means = [t.mean() for t in tallies]
-        variances = [t.variance() for t in tallies]
+        n = sc.trajectories
+        means = totals[:, :, 0] / n
+        variances = (totals[:, :, 1] - n * means * means) / (n - 1)
         law = two_mode_q if isinstance(state, TwoModeSpec) else q_single_mode
         for j, t in enumerate(grid):
             row = [t, sc.trajectories]

@@ -16,7 +16,10 @@ chunk kernel draws it in three stages (1, the amplified coordinates at
 t_final; 2, their backward relaxation; 3, the conjugates at t = 0 and
 their forward relaxation), and :func:`iter_chunks` schedules the chunks
 for the Python API and ``run`` (all stages), ``born`` (stage 1 only),
-``postselect`` and ``collapse`` (stages 1 and 2).
+``postselect`` and ``collapse`` (stages 1 and 2).  The Python API stores
+whole paths; ``run`` keeps, as each row is drawn, per-time sums and sums
+of squares and the first ``cli.N_SAVED_PATHS`` paths, never a chunk's
+whole paths.
 
 Work is split into fixed-size chunks, each drawing from its own named
 stream keyed by (seed, chunk index).  Results are therefore
@@ -59,14 +62,13 @@ class TrajectoryEnsemble:
     """
 
     scenario: Scenario
-    grid: np.ndarray
     x_paths: np.ndarray
     p_paths: Optional[np.ndarray]
     x_b_paths: Optional[np.ndarray] = None
     p_b_paths: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        n_times = len(self.grid)
+        n_times = len(self.scenario.grid)
         for name in ("x_paths", "p_paths", "x_b_paths", "p_b_paths"):
             arr = getattr(self, name)
             if arr is None:
@@ -91,22 +93,45 @@ class TrajectoryEnsemble:
         return self.count
 
 
-def relax(out: np.ndarray, start, rate: float, dt: float, rng) -> None:
-    """Fill ``out`` row by row with the exact relaxation kernel.
+def relax(rows, start, rate: float, dt: float, rng) -> None:
+    """Fill the row buffers ``rows`` hands out, in turn, with the exact kernel.
 
-    Row 0 is set to ``start`` and row k, one grid time of every path,
-    relaxes row k - 1 over ``dt`` at ``rate``.  Run on the reversed view
-    ``out[::-1]`` it fills backward from the last row.
+    The first row is set to ``start`` and each later one, one grid time
+    of every path, relaxes the row before it over ``dt`` at ``rate``.  A
+    time-major array has every row filled (``out[::-1]`` backward from
+    the last); a generator is asked for the next buffer only once the
+    last is filled, so ``run`` reads each row as it is drawn and keeps
+    per-time sums and ``cli.N_SAVED_PATHS`` paths, never a chunk's paths.
     """
     if rate <= 0.0 or dt <= 0.0:
         raise ValueError(f"relaxation needs rate, dt > 0: {rate!r}, {dt!r}")
     c = math.exp(-rate * dt)
     s = math.sqrt(1.0 - c * c)
-    out[0] = start
-    for k in range(1, out.shape[0]):
-        rng.standard_normal(out=out[k])
-        out[k] *= s
-        out[k] += c * out[k - 1]
+    rows = iter(rows)
+    prev = next(rows)
+    prev[...] = start
+    for row in rows:
+        rng.standard_normal(out=row)
+        row *= s
+        row += c * prev
+        prev = row
+
+
+def _tallied(tally: np.ndarray, size: int) -> Iterator[np.ndarray]:
+    """Two row buffers in turn for :func:`relax`; row k goes to ``tally[k]``.
+
+    Before a buffer is handed out again, its row's sum, sum of squares
+    and first ``tally.shape[1] - 2`` values are stored.  Up to 8,192
+    (``CHUNK``) values the sums are bitwise those of ``sum(axis=0)`` and
+    ``einsum("ij,ij->j")`` over the chunk's stored paths.
+    """
+    ring = np.empty((2, size))
+    for k, out in enumerate(tally):
+        row = ring[k % 2]
+        yield row
+        out[0] = row.sum()
+        out[1] = np.einsum("i,i->", row, row)
+        out[2:] = row[:len(out) - 2]
 
 
 class PathDensities(NamedTuple):
@@ -148,8 +173,8 @@ def path_densities(spec, amp: AmplifierSpec, boundary_method: str = "direct"
 
 
 def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
-                chunk_id: int, size: int, through: int = 3
-                ) -> Tuple[np.ndarray, ...]:
+                chunk_id: int, size: int, through: int = 3,
+                keep: Optional[int] = None) -> Tuple[np.ndarray, ...]:
     """One chunk of paths: (x, p) of each mode in mode order.
 
     Draw order, in stages: 1, the amplified coordinates at the final
@@ -159,6 +184,11 @@ def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
     under any scheduling, and stopped after stage ``through`` < 3 it
     returns the full chunk's amplified coordinates alone, in mode order:
     their (size, 1) t_final column at stage 1, their paths at stage 2.
+
+    With ``keep`` set, no path is stored: each coordinate's rows are
+    tallied as they are drawn, and it returns, per grid time, the sum
+    and sum of squares over the chunk and the first ``keep`` paths'
+    values, an (n_steps + 1, 2 + min(keep, size)) array.
     """
     rng = RngStream(int(seed), chunk_id).generator()
     modes = dens.boundary.ndim
@@ -166,19 +196,24 @@ def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
     ends = sample_fringe_density(dens.boundary, rng, size).reshape(size, -1)
     if through == 1:
         return tuple(np.hsplit(ends, modes))
-    shape = (amp.n_steps + 1, size)  # filled time-major, returned as .T
-    amplified = [np.empty(shape) for _ in range(modes)]
-    for out, end in zip(amplified, ends.T):
-        relax(out[::-1], end, rate, dt, rng)
+
+    def fill(start, step):  # step -1 relaxes backward from the last row
+        if keep is None:
+            out = np.empty((amp.n_steps + 1, size))  # returned as .T
+            relax(out[::step], start, rate, dt, rng)
+            return out.T
+        tally = np.empty((amp.n_steps + 1, 2 + min(keep, size)))
+        relax(_tallied(tally[::step], size), start, rate, dt, rng)
+        return tally
+
+    amplified = [fill(end, -1) for end in ends.T]
     if through == 2:
-        return tuple(path.T for path in amplified)
-    conjugate = [np.empty(shape) for _ in range(modes)]
+        return tuple(amplified)
     starts = sample_fringe_density(dens.initial, rng, size).reshape(size, -1)
-    for out, start in zip(conjugate, starts.T):
-        relax(out, start, rate, dt, rng)
+    conjugate = [fill(start, 1) for start in starts.T]
     pairs = (zip(amplified, conjugate) if amp.gain_rate_g > 0.0
              else zip(conjugate, amplified))
-    return tuple(path.T for pair in pairs for path in pair)
+    return tuple(path for pair in pairs for path in pair)
 
 
 def single_mode_chunk(spec: Union[ModeSpec, SuperpositionSpec],
@@ -247,7 +282,8 @@ def _check_count(value, name: str) -> int:
 def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
                 threads: Optional[int] = None,
                 boundary_method: str = "direct",
-                stream_offset: int = 0, _through: int = 3
+                stream_offset: int = 0, _through: int = 3,
+                _keep: Optional[int] = None
                 ) -> Iterator[Tuple[int, int, Tuple[np.ndarray, ...]]]:
     """Yield ``(lo, hi, paths)`` for every chunk of a run, in chunk order.
 
@@ -256,24 +292,29 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
     of :func:`_path_chunk`: 1, the amplified coordinates at t_final
     (``born``); 2, their backward relaxation (``postselect``,
     ``collapse``); 3, the conjugates and their forward relaxation (``run``
-    and the Python API).  At most ``threads`` chunks are in flight; a
-    new one is submitted as soon as the oldest has been consumed.
-    Chunks are always yielded in index order, so any reduction over
-    them is bitwise independent of the thread count.  A consumer that
-    drops its chunk before asking for the next keeps at most ``threads``
-    chunks alive.
+    and the Python API); with ``_keep`` set, each coordinate's per-time
+    tallies and first ``_keep`` paths replace its paths (``run``).  At
+    most ``threads`` chunks are in flight; a new one is submitted as soon
+    as the oldest has been consumed.  Chunks are always yielded in index
+    order, so any reduction over them is bitwise independent of the
+    thread count.  A consumer that drops its chunk before asking for the
+    next keeps at most ``threads`` chunks alive.
     """
     n_traj = _check_count(n_traj, "n_traj")
     dens = path_densities(spec, amp, boundary_method)
-    # Looked up at run time so that a wrapper around it sees every chunk.
+    # Looked up at run time so that a wrapper around it sees every chunk
+    # of paths; a tallied chunk holds no paths and goes to the kernel.
     entry = (two_mode_chunk if dens.boundary.ndim == 2 else
              single_mode_chunk if amp.gain_rate_g > 0.0 else
              p_measurement_chunk)
 
     def call(cid):
         lo, hi = chunk_bounds(n_traj, cid)
-        return lo, hi, entry(spec, amp, seed, stream_offset + cid, hi - lo,
-                             _densities=dens, _through=_through)
+        args = (seed, stream_offset + cid, hi - lo)
+        if _keep is not None:
+            return lo, hi, _path_chunk(dens, amp, *args, _through, _keep)
+        return lo, hi, entry(spec, amp, *args, _densities=dens,
+                             _through=_through)
 
     ids = iter(range(n_chunks(n_traj)))
     threads = resolve_threads(threads)
@@ -303,8 +344,7 @@ def _simulate(spec, amp: AmplifierSpec, n_traj: int, seed: int,
         for i, block in zip(slots, chunk):
             paths[i][lo:hi] = block
         del chunk, block  # release the chunk before the next is submitted
-    return TrajectoryEnsemble(scenario, scenario.grid,
-                              *(paths.get(i) for i in range(n)))
+    return TrajectoryEnsemble(scenario, *(paths.get(i) for i in range(n)))
 
 
 def simulate_single_mode(spec: Union[ModeSpec, SuperpositionSpec],

@@ -229,7 +229,7 @@ class TestAcceptance:
         amp = AmplifierSpec(1.0, 3.0, 10)
         ens = simulate_single_mode(spec, amp, 200_000, SUITE_SEED + 105)
         worst = 0.0
-        for j, t in enumerate(ens.grid):
+        for j, t in enumerate(ens.scenario.grid):
             expected = sigma_p2_at(spec.mode, amp, t)
             got = float(np.var(ens.p_paths[:, j], ddof=1))
             se = variance_batch_se(ens.p_paths[:, j])

@@ -10,6 +10,7 @@ import math
 import re
 import shutil
 import subprocess
+import tracemalloc
 import warnings
 from dataclasses import replace
 from importlib import resources
@@ -23,8 +24,10 @@ from qtraj.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    N_SAVED_PATHS,
     ScenarioFileError,
     _KEY_TYPES,
+    _fmt,
     build_state,
     load_scenario,
     main,
@@ -33,7 +36,8 @@ from qtraj.cli import (
 )
 from qtraj.core import AmplifierSpec, ModeSpec, SuperpositionSpec, TwoModeSpec
 from qtraj.postselect import bin_by_sign, meter_sign_agreement
-from qtraj.sde_engine import CHUNK, simulate_single_mode, simulate_two_mode
+from qtraj.sde_engine import (CHUNK, iter_chunks, simulate_single_mode,
+                               simulate_two_mode)
 
 SEED = 20210905
 
@@ -482,6 +486,63 @@ class TestCmdRun:
         out = self.run_once(tmp_path, "e", extra=("--trajectories", "500"))
         _, header, rows = read_csv(out / "summary.csv")
         assert column(header, rows, "n", int)[0] == 500
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("n", [2, 5, CHUNK + 37])
+    @pytest.mark.parametrize("kind", ["x", "p", "two_mode"])
+    def test_tallies_write_the_values_of_whole_paths(self, tmp_path, kind,
+                                                     n, threads):
+        # The values a run wrote when each chunk's whole paths were
+        # reduced: block sums and einsum over iter_chunks' paths, added
+        # in chunk order, and the first N_SAVED_PATHS paths of chunk 0.
+        text = {"x": SUPERPOSITION.format(gtf=1.0, n_steps=3, n=n, seed=SEED),
+                "p": SUPERPOSITION.format(gtf=1.0, n_steps=3, n=n, seed=SEED)
+                .replace("amp.g = 1.0\namp.gtf = 1.0",
+                         "amp.g = -1.0\namp.gtf = -1.0"),
+                "two_mode": TWO_MODE.format(x1b=2.0, n=n, seed=SEED)
+                .replace("amp.n_steps = 1", "amp.n_steps = 3")}[kind]
+        path = write_scenario(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out),
+                     "--threads", str(threads)]) == EXIT_OK
+        sc = load_scenario(str(path))
+        state, amp = build_state(sc)
+        total = total_sq = 0.0
+        for lo, _, arrays in iter_chunks(state, amp, n, SEED, 1):
+            total = total + np.array([a.sum(axis=0) for a in arrays])
+            total_sq = total_sq + np.array(
+                [np.einsum("ij,ij->j", a, a) for a in arrays])
+            if lo == 0:
+                saved = [a[:N_SAVED_PATHS].copy() for a in arrays]
+        mean = total / n
+        var = (total_sq - n * mean * mean) / (n - 1)
+        _, header, rows = read_csv(out / "summary.csv")
+        names = header[2:-2:2]
+        assert len(names) == len(saved) == (4 if kind == "two_mode" else 2)
+        for i, name in enumerate(h[len("mean_"):] for h in names):
+            assert column(header, rows, f"mean_{name}", str) \
+                == [_fmt(v) for v in mean[i]]
+            assert column(header, rows, f"var_{name}", str) \
+                == [_fmt(v) for v in var[i]]
+        _, header, rows = read_csv(out / "trajectories.csv")
+        assert len(rows) == min(n, N_SAVED_PATHS) * (amp.n_steps + 1)
+        for i, name in enumerate(header[2:]):
+            assert column(header, rows, name, str) \
+                == [_fmt(v) for v in saved[i].ravel()]
+
+    def test_run_never_holds_a_chunk_of_paths(self, tmp_path):
+        # One coordinate's paths over one fig_sup chunk: 8,192 x 301
+        # doubles, 18.8 MB.  Tallied rows keep the peak far below it.
+        tracemalloc.start()
+        try:
+            code = main(["run", "--scenario", "fig_sup", "--out",
+                         str(tmp_path), "--trajectories", "20000",
+                         "--threads", "2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < CHUNK * 301 * 8 / 4
 
     def test_two_mode_run_has_meter_columns(self, tmp_path):
         path = write_scenario(tmp_path, TWO_MODE.format(x1b=2.0, n=1500,

@@ -76,12 +76,11 @@ def synthetic_ensemble(finals, x_b_finals=None):
     x = np.column_stack([tags, np.asarray(finals, dtype=float)])
     p = np.column_stack([10.0 + tags, np.zeros(n)])
     if x_b_finals is None:
-        return TrajectoryEnsemble(scenario=scenario, grid=scenario.grid,
-                                  x_paths=x, p_paths=p)
+        return TrajectoryEnsemble(scenario=scenario, x_paths=x, p_paths=p)
     xb = np.column_stack([20.0 + tags, np.asarray(x_b_finals, dtype=float)])
     pb = np.column_stack([30.0 + tags, np.zeros(n)])
-    return TrajectoryEnsemble(scenario=scenario, grid=scenario.grid,
-                              x_paths=x, p_paths=p, x_b_paths=xb, p_b_paths=pb)
+    return TrajectoryEnsemble(scenario=scenario, x_paths=x, p_paths=p,
+                              x_b_paths=xb, p_b_paths=pb)
 
 
 def repeated(selected, k):
@@ -142,7 +141,7 @@ class TestBinBySign:
 
     def test_empty_ensemble(self):
         ens = synthetic_ensemble([1.0])
-        empty = TrajectoryEnsemble(scenario=ens.scenario, grid=ens.grid,
+        empty = TrajectoryEnsemble(scenario=ens.scenario,
                                    x_paths=ens.x_paths[:0],
                                    p_paths=ens.p_paths[:0])
         with pytest.raises(EmptyEnsemble):

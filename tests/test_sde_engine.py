@@ -129,24 +129,23 @@ class TestEnsembleContainer:
     def test_shape_validation(self):
         ens = self._ensemble()
         with pytest.raises(ValueError):
-            TrajectoryEnsemble(scenario=ens.scenario, grid=ens.grid,
-                               x_paths=ens.x_paths,
+            TrajectoryEnsemble(scenario=ens.scenario, x_paths=ens.x_paths,
                                p_paths=ens.p_paths[:, :-1])
         with pytest.raises(ValueError):
-            TrajectoryEnsemble(scenario=ens.scenario, grid=ens.grid,
+            TrajectoryEnsemble(scenario=ens.scenario,
                                x_paths=ens.x_paths, p_paths=ens.p_paths,
                                x_b_paths=ens.x_paths)
 
     def test_conjugates_come_for_every_mode_or_none(self):
         ens = self._ensemble()
         x = ens.x_paths
-        part = TrajectoryEnsemble(ens.scenario, ens.grid, x, None, x, None)
+        part = TrajectoryEnsemble(ens.scenario, x, None, x, None)
         assert part.is_two_mode and part.p_paths is None
         for p_paths, x_b_paths, p_b_paths in ((x, x, None), (None, x, x),
                                               (x, None, x), (None, None, x)):
             with pytest.raises(ValueError, match="p_b_paths"):
-                TrajectoryEnsemble(ens.scenario, ens.grid, x, p_paths,
-                                   x_b_paths, p_b_paths)
+                TrajectoryEnsemble(ens.scenario, x, p_paths, x_b_paths,
+                                   p_b_paths)
 
 
 class TestSingleModeLaw:
@@ -172,7 +171,7 @@ class TestSingleModeLaw:
         spec = cat(1.5, 1.0, 0.5 * math.pi)
         amp = AmplifierSpec(1.0, 2.0, 8)
         ens = simulate_single_mode(spec, amp, self.N, SUITE_SEED + 47)
-        for j, t in enumerate(ens.grid):
+        for j, t in enumerate(ens.scenario.grid):
             for arr, marg in ((ens.x_paths, marginal_x(spec, amp, t)),
                               (ens.p_paths, marginal_p(spec, amp, t))):
                 _, var = marg.moments(0)
@@ -195,7 +194,7 @@ class TestSingleModeLaw:
         fine = AmplifierSpec(1.0, 2.0, 8)
         for amp, col in ((coarse, 2), (fine, 4)):
             ens = simulate_single_mode(spec, amp, self.N, SUITE_SEED + 49)
-            t = ens.grid[col]
+            t = ens.scenario.grid[col]
             assert t == pytest.approx(1.0)
             got = float(np.var(ens.x_paths[:, col], ddof=1))
             se = variance_batch_se(ens.x_paths[:, col])
@@ -340,7 +339,7 @@ class TestPMeasurement:
         spec = ModeSpec(0.0, 2.0)
         amp = AmplifierSpec(-1.0, 2.0, 4)
         ens = simulate_p_measurement(spec, amp, self.N, SUITE_SEED + 56)
-        t = ens.grid[-1]
+        t = ens.scenario.grid[-1]
         got = float(np.var(ens.x_paths[:, -1], ddof=1))
         se = variance_batch_se(ens.x_paths[:, -1])
         assert got == pytest.approx(sigma_x2_at(spec, amp, t), abs=5 * se)
@@ -487,3 +486,45 @@ class TestStagePrefix:
             assert drawn and initial, cmd
             draws_initial = any(d is i for d in drawn for i in initial)
             assert draws_initial == (cmd == "run"), cmd
+
+
+class TestTalliedChunk:
+    """A tallied chunk holds, per grid time, its stored paths' reductions."""
+
+    RUNS = TestStagePrefix.RUNS
+
+    @pytest.mark.parametrize("size", [1, 5, 37, CHUNK])
+    @pytest.mark.parametrize("through", [2, 3])
+    @pytest.mark.parametrize("mode", sorted(RUNS))
+    def test_tallies_are_the_stored_paths_reductions(self, mode, through,
+                                                     size):
+        spec, rate = self.RUNS[mode]
+        amp = AmplifierSpec(rate, 1.5, 6)
+        dens = path_densities(spec, amp)
+        paths = _path_chunk(dens, amp, SUITE_SEED + 64, 3, size, through)
+        tallies = _path_chunk(dens, amp, SUITE_SEED + 64, 3, size, through,
+                              keep=10)
+        assert len(tallies) == len(paths)
+        for tally, path in zip(tallies, paths):
+            assert tally.shape == (amp.n_steps + 1, 2 + min(10, size))
+            np.testing.assert_array_equal(tally[:, 0], path.sum(axis=0))
+            np.testing.assert_array_equal(
+                tally[:, 1], np.einsum("ij,ij->j", path, path))
+            np.testing.assert_array_equal(tally[:, 2:], path[:10].T)
+
+    def test_generator_sees_each_row_before_the_next_is_drawn(self):
+        rate, dt = 0.7, 0.3
+        start = np.array([1.0, -2.0, 0.5])
+        want = ou_steps(start, rate, dt, RngStream(SUITE_SEED, 45).generator(),
+                        n_steps=4)
+        seen = []
+
+        def two_buffers():
+            ring = np.empty((2, len(start)))
+            for k in range(5):
+                yield ring[k % 2]
+                seen.append(ring[k % 2].copy())
+
+        relax(two_buffers(), start, rate, dt,
+              RngStream(SUITE_SEED, 45).generator())
+        np.testing.assert_array_equal(np.array(seen).T, want)

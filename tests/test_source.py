@@ -3,12 +3,17 @@ never uses (names listed in ``__all__`` count as used), no function
 imports inside its body, no module-level function or class goes unused
 (referenced nowhere in the package outside its own definition, and not
 exported in ``__all__``), every name the benchmark's tracer wraps
-still exists, and the tracer reads every chunk the engine returns."""
+still exists, the tracer reads every chunk the engine returns, and
+traced ``run`` commands still complete."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,9 +94,12 @@ def test_no_dead_definitions(path):
     assert dead == []
 
 
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
 def load_tracing():
     """The benchmark's tracer, loaded read-only from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    path = TRACING
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -131,3 +139,46 @@ def test_tracer_counts_the_normals_of_every_chunk_stage(through):
                                      entry(*args, **kwargs))
         relaxed = {1: 0, 2: modes, 3: 2 * modes}[through]
         assert extra["normals"] == size * n_steps * relaxed, entry.__name__
+
+
+TRACED_RUNS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+import qtraj.cli
+out = []
+for name in ("fig_sup", "fig_entmeter1"):
+    first = len(tracer.spans)
+    code = qtraj.cli.main(["run", "--scenario", name, "--out",
+                           sys.argv[2] + name, "--trajectories", "8229",
+                           "--threads", "2"])
+    spans = tracer.spans[first:]
+    out.append([code, sum(s[0] == "sampler.fringe" for s in spans),
+                sum(s[5]["normals"] for s in spans
+                    if s[0] == "sde_engine.chunk")])
+print(json.dumps(out))
+"""
+
+
+def test_traced_runs_complete(tmp_path):
+    # Run under the benchmark's tracer in a child process, since the
+    # tracer wraps names in place.  Every hook must accept what it is
+    # handed, the sampler spans stay, and a chunk span that books
+    # normals books those the run drew (a tally passed off as paths
+    # would not).
+    src = str(Path(qtraj.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUNS, str(TRACING), f"{tmp_path}/"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout.splitlines()[-1])
+    drawn = (8229 * 300 * 2, 8229 * 100 * 4)  # fig_sup, fig_entmeter1
+    for (code, fringe_spans, normals), want in zip(runs, drawn):
+        assert code == 0
+        assert fringe_spans >= 2
+        assert normals in (0, want)
