@@ -16,15 +16,19 @@ global proposal
 (a subtracting non-oscillating fringe is dropped from it).  One-axis
 densities reject against a piecewise-constant envelope: an exact upper
 bound on each of ``_BINS`` equal bins spanning ``_RANGE_SIGMAS`` sigmas
-of every component, with the bin drawn from an alias table.  On a bin,
-one Gaussian times W + A cos(k u + theta) is bounded by the Gaussian's
-maximum times the bracket's (W + |A| on a crest); components of one
-variance v plus a non-oscillating fringe are N(u; c, v) h(u) with h
-convex, so h peaks at an edge; any member is bounded by the sum of its
-terms' maxima, and the tighter bound is kept.  Beyond the bins the
-envelope is the global proposal, drawn from its components' normal
-tails, so the draws stay exact.  A normalised density is accepted at the
-rate 1 / (mass of the envelope), reported as ``acceptance_bound``.
+of every component, with the bin drawn from an alias table, and a lower
+bound under which a candidate is accepted unevaluated (Marsaglia's
+squeeze), as the full test would accept it.  On a bin, one Gaussian
+times W + A cos(k u + theta) lies between the Gaussian's minimum and
+maximum times the bracket's (W - |A| in a trough, W + |A| on a crest);
+components of one variance v plus a non-oscillating fringe are
+N(u; c, v) h(u), h a constant plus exponentials of u, so h and each
+exponential take their extremes at edges; any member lies between the
+sums of its terms' extremes; the tighter bounds are kept.  A compile
+checks the density at each bin's edges and midpoint against them.
+Beyond the bins the envelope is the global proposal, drawn from its
+components' normal tails, so the draws stay exact.  A normalised density
+is accepted at the rate 1 / (mass of the envelope), ``acceptance_bound``.
 
 A stream is SFC64 seeded by ``SeedSequence(seed, spawn_key=(stream_index,))``,
 so any chunk of work can be given its own independent stream and
@@ -104,35 +108,50 @@ def _proposal_parts(density: GaussFringeDensity):
     return replace(density, gaussians=comps, fringe=None), exact
 
 
-def _bin_bounds(density: GaussFringeDensity, a, b) -> np.ndarray:
-    """An upper bound of a one-axis density on each bin [a, b]."""
-    comps, f = density.gaussians, density.fringe
+def _bin_bounds(density: GaussFringeDensity, a, b):
+    """A lower and an upper bound of a one-axis density on each bin [a, b]."""
+    f, norm = density.fringe, density.norm
     fm, fv, k = f.means[0], f.variances[0], f.wave[0]
+    terms = [(c.weight, c.means[0], c.variances[0]) for c in density.gaussians]
 
     def peak(mean, var):  # the largest N(u; mean, var) on each bin
         return _gauss_pdf(np.clip(mean, a, b), mean, var)
 
-    # |A| times the largest sign(A) cos(k u + theta) on each bin
+    def low(mean, var):  # the smallest, at an edge
+        return np.minimum(_gauss_pdf(a, mean, var), _gauss_pdf(b, mean, var))
+
+    # |A| times the largest and the smallest sign(A) cos(k u + theta) on
+    # each bin: 1 on a crest, -1 in a trough, else at an edge.
     lo, hi = np.sort([k * a, k * b], axis=0) + f.phase + (
         math.pi if f.amplitude < 0.0 else 0.0)
-    crest = 2.0 * math.pi * np.floor(hi / (2.0 * math.pi)) >= lo
-    wave = abs(f.amplitude) * np.where(crest, 1.0,
-                                       np.maximum(np.cos(lo), np.cos(hi)))
-    if all((c.means[0], c.variances[0]) == (fm, fv) for c in comps):
-        return density.norm * peak(fm, fv) * (
-            sum(c.weight for c in comps) + wave)
-    low = np.minimum(_gauss_pdf(a, fm, fv), _gauss_pdf(b, fm, fv))
-    bound = density.norm * (
-        wave * np.where(wave >= 0.0, peak(fm, fv), low)
-        + sum(c.weight * peak(c.means[0], c.variances[0]) for c in comps))
-    if k == 0.0 and all(c.variances[0] == fv for c in comps):
-        # h = density / N(u; fm, fv) is convex: its maximum is at an edge.
-        near = np.clip(fm, a, b)
-        bound = np.minimum(bound, np.maximum(*(
-            density.density(e)
-            * np.exp(0.5 * ((e - fm) ** 2 - (near - fm) ** 2) / fv)
-            for e in (a, b))))
-    return bound
+    wave, dip = (abs(f.amplitude) * np.where(
+        2.0 * math.pi * np.floor((hi - at) / (2.0 * math.pi)) >= lo - at,
+        top, pick(np.cos(lo), np.cos(hi))) for at, top, pick in (
+            (0.0, 1.0, np.maximum), (math.pi, -1.0, np.minimum)))
+    # The lower bound is kept this far below: beyond the density's rounding.
+    margin = 1e-9 * norm * (abs(f.amplitude) * peak(fm, fv)
+                            + sum(w * peak(m, v) for w, m, v in terms))
+    if all((m, v) == (fm, fv) for _, m, v in terms):
+        weight = sum(w for w, _, _ in terms)
+        return (np.maximum(norm * low(fm, fv) * (weight + dip) - margin, 0.0),
+                norm * peak(fm, fv) * (weight + wave))
+    upper = norm * (wave * np.where(wave >= 0.0, peak(fm, fv), low(fm, fv))
+                    + sum(w * peak(m, v) for w, m, v in terms))
+    lower = norm * (dip * np.where(dip < 0.0, peak(fm, fv), low(fm, fv))
+                    + sum(w * low(m, v) for w, m, v in terms))
+    if k == 0.0 and all(v == fv for _, _, v in terms):
+        # h = density / N(u; fm, fv) is A cos(theta) plus exponentials of
+        # u: convex, so its maximum is at an edge, as is each exponential's
+        # minimum.  Each edge e with N(to; fm, fv) / N(e; fm, fv):
+        near, far = np.clip(fm, a, b), np.where(a + b < 2.0 * fm, a, b)
+        up, down = ([(e, np.exp(0.5 * ((e - fm) ** 2 - (to - fm) ** 2) / fv))
+                     for e in (a, b)] for to in (near, far))
+        upper = np.minimum(upper, np.maximum(*(density.density(e) * r
+                                               for e, r in up)))
+        lower = np.maximum(lower, norm * (dip * low(fm, fv) + sum(
+            w * np.minimum(*(_gauss_pdf(e, m, fv) * r for e, r in down))
+            for w, m, _ in terms)))
+    return np.maximum(lower - margin, 0.0), upper
 
 
 def _alias_table(masses: np.ndarray):
@@ -179,13 +198,18 @@ class _Envelope:
         mean, sigma = self.means[:, 0], self.sigmas[:, 0]
         self.lo, hi = Marginal1D.support_hint(density, _RANGE_SIGMAS)
         edges = np.linspace(self.lo, hi, _BINS + 1)
-        bounds = _bin_bounds(density, edges[:-1], edges[1:])
-        # A bound below zero (beyond rounding) means the density is negative.
-        if not np.all(bounds >= -1e-12 * np.max(bounds)):
-            raise EnvelopeViolation("density is negative or not finite "
-                                    "on a bin")
+        lower, bounds = _bin_bounds(density, edges[:-1], edges[1:])
+        # The certificate: at each bin's edges and midpoint the density lies
+        # within the bin's bounds, beyond rounding; so it is not negative.
+        probe = density.density(np.linspace(self.lo, hi, 2 * _BINS + 1))
+        tol = 1e-12 * np.max(bounds)
+        if not all(np.all((lower - tol <= d) & (d <= bounds * (1 + 1e-9)))
+                   for d in (probe[:-1:2], probe[1::2], probe[2::2])):
+            raise EnvelopeViolation("density is negative, not finite or "
+                                    "outside its bounds on a bin")
         self.width = edges[1] - edges[0]
         self.bounds = np.append(np.maximum(bounds, 0.0), 0.0)  # last: tails
+        self.lower = np.append(lower, 0.0)
         # Beyond the bins: each component's normal tail past depth sigmas.
         self.depth = np.append(mean - self.lo, hi - mean) / np.tile(sigma, 2)
         self.tail_mean = np.tile(mean, 2)
@@ -203,10 +227,11 @@ class _Envelope:
         return self.means.take(idx, 0) + self.sigmas.take(idx, 0) * z
 
     def propose(self, rng, m):
-        """m candidates and the envelope's height at each."""
+        """m candidates, the envelope's height at each and a lower bound
+        of the density there (0 where there is none)."""
         if self.keep is None:
             pts = self.mixture(rng, m)
-            return pts, self.proposal.density(*pts.T)
+            return pts, self.proposal.density(*pts.T), 0.0
         y = rng.random(m) * (_BINS + 1)
         slot = np.minimum(y.astype(np.intp), _BINS)
         slot = np.where(y - slot < self.keep[slot], slot, self.alias[slot])
@@ -216,7 +241,7 @@ class _Envelope:
         if tail.size:
             u[tail] = self._tail(rng, tail.size)
             height[tail] = self.proposal.density(u[tail])
-        return u[:, None], height
+        return u[:, None], height, self.lower[slot]
 
     def _tail(self, rng, n):
         """n draws of the global proposal beyond the bins (Marsaglia's
@@ -289,17 +314,19 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
     diagnostics : dict, optional
         If given, filled with ``n_proposed``, ``n_accepted`` (every
         accepted proposal, including any beyond ``size`` that the last
-        batch drew and dropped) and the analytic ``acceptance_bound``.
-        A factored two-axis member reports its one-axis stage's counts
-        and bound: its across normal is drawn exactly.
+        batch drew and dropped), ``n_evaluated`` (those the squeeze left
+        to evaluate) and the analytic ``acceptance_bound``.  A factored
+        two-axis member reports its one-axis stage's counts and bound:
+        its across normal is drawn exactly.
 
     Raises
     ------
     EnvelopeViolation
-        If a bin's bound is negative, a candidate's density or envelope
-        is not finite, or the density evaluates above its envelope or
-        below zero — which for well-formed members of the family cannot
-        happen, so this flags a hand-built object that is not a density.
+        If the density at a bin's edge or midpoint is outside the bin's
+        bounds at compile, or at an evaluated candidate is not finite,
+        above its envelope or below zero — which for well-formed members
+        of the family cannot happen, so this flags a hand-built object
+        that is not a density.
     """
     rng = _as_generator(rng)
     env = _compiled(density)
@@ -307,7 +334,7 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
         along = sample_fringe_density(env.along, rng, size, diagnostics)
         across = rng.standard_normal(size) + env.across
         return np.column_stack(_rotate(along, across, env.axis, env.scales))
-    n_proposed = n_accepted = size
+    n_proposed, n_accepted, n_evaluated = size, size, 0
     if env.exact:
         out = env.mixture(rng, size)
     else:
@@ -315,22 +342,24 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
         filled = n_proposed = n_accepted = 0
         while filled < size:
             m = min(math.ceil((size - filled) * env.mass), _MAX_BATCH)
-            pts, height = env.propose(rng, m)
-            target = density.density(*pts.T)
+            pts, height, lower = env.propose(rng, m)
+            u = rng.random(m)
+            # The squeeze: below the lower bound, u < density / height holds.
+            accept = u * height < lower
+            rest = np.flatnonzero(~accept)
+            n_evaluated += rest.size
+            target, height = density.density(*pts[rest].T), height[rest]
+            if not (np.isfinite(target).all() and np.isfinite(height).all()):
+                raise EnvelopeViolation("density or envelope is not finite "
+                                        "at a candidate")
             with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = target / height
-            # In range in one pass, or the full check (NaN fails the first).
-            if not (ratio.min() >= -1e-12 and ratio.max() <= 1.0 + 1e-9):
-                if not (np.isfinite(target).all()
-                        and np.isfinite(height).all()):
-                    raise EnvelopeViolation("density or envelope is not "
-                                            "finite at a candidate")
-                ratio = np.where(height > 0.0, ratio, 0.0)
-                if np.any(ratio > 1.0 + 1e-9) or np.any(ratio < -1e-12):
-                    raise EnvelopeViolation(
-                        f"density/envelope ratio outside [0, 1]: "
-                        f"[{ratio.min():.3g}, {ratio.max():.3g}]")
-            got = pts[rng.random(m) < ratio]
+                ratio = np.where(height > 0.0, target / height, 0.0)
+            if np.any(ratio > 1.0 + 1e-9) or np.any(ratio < -1e-12):
+                raise EnvelopeViolation(
+                    f"density/envelope ratio outside [0, 1]: "
+                    f"[{ratio.min():.3g}, {ratio.max():.3g}]")
+            accept[rest] = u[rest] < ratio
+            got = pts.compress(accept, axis=0)
             n_proposed += m
             n_accepted += len(got)
             take = min(len(got), size - filled)
@@ -338,6 +367,7 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
             filled += take
     if diagnostics is not None:
         diagnostics.update(n_proposed=n_proposed, n_accepted=n_accepted,
+                           n_evaluated=n_evaluated,
                            acceptance_bound=1.0 / env.mass)
     return out[:, 0] if density.ndim == 1 else out
 

@@ -17,6 +17,8 @@ import numpy as np
 
 from .analytic import Marginal1D
 
+_KS_BLOCK = 1 << 16  # samples per block of the KS statistic's temporaries
+
 
 class BadEdges(ValueError):
     """Histogram edges that are not strictly increasing (or too few)."""
@@ -140,11 +142,14 @@ def ks_statistic(samples, target: Marginal1D) -> float:
     if n == 0:
         raise ValueError("no samples")
     cdf = target.cdf(s)
-    cdf = cdf / target.total_mass()
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - cdf)
-    d_minus = np.max(cdf - (i - 1) / n)
-    return float(max(d_plus, d_minus))
+    del s  # hold the CDF, not the sorted copy too
+    cdf /= target.total_mass()
+    d = -math.inf
+    for j in range(0, n, _KS_BLOCK):  # max is exact in any order
+        c = cdf[j:j + _KS_BLOCK]
+        i = np.arange(j + 1, j + 1 + len(c))
+        d = np.max([d, np.max(i / n - c), np.max(c - (i - 1) / n)])
+    return float(d)
 
 
 def ks_critical(n: int, alpha: float = 0.001) -> float:

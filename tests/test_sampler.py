@@ -371,6 +371,140 @@ class TestFactoredPairs:
                 < ks_critical(self.N, alpha=0.001), axis
 
 
+def evaluate_every_candidate(density, rng, size):
+    """The rejection loop without the squeeze: the density is evaluated at
+    every candidate.  Returns the draws and (n_proposed, n_accepted)."""
+    env = sampler._compiled(density)
+    if isinstance(env, sampler._Factored):
+        along, counts = evaluate_every_candidate(env.along, rng, size)
+        across = rng.standard_normal(size) + env.across
+        return np.column_stack(sampler._rotate(along, across, env.axis,
+                                               env.scales)), counts
+    assert not env.exact
+    out = np.empty((size, density.ndim))
+    filled = n_proposed = n_accepted = 0
+    while filled < size:
+        m = min(math.ceil((size - filled) * env.mass), sampler._MAX_BATCH)
+        pts, height, _ = env.propose(rng, m)
+        got = pts[rng.random(m) < density.density(*pts.T) / height]
+        n_proposed += m
+        n_accepted += len(got)
+        take = min(len(got), size - filled)
+        out[filled:filled + take] = got[:take]
+        filled += take
+    return out[:, 0] if density.ndim == 1 else out, (n_proposed, n_accepted)
+
+
+def crest(k, phi):
+    """The fringe stage's crest density N(v)(1 + cos(phi + k v)) / M."""
+    return TestFringeStage.closed_form(1.0, k, phi)
+
+
+def odd_pair(t, keep):
+    joint = two_mode_q(TwoModeSpec(cat(0.1, 0.0, math.pi), ModeSpec(0.1, 0.0)),
+                       AMP, t)
+    return joint.marginal(*(a for a in joint.axes if a not in keep))
+
+
+class TestSqueeze:
+    """Candidates below a bin's lower bound are accepted unevaluated: the
+    draws and counts are those of evaluating every candidate."""
+
+    MEMBERS = {
+        "odd_x0": lambda: marginal_x(cat(0.1, 0.0, math.pi), AMP, 0.0),
+        "odd_xtf": lambda: marginal_x(cat(0.1, 0.0, math.pi), AMP, 3.0),
+        "odd_p0": lambda: marginal_p(cat(0.1, 0.0, math.pi), AMP, 0.0),
+        "crest_pi_k0.05": lambda: crest(0.05, math.pi),
+        "crest_pi_k0.3": lambda: crest(0.3, math.pi),
+        "odd_pair_x": lambda: odd_pair(AMP.t_final, ("x_a", "x_b")),
+        "odd_pair_p": lambda: odd_pair(0.0, ("p_a", "p_b")),
+    }
+    # (draws, largest batch): one batch, several, and many small ones.
+    SIZES = [(1, None), (5_000, None), (150_000, None), (150_000, 8192)]
+
+    @pytest.mark.parametrize("size,max_batch", SIZES)
+    @pytest.mark.parametrize("member", MEMBERS)
+    def test_draws_equal_evaluating_every_candidate(self, monkeypatch,
+                                                    member, size, max_batch):
+        if max_batch is not None:
+            monkeypatch.setattr(sampler, "_MAX_BATCH", max_batch)
+        dens = self.MEMBERS[member]()
+        diag = {}
+        got = sample_fringe_density(dens, RngStream(SUITE_SEED, 90), size,
+                                    diagnostics=diag)
+        want, counts = evaluate_every_candidate(
+            dens, RngStream(SUITE_SEED, 90).generator(), size)
+        np.testing.assert_array_equal(got, want)
+        assert (diag["n_proposed"], diag["n_accepted"]) == counts
+        assert 0 <= diag["n_evaluated"] <= diag["n_proposed"]
+        if size > 1000:  # the squeeze decides nearly every candidate
+            assert diag["n_evaluated"] < 0.1 * diag["n_proposed"]
+
+    @pytest.mark.parametrize("k,phi", [(0.05, math.pi), (0.3, math.pi),
+                                       (2.0, 1.0)])
+    def test_fringe_stage_equals_evaluating_every_candidate(self, monkeypatch,
+                                                            k, phi):
+        s = np.linspace(0.0, 1.0, 100_001)
+        got = sampler._fringe_stage(s, k, phi,
+                                    RngStream(SUITE_SEED, 91).generator())
+        monkeypatch.setattr(sampler, "sample_fringe_density",
+                            lambda d, rng, n: evaluate_every_candidate(
+                                d, rng, n)[0])
+        want = sampler._fringe_stage(s, k, phi,
+                                     RngStream(SUITE_SEED, 91).generator())
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_compile_refuses_bounds_the_density_breaks(self, monkeypatch,
+                                                       which):
+        # The certificate: the density at every bin's edges and midpoint
+        # must lie within the bin's bounds.
+        bin_bounds = sampler._bin_bounds
+
+        def broken(density, a, b):
+            bounds = list(bin_bounds(density, a, b))
+            bounds[which] = bounds[which] * (1.01 if which == 0 else 0.99)
+            return tuple(bounds)
+
+        monkeypatch.setattr(sampler, "_bin_bounds", broken)
+        with pytest.raises(EnvelopeViolation, match="outside its bounds"):
+            sampler._Envelope(crest(0.3, math.pi))
+
+    def test_exact_mixtures_evaluate_nothing(self):
+        diag = {}
+        sample_fringe_density(born_x(cat(1.0, 0.0, 0.0)),
+                              RngStream(SUITE_SEED, 92), 1000, diag)
+        assert diag["n_evaluated"] == 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(x1=st.floats(0.05, 6.0), r=st.floats(-1.0, 2.0),
+       phi=st.one_of(st.just(math.pi),
+                     st.floats(0.0, 2.0 * math.pi, exclude_max=True)),
+       t_frac=st.floats(0.0, 1.0), k=st.floats(0.01, 3.0))
+def test_bin_bounds_hold_at_random_points(x1, r, phi, t_frac, k):
+    # Near-cancelling members included: the odd cat at small x1 (phi = pi)
+    # and the crest at phi = pi with small k.
+    t = t_frac * AMP.t_final
+    spec = cat(x1, r, phi)
+    pair = two_mode_q(TwoModeSpec(spec, ModeSpec(x1, r)), AMP, t)
+    members = (marginal_x(spec, AMP, t), marginal_p(spec, AMP, t),
+               pair.marginal("p_a", "p_b"), pair.marginal("x_a", "x_b"),
+               crest(k, phi))
+    rng = np.random.default_rng(SUITE_SEED)
+    for dens in members:
+        env = sampler._compiled(dens)
+        if isinstance(env, sampler._Factored):
+            dens, env = env.along, sampler._compiled(env.along)
+        if env.keep is None:  # an exact mixture: no bins
+            continue
+        slot = rng.integers(0, sampler._BINS, 20_000)
+        u = env.lo + (slot + rng.random(slot.size)) * env.width
+        d = dens.density(u)
+        assert np.all(np.maximum(d, 0.0) >= env.lower[slot])
+        assert np.all(d <= env.bounds[slot] * (1.0 + 1e-9))
+
+
 class TestCompiledPick:
     """Components are picked from a CDF compiled once, with the indices
     and the stream position of ``Generator.choice(p=...)``."""

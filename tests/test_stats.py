@@ -7,11 +7,13 @@ target) to confirm the metrics actually detect mismatches.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import SUITE_SEED
+from qtraj import stats
 from qtraj.analytic import marginal_x
 from qtraj.core import AmplifierSpec, ModeSpec
 from qtraj.stats import (
@@ -160,6 +162,46 @@ class TestKsStatistic:
         samples = rng(6).normal(0.05, math.sqrt(2.0), 100000)
         d = ks_statistic(samples, centred_target())
         assert d > ks_critical(100000, alpha=0.001)
+
+
+class TestKsBlocks:
+    """The statistic is taken over blocks of the CDF, with the bits of the
+    whole-array formula and without its full-size temporaries."""
+
+    @staticmethod
+    def unblocked(samples, target):
+        s = np.sort(samples)
+        n = len(s)
+        cdf = target.cdf(s) / target.total_mass()
+        i = np.arange(1, n + 1)
+        return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+
+    B = stats._KS_BLOCK
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 17])
+    def test_equals_the_unblocked_formula(self, n):
+        samples = rng(7).normal(0.02, math.sqrt(2.0), n)
+        assert ks_statistic(samples, centred_target()) \
+            == self.unblocked(samples, centred_target())
+
+    def test_a_nan_sample_is_not_dropped_by_the_blocks(self):
+        # NaN sorts last, into the last block; the statistic stays NaN.
+        samples = rng(7).normal(0.0, math.sqrt(2.0), self.B + 17)
+        samples[-1] = math.nan
+        assert math.isnan(ks_statistic(samples, centred_target()))
+
+    def test_holds_no_full_size_temporaries(self):
+        samples = rng(8).normal(0.0, math.sqrt(2.0), 1_000_000)
+        ks_statistic(samples[:10], centred_target())  # warm any caches
+        tracemalloc.start()
+        try:
+            ks_statistic(samples, centred_target())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The sorted copy and the CDF are 8 MB each; the whole-array
+        # formula took about 40 MB.
+        assert peak < 2.5 * samples.nbytes
 
 
 class TestKsCritical:
