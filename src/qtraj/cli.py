@@ -18,7 +18,7 @@ The relaxation kernel is exact over any gap, so one step gives the same
 joint law of the two ends as a full path, and they run at n_steps = 1.
 They read no conjugate, so each chunk stops after the stage they read
 (:mod:`qtraj.sde_engine`): ``born`` after stage 1, the boundary draw,
-``postselect`` and ``collapse`` after stage 2, the backward relaxation.
+``postselect`` and ``collapse`` after stage 2, then select it by sign.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from .analytic import (born_p, born_x, marginal_p, marginal_x, q_single_mode,
                        two_mode_q)
 from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
                    TwoModeSpec, validate_scenario)
-from .postselect import (MIN_SAMPLES, bin_by_sign, build_loops,
-                         infer_state_A_numeric, meter_sign_agreement,
-                         uncertainty_product)
+from .postselect import (MIN_SAMPLES, _select_by_sign, build_loops,
+                         infer_state_A_numeric, uncertainty_product)
 from .sampler import RngStream
 from .stats import bin_z_scores, compare_density, histogram, ks_statistic
 
@@ -417,11 +416,10 @@ def cmd_postselect(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     for i, x1 in enumerate(sweep):
         state, amp = build_state(replace(sc, x1=x1))
         base = 2 * i * _STREAM_BLOCK
-        ens = sde_engine._simulate(state, replace(amp, n_steps=1),
-                                   sc.trajectories, sc.seed, threads,
-                                   sc.boundary, stream_offset=base, through=2)
+        *branches, _ = _select_by_sign(state, amp, sc.trajectories, sc.seed,
+                                       threads, sc.boundary, base)
         loop_rng = RngStream(sc.seed, base + _STREAM_BLOCK // 2)
-        for selected in bin_by_sign(ens):
+        for selected in branches:
             branch = selected.branch
             if selected.n < MIN_SAMPLES:
                 print(f"skipped: x1={_fmt(x1)} branch={branch:+d} "
@@ -453,9 +451,8 @@ def cmd_collapse(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     state, amp = build_state(sc)
     if not isinstance(state, TwoModeSpec):
         raise ScenarioError("collapse analysis needs a two_mode scenario")
-    ens = sde_engine._simulate(state, replace(amp, n_steps=1), sc.trajectories,
-                               sc.seed, threads, sc.boundary, through=2)
-    plus, minus = bin_by_sign(ens, mode="b")
+    plus, minus, n_agree = _select_by_sign(state, amp, sc.trajectories,
+                                           sc.seed, threads, sc.boundary)
     inferred = infer_state_A_numeric(plus, state)
 
     def grid_rows():
@@ -469,7 +466,7 @@ def cmd_collapse(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
 
     mx, mp = inferred.moments_x, inferred.moments_p
     corr_rows = [
-        ("sign_agreement", meter_sign_agreement(ens)),
+        ("sign_agreement", n_agree / sc.trajectories),
         ("n_trajectories", sc.trajectories),
         ("n_plus", plus.n),
         ("n_minus", minus.n),

@@ -12,7 +12,7 @@ fresh from the conditional distribution given the measured ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -20,9 +20,10 @@ import numpy as np
 from .analytic import (_T0_AMP, GaussFringeDensity, UnsupportedPhase,
                        _branch_fringe_ratio, _meter_branch_density,
                        _phase_kind, meter_condition_weights)
-from .core import ModeSpec, ScenarioError, SuperpositionSpec, TwoModeSpec
+from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
+                   TwoModeSpec, validate_scenario)
 from .sampler import _as_generator, _fringe_stage, _rotate, sample_p_given_x
-from .sde_engine import TrajectoryEnsemble
+from .sde_engine import TrajectoryEnsemble, iter_chunks
 from .stats import Histogram, histogram
 
 N_BATCHES = 10
@@ -126,33 +127,60 @@ def bin_by_sign(ensemble: TrajectoryEnsemble, mode: str = "a"
     """
     if ensemble.count == 0:
         raise EmptyEnsemble("cannot select from an empty ensemble")
-    if mode == "a":
-        key = ensemble.x_paths[:, -1]
-    elif mode == "b":
-        if ensemble.x_b_paths is None:
-            raise ScenarioError("mode 'b' selection needs a two-mode ensemble")
-        key = ensemble.x_b_paths[:, -1]
-    else:
+    if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    cols = [None if paths is None else paths[:, 0]
-            for paths in (ensemble.x_paths, ensemble.p_paths,
-                          ensemble.x_b_paths, ensemble.p_b_paths)]
-
-    def take(keep, branch):  # by an index per block, to keep it small
-        outs = [None if c is None else np.empty(np.count_nonzero(keep))
-                for c in cols]
-        at = 0
-        for lo in range(0, len(keep), _SELECT_BLOCK):
-            block = slice(lo, lo + _SELECT_BLOCK)
-            idx = np.flatnonzero(keep[block])
-            for c, out in zip(cols, outs):
-                if c is not None:  # mode="clip" writes to out unbuffered
-                    c[block].take(idx, out=out[at:at + idx.size], mode="clip")
-            at += idx.size
-        return PostselectedEnsemble(branch, *outs)
-
+    if mode == "b" and not ensemble.is_two_mode:
+        raise ScenarioError("mode 'b' selection needs a two-mode ensemble")
+    key = (ensemble.x_paths if mode == "a" else ensemble.x_b_paths)[:, -1]
+    cols = [paths[:, 0] for paths in (ensemble.x_paths, ensemble.p_paths,
+                                      ensemble.x_b_paths, ensemble.p_b_paths)
+            if paths is not None]
     mask = key >= 0.0
-    return take(mask, +1), take(~mask, -1)
+    return (PostselectedEnsemble(+1, *_take(cols, mask)),
+            PostselectedEnsemble(-1, *_take(cols, ~mask)))
+
+
+def _take(cols, keep: np.ndarray) -> list:
+    """Each column's rows where ``keep`` holds, by an index per block."""
+    outs = [np.empty(np.count_nonzero(keep)) for _ in cols]
+    at = 0
+    for lo in range(0, len(keep), _SELECT_BLOCK):
+        block = slice(lo, lo + _SELECT_BLOCK)
+        idx = np.flatnonzero(keep[block])
+        for c, out in zip(cols, outs):  # mode="clip" writes to out unbuffered
+            c[block].take(idx, out=out[at:at + idx.size], mode="clip")
+        at += idx.size
+    return outs
+
+
+def _select_by_sign(spec, amp: AmplifierSpec, n_traj: int, seed: int,
+                    threads: Optional[int], boundary_method: str = "direct",
+                    stream_offset: int = 0):
+    """``(plus, minus, n_agree)``: a run split by final sign, chunk by chunk.
+
+    Bitwise ``bin_by_sign(simulate_*(...))``'s branches, the meter
+    deciding two modes, at one step and with no conjugate drawn (``p0``
+    is None); ``n_agree`` counts trajectories whose final signs agree.
+    """
+    amp = replace(amp, n_steps=1)
+    validate_scenario(spec, amp)
+    if not isinstance(spec, TwoModeSpec) and amp.gain_rate_g <= 0.0:
+        raise ScenarioError("sign selection needs gain rate amp.g > 0")
+    kept, n_agree = ([], []), 0  # per branch, each chunk's selected columns
+    for _, _, paths in iter_chunks(spec, amp, n_traj, seed, threads,
+                                   boundary_method, stream_offset, _through=2):
+        mask = paths[-1][:, -1] >= 0.0  # the meter decides two modes
+        n_agree += np.count_nonzero(mask == (paths[0][:, -1] >= 0.0))
+        for parts, keep in zip(kept, (mask, ~mask)):
+            parts.append(_take([path[:, 0] for path in paths], keep))
+        del paths  # release the chunk before the next is submitted
+
+    def join(branch, parts):
+        x0, *meter = (np.concatenate(col) for col in zip(*parts))
+        parts.clear()
+        return PostselectedEnsemble(branch, x0, None, *meter)
+
+    return join(+1, kept[0]), join(-1, kept[1]), n_agree
 
 
 def _draw_conditional_triple(spec: TwoModeSpec, x_b0: np.ndarray, rng

@@ -16,10 +16,9 @@ chunk kernel draws it in three stages (1, the amplified coordinates at
 t_final; 2, their backward relaxation; 3, the conjugates at t = 0 and
 their forward relaxation), and :func:`iter_chunks` schedules the chunks
 for the Python API and ``run`` (all stages), ``born`` (stage 1 only),
-``postselect`` and ``collapse`` (stages 1 and 2).  The Python API stores
-whole paths; ``run`` keeps, as each row is drawn, per-time sums and sums
-of squares and the first ``cli.N_SAVED_PATHS`` paths, never a chunk's
-whole paths.
+``postselect`` and ``collapse`` (stages 1 and 2, selected chunk by
+chunk).  The Python API stores whole paths; ``run`` keeps only per-time
+sums, sums of squares and the first ``cli.N_SAVED_PATHS`` paths.
 
 Work is split into fixed-size chunks, each drawing from its own named
 stream keyed by (seed, chunk index).  Results are therefore
@@ -58,28 +57,27 @@ class TrajectoryEnsemble:
 
     Paths are indexed (trajectory, grid time) and stored time-major, so
     each column is contiguous; column 0 is t = 0, the last is t_final.
-    A run stopped before stage 3 leaves ``p_paths``, ``p_b_paths`` None.
+    Both quadratures of every mode are required: no ``None`` conjugate.
     """
 
     scenario: Scenario
     x_paths: np.ndarray
-    p_paths: Optional[np.ndarray]
+    p_paths: np.ndarray
     x_b_paths: Optional[np.ndarray] = None
     p_b_paths: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n_times = len(self.scenario.grid)
-        for name in ("x_paths", "p_paths", "x_b_paths", "p_b_paths"):
+        meter = self.x_b_paths is not None or self.p_b_paths is not None
+        for name in ("x_paths", "p_paths", "x_b_paths",
+                     "p_b_paths")[:2 + 2 * meter]:
             arr = getattr(self, name)
             if arr is None:
-                continue
+                raise ValueError(f"{name} is missing")
             if arr.ndim != 2 or arr.shape[1] != n_times:
                 raise ValueError(f"{name} must have shape (count, {n_times})")
             if arr.shape[0] != self.x_paths.shape[0]:
                 raise ValueError("path arrays disagree on trajectory count")
-        if (self.p_b_paths is None) == (self.is_two_mode
-                                        and self.p_paths is not None):
-            raise ValueError("p_b_paths must come with x_b_paths and p_paths")
 
     @property
     def count(self) -> int:
@@ -288,17 +286,15 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
     """Yield ``(lo, hi, paths)`` for every chunk of a run, in chunk order.
 
     Chunk i holds trajectories lo:hi and draws from stream
-    ``stream_offset + i``, and ``_through`` < 3 stops it after that stage
-    of :func:`_path_chunk`: 1, the amplified coordinates at t_final
-    (``born``); 2, their backward relaxation (``postselect``,
-    ``collapse``); 3, the conjugates and their forward relaxation (``run``
-    and the Python API); with ``_keep`` set, each coordinate's per-time
-    tallies and first ``_keep`` paths replace its paths (``run``).  At
-    most ``threads`` chunks are in flight; a new one is submitted as soon
-    as the oldest has been consumed.  Chunks are always yielded in index
-    order, so any reduction over them is bitwise independent of the
-    thread count.  A consumer that drops its chunk before asking for the
-    next keeps at most ``threads`` chunks alive.
+    ``stream_offset + i``; ``_through`` < 3 stops it after that stage of
+    :func:`_path_chunk` (1 for ``born``, 2 for sign selection), and with
+    ``_keep`` set each coordinate's per-time tallies and first ``_keep``
+    paths replace its paths (``run``).  At most ``threads`` chunks are in
+    flight; a new one is submitted as soon as the oldest has been
+    consumed.  Chunks are always yielded in index order, so any reduction
+    over them is bitwise independent of the thread count.  A consumer
+    that drops its chunk before asking for the next keeps at most
+    ``threads`` chunks alive.
     """
     n_traj = _check_count(n_traj, "n_traj")
     dens = path_densities(spec, amp, boundary_method)
@@ -330,21 +326,18 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
 
 
 def _simulate(spec, amp: AmplifierSpec, n_traj: int, seed: int,
-              threads: Optional[int], boundary_method: str = "direct",
-              stream_offset: int = 0, through: int = 3) -> TrajectoryEnsemble:
+              threads: Optional[int], boundary_method: str = "direct"
+              ) -> TrajectoryEnsemble:
     scenario = validate_scenario(spec, amp)
     n_traj = _check_count(n_traj, "n_traj")
-    n = 4 if scenario.is_two_mode else 2
-    # (x, p) of each mode; before stage 3 only the amplified one is filled.
-    slots = range(n) if through == 3 else range(amp.gain_rate_g < 0.0, n, 2)
-    paths = {i: np.empty((amp.n_steps + 1, n_traj)).T for i in slots}
+    paths = [np.empty((amp.n_steps + 1, n_traj)).T
+             for _ in range(4 if scenario.is_two_mode else 2)]
     for lo, hi, chunk in iter_chunks(spec, amp, n_traj, seed, threads,
-                                     boundary_method, stream_offset,
-                                     _through=through):
-        for i, block in zip(slots, chunk):
-            paths[i][lo:hi] = block
+                                     boundary_method):
+        for out, block in zip(paths, chunk):
+            out[lo:hi] = block
         del chunk, block  # release the chunk before the next is submitted
-    return TrajectoryEnsemble(scenario, *(paths.get(i) for i in range(n)))
+    return TrajectoryEnsemble(scenario, *paths)
 
 
 def simulate_single_mode(spec: Union[ModeSpec, SuperpositionSpec],

@@ -42,7 +42,7 @@ from qtraj.core import (
     sigma_x2_at,
 )
 from qtraj.postselect import (
-    bin_by_sign,
+    _select_by_sign,
     build_loops,
     infer_state_A_numeric,
     meter_sign_agreement,
@@ -113,9 +113,8 @@ def collapse_branch(r):
         offset = 108 if r else 118
         spec = TwoModeSpec(cat(1.0, r), ModeSpec(4.0, 0.0))
         amp = AmplifierSpec(1.0, 2.0, 1)
-        ens = simulate_two_mode(spec, amp, 1_200_000, SUITE_SEED + offset)
-        plus, _ = bin_by_sign(ens, mode="b")
-        del ens
+        plus, _, _ = _select_by_sign(spec, amp, 1_200_000,
+                                     SUITE_SEED + offset, None)
         _cache[key] = (spec, infer_state_A_numeric(plus, spec))
     return _cache[key]
 
@@ -251,9 +250,7 @@ class TestAcceptance:
             for j, x1 in enumerate((0.5, 1.0, 2.0, 4.0, 6.0)):
                 spec = cat(x1, r)
                 seed = SUITE_SEED + 200 + 10 * i + j
-                ens = simulate_single_mode(spec, amp, n, seed)
-                plus, _ = bin_by_sign(ens)
-                del ens
+                plus, _, _ = _select_by_sign(spec, amp, n, seed, None)
                 loops = build_loops(plus, spec, RngStream(seed, 1 << 20))
                 del plus
                 prod = uncertainty_product(loops)
@@ -339,9 +336,7 @@ class TestAcceptance:
         for i, (x1b, target) in enumerate(sorted(frozen.items())):
             spec = TwoModeSpec(cat(0.2, 0.0), ModeSpec(x1b, 0.0))
             seed = SUITE_SEED + 300 + i
-            ens = simulate_two_mode(spec, amp, n, seed)
-            plus, _ = bin_by_sign(ens, mode="b")
-            del ens
+            plus, _, _ = _select_by_sign(spec, amp, n, seed, None)
             loops = build_loops(plus, spec, RngStream(seed, 1 << 20))
             del plus
             _, est_pb = observed_variances(loops, mode="b")

@@ -7,6 +7,7 @@ marginals.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +39,7 @@ from qtraj.postselect import (
     PostselectedEnsemble,
     TooFewSamples,
     _draw_conditional_triple,
+    _select_by_sign,
     bin_by_sign,
     build_loops,
     infer_state_A_numeric,
@@ -47,8 +49,10 @@ from qtraj.postselect import (
 )
 from qtraj.sampler import RngStream
 from qtraj.sde_engine import (
+    CHUNK,
     TrajectoryEnsemble,
     _simulate,
+    iter_chunks,
     simulate_single_mode,
     simulate_two_mode,
 )
@@ -168,6 +172,64 @@ class TestBinBySign:
         plus, minus = bin_by_sign(ens)
         assert plus.n + minus.n == ens.count
         assert abs(plus.n - minus.n) < 5 * math.sqrt(ens.count)
+
+
+class TestSelectBySign:
+    """Selecting chunk by chunk gives the bits of the gathered path."""
+
+    RUNS = {"single": (cat(1.0), "a"), "two": (two_spec(x1b=0.5), "b")}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 37])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_equals_bin_by_sign_of_the_gathered_run(self, run, n, threads):
+        spec, mode = self.RUNS[run]
+        amp = AmplifierSpec(1.0, 2.0, 1)
+        seed = SUITE_SEED + 85
+        ens = _simulate(spec, amp, n, seed, threads)
+        *got, n_agree = _select_by_sign(spec, amp, n, seed, threads)
+        for sel, want in zip(got, bin_by_sign(ens, mode)):
+            assert sel.branch == want.branch
+            assert sel.p0 is None and sel.p_b0 is None
+            np.testing.assert_array_equal(sel.x0, want.x0)
+            if mode == "b":
+                np.testing.assert_array_equal(sel.x_b0, want.x_b0)
+            else:
+                assert sel.x_b0 is None
+        if mode == "b":
+            assert n_agree / n == meter_sign_agreement(ens)
+        else:
+            assert n_agree == n
+
+    def test_stream_offset_selects_the_offset_streams(self):
+        spec, amp = cat(1.0), AmplifierSpec(1.0, 2.0, 1)
+        a = _select_by_sign(spec, amp, 100, SUITE_SEED, 1, stream_offset=3)
+        chunks = iter_chunks(spec, amp, 100, SUITE_SEED, 1, stream_offset=3)
+        x = next(chunks)[2][0]
+        np.testing.assert_array_equal(a[0].x0, x[x[:, -1] >= 0.0, 0])
+
+    def test_negative_gain_single_mode_is_refused(self):
+        with pytest.raises(ScenarioError, match="sign selection needs"):
+            _select_by_sign(cat(1.0), AmplifierSpec(-1.0, 2.0, 1), 100,
+                            SUITE_SEED, 1)
+        # A two-mode run keeps the engine's own message.
+        with pytest.raises(ScenarioError, match="amplify both positions"):
+            _select_by_sign(two_spec(), AmplifierSpec(-1.0, 2.0, 1), 100,
+                            SUITE_SEED, 1)
+
+    def test_peak_stays_below_the_gathered_stage_2_arrays(self):
+        # The gathered path holds each mode's (t = 0, t_final) columns for
+        # every trajectory before it selects: 2 x 2 x 8 B x n.
+        n = 100_000
+        spec, amp = two_spec(), AmplifierSpec(1.0, 2.0, 1)
+        _select_by_sign(spec, amp, 10, SUITE_SEED, 1)  # warm any caches
+        tracemalloc.start()
+        try:
+            _select_by_sign(spec, amp, n, SUITE_SEED, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 * 8 * n
 
 
 class TestBuildLoops:
@@ -317,10 +379,9 @@ class TestObservedVariances:
     @pytest.mark.parametrize("mode, spec, name", [
         ("a", cat(1.0), "p0"), ("b", two_spec(), "p_b0")])
     def test_undrawn_conjugate_is_refused_by_name(self, mode, spec, name):
-        # A run stopped after the backward relaxation draws no momenta.
-        ens = _simulate(spec, AmplifierSpec(1.0, 2.0, 1), 2000,
-                        SUITE_SEED + 82, 1, through=2)
-        plus, _ = bin_by_sign(ens, mode=mode)
+        # The selector stops after the backward relaxation: no momenta.
+        plus, _, _ = _select_by_sign(spec, AmplifierSpec(1.0, 2.0, 1), 2000,
+                                     SUITE_SEED + 82, 1)
         assert getattr(plus, name) is None
         for estimate in (observed_variances, uncertainty_product):
             with pytest.raises(ValueError, match=name):

@@ -6,7 +6,9 @@ that is the main consistency property probed here, alongside kernel
 mechanics, chunking determinism, and thread invariance.
 """
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from qtraj.core import (
 )
 import qtraj.sde_engine
 from qtraj.cli import EXIT_OK, main
+from qtraj.postselect import _select_by_sign, bin_by_sign
 from qtraj.sampler import RngStream
 from qtraj.sde_engine import (
     CHUNK,
@@ -137,15 +140,19 @@ class TestEnsembleContainer:
                                x_b_paths=ens.x_paths)
 
     def test_conjugates_come_for_every_mode_or_none(self):
+        # Only (x, p) and (x, p, x_b, p_b) are ensembles; any other set of
+        # arrays is refused with a ValueError that names what is missing.
         ens = self._ensemble()
-        x = ens.x_paths
-        part = TrajectoryEnsemble(ens.scenario, x, None, x, None)
-        assert part.is_two_mode and part.p_paths is None
-        for p_paths, x_b_paths, p_b_paths in ((x, x, None), (None, x, x),
-                                              (x, None, x), (None, None, x)):
-            with pytest.raises(ValueError, match="p_b_paths"):
-                TrajectoryEnsemble(ens.scenario, x, p_paths, x_b_paths,
-                                   p_b_paths)
+        names = ("x_paths", "p_paths", "x_b_paths", "p_b_paths")
+        for present in itertools.product((True, False), repeat=4):
+            arrays = [ens.x_paths if on else None for on in present]
+            if present in ((True, True, False, False), (True,) * 4):
+                assert TrajectoryEnsemble(ens.scenario, *arrays).count == 10
+                continue
+            missing = next(name for name, on in zip(names, present)
+                           if not on)
+            with pytest.raises(ValueError, match=missing):
+                TrajectoryEnsemble(ens.scenario, *arrays)
 
 
 class TestSingleModeLaw:
@@ -446,15 +453,20 @@ class TestStagePrefix:
 
     @pytest.mark.parametrize("mode", ["x", "two"])
     def test_stopped_ensemble_leaves_conjugates_none(self, mode):
+        # The selector stops each chunk after stage 2, at one step, so
+        # its branches hold the full run's positions and no conjugate.
         spec, rate = self.RUNS[mode]
-        amp = AmplifierSpec(rate, 1.5, 3)
-        full = _simulate(spec, amp, CHUNK + 5, SUITE_SEED + 63, 2)
-        part = _simulate(spec, amp, CHUNK + 5, SUITE_SEED + 63, 2, through=2)
-        assert part.p_paths is None and part.p_b_paths is None
-        assert part.is_two_mode == full.is_two_mode
-        np.testing.assert_array_equal(part.x_paths, full.x_paths)
-        if full.is_two_mode:
-            np.testing.assert_array_equal(part.x_b_paths, full.x_b_paths)
+        amp = AmplifierSpec(rate, 1.5, 1)
+        full = bin_by_sign(_simulate(spec, amp, CHUNK + 5, SUITE_SEED + 63, 2),
+                           "b" if mode == "two" else "a")
+        part = _select_by_sign(spec, replace(amp, n_steps=3), CHUNK + 5,
+                               SUITE_SEED + 63, 2)
+        for got, want in zip(part, full):
+            assert got.p0 is None and got.p_b0 is None
+            assert (got.x_b0 is None) == (mode == "x")
+            np.testing.assert_array_equal(got.x0, want.x0)
+            if mode == "two":
+                np.testing.assert_array_equal(got.x_b0, want.x_b0)
 
     def test_records_commands_never_draw_the_conjugates(self, tmp_path,
                                                         monkeypatch):

@@ -4,7 +4,8 @@ imports inside its body, no module-level function or class goes unused
 (referenced nowhere in the package outside its own definition, and not
 exported in ``__all__``), every name the benchmark's tracer wraps
 still exists, the tracer reads every chunk the engine returns, and
-traced ``run`` commands still complete."""
+traced ``run``, ``postselect`` and ``collapse`` commands still
+complete."""
 
 import ast
 import importlib
@@ -182,3 +183,53 @@ def test_traced_runs_complete(tmp_path):
         assert code == 0
         assert fringe_spans >= 2
         assert normals in (0, want)
+
+
+TRACED_RECORDS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+import qtraj.cli
+out = []
+for cmd, name in (("postselect", "fig_condvar"), ("collapse", "fig_infer_eig")):
+    first = len(tracer.spans)
+    code = qtraj.cli.main([cmd, "--scenario", name, "--out", sys.argv[2] + cmd,
+                           "--trajectories", "9000", "--threads", "2"])
+    out.append([code, [s[5]["normals"] for s in tracer.spans[first:]
+                       if s[0] == "sde_engine.chunk"]])
+print(json.dumps(out))
+"""
+
+
+def test_traced_records_runs_complete(tmp_path):
+    # The records commands select each chunk as it comes; under the
+    # tracer they write the untraced bytes, and each chunk span books
+    # one relaxation step of every amplified position it drew.
+    src = str(Path(qtraj.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RECORDS, str(TRACING),
+         f"{tmp_path}/traced_"], capture_output=True, text=True, env=env,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout.splitlines()[-1])
+    sizes = (sde_engine.CHUNK, 9000 - sde_engine.CHUNK)
+    # fig_condvar sweeps five single-mode separations; fig_infer_eig is
+    # one two-mode run
+    cases = (("postselect", "fig_condvar", 5, 1),
+             ("collapse", "fig_infer_eig", 1, 2))
+    for (code, normals), (cmd, name, sweeps, modes) in zip(runs, cases):
+        assert code == 0
+        assert normals == [size * modes for size in sizes] * sweeps
+        plain = tmp_path / f"plain_{cmd}"
+        assert qtraj.cli.main([cmd, "--scenario", name, "--out", str(plain),
+                               "--trajectories", "9000", "--threads", "2"]) == 0
+        traced = tmp_path / f"traced_{cmd}"
+        files = sorted(p.name for p in plain.iterdir())
+        assert files == sorted(p.name for p in traced.iterdir())
+        for file in files:
+            assert (traced / file).read_bytes() == (plain / file).read_bytes()
