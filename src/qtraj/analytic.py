@@ -45,6 +45,8 @@ from .core import (
 
 # Conditionals taken at t = 0 involve no amplifier; any one stands in.
 _T0_AMP = AmplifierSpec(1.0, 1.0, 1)
+_CDF_BINS = 20000  # bins of the CDF table over 12 sigma
+_CDF_BLOCK = 2000  # bins per block of its Gauss-Legendre points
 
 
 class TimeOutOfRange(ScenarioError):
@@ -301,13 +303,19 @@ class Marginal1D(GaussFringeDensity):
                  for t in terms]
         return min(m - r for m, r in reach), max(m + r for m, r in reach)
 
+    def _cdf_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """A dense grid over the support hint and the cumulative masses at
+        its points (the truncated tail mass is far below any statistical
+        resolution).  Masses are taken a block of bins at a time; each
+        bin sums its own row, so the bits are those of the whole grid."""
+        grid = np.linspace(*self.support_hint(12.0), _CDF_BINS + 1)
+        masses = [self.bin_masses(grid[j:j + _CDF_BLOCK + 1], order=8)
+                  for j in range(0, _CDF_BINS, _CDF_BLOCK)]
+        return grid, np.concatenate([[0.0], np.cumsum(np.concatenate(masses))])
+
     def cdf(self, points) -> np.ndarray:
-        """The CDF, interpolated between cumulative masses on a dense grid
-        over the support hint (the truncated tail mass is far below any
-        statistical resolution)."""
-        grid = np.linspace(*self.support_hint(12.0), 20001)
-        cdfv = np.concatenate([[0.0],
-                               np.cumsum(self.bin_masses(grid, order=8))])
+        """The CDF, interpolated between the masses of `_cdf_table`."""
+        grid, cdfv = self._cdf_table()
         return np.interp(np.asarray(points, dtype=float), grid, cdfv,
                          left=0.0, right=cdfv[-1])
 

@@ -108,8 +108,11 @@ def bin_z_scores(hist: Histogram, target: Marginal1D) -> np.ndarray:
     Uses exact target bin masses (renormalised to the histogram range,
     mirroring the in-range normalisation of the empirical densities)
     with the binomial error sqrt(P (1-P) / n) — well-defined even in
-    bins the target nearly empties.
+    bins the target nearly empties.  A histogram with no in-range
+    sample raises ValueError.
     """
+    if hist.n == 0:
+        raise ValueError("no sample lies inside the histogram range")
     masses = target.bin_masses(hist.edges)
     p = masses / masses.sum()
     frac = hist.counts / hist.n
@@ -125,10 +128,10 @@ def compare_density(hist: Histogram, target: Marginal1D) -> DensityComparison:
     (conservative) Kolmogorov-Smirnov distance; use `ks_statistic` on
     the raw samples for the sharp version.
     """
+    z = np.abs(bin_z_scores(hist, target))  # refuses an empty histogram
     masses = target.bin_masses(hist.edges)
     p = masses / masses.sum()
     frac = hist.counts / hist.n
-    z = np.abs(bin_z_scores(hist, target))
     cdf_emp = np.cumsum(frac)
     cdf_target = np.cumsum(p)
     ks = float(np.max(np.abs(cdf_emp - cdf_target)))
@@ -136,17 +139,23 @@ def compare_density(hist: Histogram, target: Marginal1D) -> DensityComparison:
 
 
 def ks_statistic(samples, target: Marginal1D) -> float:
-    """One-sample Kolmogorov-Smirnov distance to a closed-form density."""
-    s = np.sort(np.asarray(samples, dtype=float).ravel())
+    """One-sample Kolmogorov-Smirnov distance to a closed-form density.
+
+    A sample that already ascends is read as it is; any other is sorted
+    into a copy.  The CDF is interpolated one block at a time.
+    """
+    s = np.asarray(samples, dtype=float).ravel()
     n = len(s)
     if n == 0:
         raise ValueError("no samples")
-    cdf = target.cdf(s)
-    del s  # hold the CDF, not the sorted copy too
-    cdf /= target.total_mass()
+    if not np.all(s[1:] >= s[:-1]):  # a NaN fails this, and sorts last
+        s = np.sort(s)
+    grid, cdfv = target._cdf_table()
+    total = target.total_mass()
     d = -math.inf
     for j in range(0, n, _KS_BLOCK):  # max is exact in any order
-        c = cdf[j:j + _KS_BLOCK]
+        c = np.interp(s[j:j + _KS_BLOCK], grid, cdfv, left=0.0,
+                      right=cdfv[-1]) / total
         i = np.arange(j + 1, j + 1 + len(c))
         d = np.max([d, np.max(i / n - c), np.max(c - (i - 1) / n)])
     return float(d)

@@ -24,9 +24,11 @@ from qtraj.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    N_BORN_BINS,
     N_SAVED_PATHS,
     ScenarioFileError,
     _KEY_TYPES,
+    _STREAM_BLOCK,
     _fmt,
     build_state,
     load_scenario,
@@ -38,6 +40,7 @@ from qtraj.core import AmplifierSpec, ModeSpec, SuperpositionSpec, TwoModeSpec
 from qtraj.postselect import bin_by_sign, meter_sign_agreement
 from qtraj.sde_engine import (CHUNK, iter_chunks, simulate_single_mode,
                                simulate_two_mode)
+from qtraj.stats import bin_z_scores, compare_density, histogram
 
 SEED = 20210905
 
@@ -616,6 +619,79 @@ class TestCmdBorn:
         z = np.array(column(header, rows, "z"))
         assert np.all(np.isfinite(z))
         assert float(np.max(np.abs(z))) < 6.0
+
+    @staticmethod
+    def gathered_lines(sc, threads):
+        """born_check.csv's lines by the gathered formula: concatenate
+        the chunks, sort a copy, take the whole-array CDF."""
+        state, _ = build_state(sc)
+        rate, t_final = abs(sc.g), abs(sc.t_final)
+        stats, lines = [], []
+        for block, basis in ((0, "x"), (1, "p")):
+            amp = AmplifierSpec(rate if basis == "x" else -rate, t_final, 1)
+            chunks = iter_chunks(state, amp, sc.trajectories, sc.seed, threads,
+                                 stream_offset=block * _STREAM_BLOCK,
+                                 _through=1)
+            scaled = (np.concatenate([a[0][:, -1] for _, _, a in chunks])
+                      / math.exp(rate * t_final))
+            target = born_x(state) if basis == "x" else born_p(state)
+            s, n = np.sort(scaled), len(scaled)
+            grid = np.linspace(*target.support_hint(12.0), 20001)
+            cdfv = np.concatenate([[0.0], np.cumsum(
+                target.bin_masses(grid, order=8))])
+            cdf = np.interp(s, grid, cdfv, left=0.0,
+                            right=cdfv[-1]) / target.total_mass()
+            i = np.arange(1, n + 1)
+            ks = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
+            hist = histogram(scaled, np.linspace(
+                *target.support_hint(4.0), N_BORN_BINS + 1))
+            max_z = compare_density(hist, target).max_z
+            stats.append(f"basis={basis} max_z={_fmt(max_z)} ks={_fmt(ks)}")
+            expected = target.bin_masses(hist.edges) / hist.widths
+            for row in zip(hist.centers, hist.widths, hist.counts,
+                           hist.density, expected,
+                           bin_z_scores(hist, target)):
+                lines.append(",".join(map(_fmt, (basis,) + row)))
+        return ["# " + "  ".join(stats)] + lines
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 37])
+    def test_equals_the_gathered_formula(self, tmp_path, n, threads):
+        sc = replace(load_scenario("fig_born_x"), trajectories=n)
+        assert main(["born", "--scenario", "fig_born_x", "--out",
+                     str(tmp_path), "--trajectories", str(n),
+                     "--threads", str(threads)]) == EXIT_OK
+        lines = (tmp_path / "born_check.csv").read_text().splitlines()
+        assert lines[1:2] + lines[3:] == self.gathered_lines(sc, threads)
+
+    def test_holds_one_column_of_records(self, tmp_path):
+        n = 1_000_000
+        main(["born", "--scenario", "fig_born_x", "--out", str(tmp_path),
+              "--trajectories", "10"])  # compile the samplers first
+        tracemalloc.start()
+        try:
+            code = main(["born", "--scenario", "fig_born_x", "--out",
+                         str(tmp_path), "--trajectories", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        # The gathered records, their scaled and sorted copies and a
+        # whole-array CDF peaked at 26 MB.
+        assert peak < 8 * n + 6e6
+
+    def test_no_record_in_range_exits_2(self, tmp_path, capsys):
+        # This seed puts the single p record below the 4-sigma range.
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["born", "--scenario", "fig_born_x", "--out",
+                         str(out), "--trajectories", "1", "--seed", "1733"])
+        assert code == EXIT_VALIDATION
+        assert "no p record lies within 4 sigma (1 below, 0 above)" \
+            in capsys.readouterr().err
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert not out.exists()
 
 
 class TestCmdPostselect:

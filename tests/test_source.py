@@ -4,8 +4,7 @@ imports inside its body, no module-level function or class goes unused
 (referenced nowhere in the package outside its own definition, and not
 exported in ``__all__``), every name the benchmark's tracer wraps
 still exists, the tracer reads every chunk the engine returns, and
-traced ``run``, ``postselect`` and ``collapse`` commands still
-complete."""
+traced commands still complete."""
 
 import ast
 import importlib
@@ -194,20 +193,26 @@ tracer = tracing.Tracer()
 tracer.install()
 import qtraj.cli
 out = []
-for cmd, name in (("postselect", "fig_condvar"), ("collapse", "fig_infer_eig")):
+for cmd, name in (("postselect", "fig_condvar"), ("collapse", "fig_infer_eig"),
+                  ("born", "fig_born_x")):
     first = len(tracer.spans)
     code = qtraj.cli.main([cmd, "--scenario", name, "--out", sys.argv[2] + cmd,
                            "--trajectories", "9000", "--threads", "2"])
-    out.append([code, [s[5]["normals"] for s in tracer.spans[first:]
-                       if s[0] == "sde_engine.chunk"]])
+    spans = tracer.spans[first:]
+    out.append([code, [s[5]["normals"] for s in spans
+                       if s[0] == "sde_engine.chunk"],
+                sum(s[0] == "stats.ks" for s in spans),
+                sum(s[0] == "stats.histogram" for s in spans)])
 print(json.dumps(out))
 """
 
 
 def test_traced_records_runs_complete(tmp_path):
-    # The records commands select each chunk as it comes; under the
-    # tracer they write the untraced bytes, and each chunk span books
-    # one relaxation step of every amplified position it drew.
+    # The records commands take each chunk as it comes; under the tracer
+    # they write the untraced bytes.  Each chunk span books one
+    # relaxation step of every amplified position it drew (born stops
+    # at the boundary draw), and born's statistics pass through the
+    # names the tracer wraps, once per basis.
     src = str(Path(qtraj.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
@@ -219,12 +224,16 @@ def test_traced_records_runs_complete(tmp_path):
     runs = json.loads(proc.stdout.splitlines()[-1])
     sizes = (sde_engine.CHUNK, 9000 - sde_engine.CHUNK)
     # fig_condvar sweeps five single-mode separations; fig_infer_eig is
-    # one two-mode run
-    cases = (("postselect", "fig_condvar", 5, 1),
-             ("collapse", "fig_infer_eig", 1, 2))
-    for (code, normals), (cmd, name, sweeps, modes) in zip(runs, cases):
+    # one two-mode run, whose inference bins the meter once; born draws
+    # and tests each of its two bases once
+    cases = (("postselect", "fig_condvar", 5, 1, [0, 0]),
+             ("collapse", "fig_infer_eig", 1, 2, [0, 1]),
+             ("born", "fig_born_x", 2, 0, [2, 2]))
+    for (code, normals, *stats), (cmd, name, sweeps, modes, want) \
+            in zip(runs, cases):
         assert code == 0
         assert normals == [size * modes for size in sizes] * sweeps
+        assert stats == want, cmd
         plain = tmp_path / f"plain_{cmd}"
         assert qtraj.cli.main([cmd, "--scenario", name, "--out", str(plain),
                                "--trajectories", "9000", "--threads", "2"]) == 0

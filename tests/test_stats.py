@@ -14,8 +14,10 @@ import pytest
 
 from conftest import SUITE_SEED
 from qtraj import stats
-from qtraj.analytic import marginal_x
-from qtraj.core import AmplifierSpec, ModeSpec
+from qtraj.analytic import (FringeTerm, GaussComponent, Marginal1D, born_p,
+                            born_x, marginal_x)
+from qtraj.core import AmplifierSpec, ModeSpec, SuperpositionSpec
+from qtraj.sampler import sample_fringe_density
 from qtraj.stats import (
     BadEdges,
     DensityComparison,
@@ -37,6 +39,12 @@ def centred_target(mean=0.0):
 
 def rng(offset):
     return np.random.Generator(np.random.Philox(SUITE_SEED + offset))
+
+
+def cat(x1, phi):
+    """An equal-weight superposition of unsqueezed packets at +-x1."""
+    half = math.sqrt(0.5)
+    return SuperpositionSpec(ModeSpec(x1), half, half, phi)
 
 
 class TestHistogram:
@@ -119,6 +127,13 @@ class TestBinZScores:
         z = bin_z_scores(h, centred_target())
         assert np.all(np.isfinite(z))
 
+    def test_no_in_range_sample_is_refused(self):
+        # A NaN z-score column would otherwise follow from 0 / 0.
+        h = histogram([-9.0, 9.5], np.linspace(-6, 6, 13))
+        for compare in (bin_z_scores, compare_density):
+            with pytest.raises(ValueError, match="histogram range"):
+                compare(h, centred_target())
+
 
 class TestCompareDensity:
     def test_returns_both_metrics(self):
@@ -190,18 +205,74 @@ class TestKsBlocks:
         samples[-1] = math.nan
         assert math.isnan(ks_statistic(samples, centred_target()))
 
-    def test_holds_no_full_size_temporaries(self):
-        samples = rng(8).normal(0.0, math.sqrt(2.0), 1_000_000)
+    @pytest.mark.parametrize("at", [0, B, -1])
+    def test_a_nan_in_an_ascending_sample_gives_nan(self, at):
+        samples = np.sort(rng(7).normal(0.0, math.sqrt(2.0), self.B + 17))
+        samples[at] = math.nan
+        assert math.isnan(ks_statistic(samples, centred_target()))
+
+    def test_an_ascending_sample_gives_the_bits_of_a_shuffled_one(self):
+        samples = rng(9).normal(0.02, math.sqrt(2.0), 3 * self.B + 17)
+        assert ks_statistic(np.sort(samples), centred_target()) \
+            == ks_statistic(samples, centred_target())
+
+    @pytest.mark.parametrize("ascending", [False, True])
+    def test_leaves_the_callers_array_as_it_was(self, ascending):
+        samples = rng(9).normal(0.0, math.sqrt(2.0), self.B + 17)
+        if ascending:
+            samples.sort()
+        kept = samples.copy()
+        ks_statistic(samples, centred_target())
+        assert samples.tobytes() == kept.tobytes()
+
+    @staticmethod
+    def ks_peak(samples):
         ks_statistic(samples[:10], centred_target())  # warm any caches
         tracemalloc.start()
         try:
             ks_statistic(samples, centred_target())
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The sorted copy and the CDF are 8 MB each; the whole-array
-        # formula took about 40 MB.
-        assert peak < 2.5 * samples.nbytes
+
+    def test_holds_no_full_size_temporaries(self):
+        samples = rng(8).normal(0.0, math.sqrt(2.0), 1_000_000)
+        # The sorted copy is 8 MB; the whole-array formula took about 40.
+        assert self.ks_peak(samples) < 2.5 * samples.nbytes
+
+    def test_reads_an_ascending_sample_without_a_copy(self):
+        samples = np.sort(rng(8).normal(0.0, math.sqrt(2.0), 1_000_000))
+        assert self.ks_peak(samples) < 0.5 * samples.nbytes
+
+    TABLES = {
+        "born_x": lambda: born_x(cat(2.0, 0.5 * math.pi)),
+        "born_p": lambda: born_p(cat(2.0, 0.5 * math.pi)),
+        "odd_cat": lambda: marginal_x(cat(0.1, math.pi), AMP, 0.0),
+        "crest": lambda: Marginal1D(
+            (GaussComponent(1.0, (0.0,), (1.0,)),),
+            FringeTerm(1.0, (0.0,), (1.0,), (0.3,), math.pi), axes=("v",)),
+    }
+
+    def test_divides_each_interpolated_value_by_the_mass(self):
+        # The crest's mass is not 1, so dividing the table instead of
+        # each interpolated value would move the last bit of about a
+        # third of the values; a sample of the crest itself keeps the
+        # statistic small enough to show it in most of the five draws.
+        target = self.TABLES["crest"]()
+        assert target.total_mass() != 1.0
+        draws = sample_fringe_density(target, rng(10), 5 * (self.B + 17))
+        for samples in draws.reshape(5, -1):
+            assert ks_statistic(samples, target) \
+                == self.unblocked(samples, target)
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_cdf_table_has_the_bits_of_the_unblocked_masses(self, name):
+        target = self.TABLES[name]()
+        grid, cdfv = target._cdf_table()
+        want = np.linspace(*target.support_hint(12.0), 20001)
+        masses = np.cumsum(target.bin_masses(want, order=8))
+        assert grid.tobytes() == want.tobytes()
+        assert cdfv.tobytes() == np.concatenate([[0.0], masses]).tobytes()
 
 
 class TestKsCritical:
