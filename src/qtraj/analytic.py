@@ -231,24 +231,30 @@ class GaussFringeDensity:
         return cls(gaussians=comps, fringe=self._reduced_fringe(keep),
                    norm=self.norm, axes=axes)
 
-    def scaled(self, axis: Union[int, str], factor: float) -> "GaussFringeDensity":
-        """Density of u_axis / factor (e.g. gain-rescaled outcomes)."""
+    def _mapped(self, axis: Union[int, str], mean, var, wave
+                ) -> "GaussFringeDensity":
+        """The same density with, on one axis only, every mean, variance
+        and fringe wave number passed through ``mean``, ``var``, ``wave``."""
         ai = self.axis_index(axis)
 
-        def sc(tup, power):
-            return tuple(v / factor ** power if j == ai else v
-                         for j, v in enumerate(tup))
+        def on_axis(tup, fn):
+            return tuple(fn(v) if j == ai else v for j, v in enumerate(tup))
 
-        comps = tuple(GaussComponent(c.weight, sc(c.means, 1), sc(c.variances, 2))
+        comps = tuple(GaussComponent(c.weight, on_axis(c.means, mean),
+                                     on_axis(c.variances, var))
                       for c in self.gaussians)
         fr = self.fringe
         if fr is not None:
-            wave = tuple(k * factor if j == ai else k
-                         for j, k in enumerate(fr.wave))
-            fr = FringeTerm(fr.amplitude, sc(fr.means, 1), sc(fr.variances, 2),
-                            wave, fr.phase)
+            fr = FringeTerm(fr.amplitude, on_axis(fr.means, mean),
+                            on_axis(fr.variances, var), on_axis(fr.wave, wave),
+                            fr.phase)
         return type(self)(gaussians=comps, fringe=fr, norm=self.norm,
                           axes=self.axes)
+
+    def scaled(self, axis: Union[int, str], factor: float) -> "GaussFringeDensity":
+        """Density of u_axis / factor (e.g. gain-rescaled outcomes)."""
+        return self._mapped(axis, lambda m: m / factor,
+                            lambda v: v / factor ** 2, lambda k: k * factor)
 
     def convolved(self, axis: Union[int, str], added_var: float) -> "GaussFringeDensity":
         """Convolve one axis with N(0, added_var).
@@ -257,22 +263,11 @@ class GaussFringeDensity:
         (its wave-vector component is zero there); the general case would
         leave the family.
         """
-        ai = self.axis_index(axis)
-        if self.fringe is not None and self.fringe.wave[ai] != 0.0:
-            raise ValueError("cannot convolve along an oscillating axis")
-
-        def cv(tup):
-            return tuple(v + added_var if j == ai else v
-                         for j, v in enumerate(tup))
-
-        comps = tuple(GaussComponent(c.weight, c.means, cv(c.variances))
-                      for c in self.gaussians)
         fr = self.fringe
-        if fr is not None:
-            fr = FringeTerm(fr.amplitude, fr.means, cv(fr.variances),
-                            fr.wave, fr.phase)
-        return type(self)(gaussians=comps, fringe=fr, norm=self.norm,
-                          axes=self.axes)
+        if fr is not None and fr.wave[self.axis_index(axis)] != 0.0:
+            raise ValueError("cannot convolve along an oscillating axis")
+        return self._mapped(axis, lambda m: m, lambda v: v + added_var,
+                            lambda k: k)
 
 
 class Marginal1D(GaussFringeDensity):
@@ -324,6 +319,13 @@ class Marginal1D(GaussFringeDensity):
 # Single-mode distributions
 # ----------------------------------------------------------------------
 
+def _at(mode: ModeSpec, amp: AmplifierSpec, t: float
+        ) -> Tuple[float, float, float]:
+    """Gain G(t) and one packet's variances (sigma_x^2(t), sigma_p^2(t))."""
+    return (float(gain(amp, t)), sigma_x2_at(mode, amp, t),
+            sigma_p2_at(mode, amp, t))
+
+
 def q_single_mode(spec: Union[ModeSpec, SuperpositionSpec], amp: AmplifierSpec,
                   t: float) -> GaussFringeDensity:
     """Phase-space distribution of an amplified superposition at time t.
@@ -344,10 +346,7 @@ def q_single_mode(spec: Union[ModeSpec, SuperpositionSpec], amp: AmplifierSpec,
     GaussFringeDensity with axes ("x", "p").
     """
     sup = as_superposition(spec)
-    t = _check_time(amp, t)
-    g = float(gain(amp, t))
-    sx2 = sigma_x2_at(sup.mode, amp, t)
-    sp2 = sigma_p2_at(sup.mode, amp, t)
+    g, sx2, sp2 = _at(sup.mode, amp, _check_time(amp, t))
     x1 = sup.x1
     comps = (
         GaussComponent(sup.c1_mag ** 2, (g * x1, 0.0), (sx2, sp2)),
@@ -400,10 +399,7 @@ def conditional_p_given_x(spec, amp: AmplifierSpec, t: float,
     for equal amplitudes s = sech(u).
     """
     sup = as_superposition(spec)
-    t = _check_time(amp, t)
-    g = float(gain(amp, t))
-    sx2 = sigma_x2_at(sup.mode, amp, t)
-    sp2 = sigma_p2_at(sup.mode, amp, t)
+    g, sx2, sp2 = _at(sup.mode, amp, _check_time(amp, t))
     k = g * sup.x1 / sx2
     s = float(_branch_fringe_ratio(sup, x * g * sup.x1 / sx2))
     fringe = (FringeTerm(s, (0.0,), (sp2,), (k,), sup.phase_phi)
@@ -511,10 +507,8 @@ def fbc_from_wigner(spec, amp: AmplifierSpec) -> Marginal1D:
     marginal at t_final exactly, which is the boundary-sampling identity
     the `wigner` boundary method relies on.
     """
-    m = wigner_cat(spec).marginal("p")
-    g = amp.gain_tf
-    scaled = m.scaled("x", 1.0 / g)
-    return scaled.convolved("x", 1.0)
+    marginal = wigner_cat(spec).marginal("p")
+    return marginal.scaled("x", 1.0 / amp.gain_tf).convolved("x", 1.0)
 
 
 @dataclass(frozen=True)
@@ -594,11 +588,8 @@ def two_mode_q(spec: TwoModeSpec, amp: AmplifierSpec, t: float
         raise ScenarioError("two_mode_q needs a TwoModeSpec")
     t = _check_time(amp, t)
     sup = spec.mode_a
-    g = float(gain(amp, t))
-    sxa = sigma_x2_at(sup.mode, amp, t)
-    spa = sigma_p2_at(sup.mode, amp, t)
-    sxb = sigma_x2_at(spec.mode_b, amp, t)
-    spb = sigma_p2_at(spec.mode_b, amp, t)
+    g, sxa, spa = _at(sup.mode, amp, t)
+    _, sxb, spb = _at(spec.mode_b, amp, t)
     x1, x1b = spec.x1, spec.x1b
     ea = sup.mode.overlap_exponent
     eb = spec.mode_b.overlap_exponent
@@ -627,9 +618,8 @@ def meter_condition_weights(spec: TwoModeSpec, amp: AmplifierSpec, t: float,
     factor sech u (the branch fringe ratio at the equal amplitudes of a
     TwoModeSpec), both vectorised over x_b and finite for any |u|.
     """
-    t = _check_time(amp, t)
-    sxb = sigma_x2_at(spec.mode_b, amp, t)
-    u = np.asarray(x_b, dtype=float) * float(gain(amp, t)) * spec.x1b / sxb
+    g, sxb, _ = _at(spec.mode_b, amp, _check_time(amp, t))
+    u = np.asarray(x_b, dtype=float) * g * spec.x1b / sxb
     return 0.5 * (1.0 + np.tanh(u)), _branch_fringe_ratio(spec.mode_a, u)
 
 
@@ -643,11 +633,8 @@ def _meter_branch_density(spec: TwoModeSpec, w_plus: float, s: float,
     averaged factors is the average of the per-record densities.
     """
     sup = spec.mode_a
-    g = float(gain(amp, t))
-    sxa = sigma_x2_at(sup.mode, amp, t)
-    spa = sigma_p2_at(sup.mode, amp, t)
-    spb = sigma_p2_at(spec.mode_b, amp, t)
-    sxb = sigma_x2_at(spec.mode_b, amp, t)
+    g, sxa, spa = _at(sup.mode, amp, t)
+    _, sxb, spb = _at(spec.mode_b, amp, t)
     x1 = g * spec.x1
     comps = (GaussComponent(w_plus, (x1, 0.0, 0.0), (sxa, spa, spb)),
              GaussComponent(1.0 - w_plus, (-x1, 0.0, 0.0), (sxa, spa, spb)))

@@ -173,6 +173,9 @@ def parse_scenario_text(text: str, label: str) -> ScenarioFile:
         raise ScenarioFileError(
             f"{label}: run.boundary must be 'direct' or 'wigner', "
             f"got {boundary!r}")
+    if values["run.trajectories"] < 1:
+        raise ScenarioFileError(f"{label}: run.trajectories must be >= 1, "
+                                f"got {values['run.trajectories']}")
     g = values["amp.g"]
     gtf = values["amp.gtf"]
     if g == 0.0 or gtf / g <= 0.0:
@@ -361,8 +364,9 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         amp = AmplifierSpec(rate if basis == "x" else -rate, t_final, 1)
         validate_scenario(state, amp)
         scaled = np.empty(sc.trajectories)  # the final records, one column
+        boundary = sc.boundary if basis == "x" else "direct"
         for lo, hi, arrays in sde_engine.iter_chunks(
-                state, amp, sc.trajectories, sc.seed, threads, sc.boundary,
+                state, amp, sc.trajectories, sc.seed, threads, boundary,
                 stream_offset=block * _STREAM_BLOCK, _through=1):
             scaled[lo:hi] = arrays[0][:, -1]
         scaled /= math.exp(rate * t_final)

@@ -145,7 +145,8 @@ def path_densities(spec, amp: AmplifierSpec, boundary_method: str = "direct"
 
     The boundary of an amplified position is the marginal at the final
     time, or with ``boundary_method="wigner"`` the scaled-and-smoothed
-    Wigner marginal (analytically the same density).  Two-mode states
+    Wigner marginal (analytically the same density), which only a single
+    mode's position has; any other boundary refuses it.  Two-mode states
     amplify both positions with ``amp`` and sample the (x_a, x_b) and
     (p_a, p_b) pairs jointly.
     """
@@ -153,6 +154,10 @@ def path_densities(spec, amp: AmplifierSpec, boundary_method: str = "direct"
         raise ValueError(
             f"boundary_method must be one of {_BOUNDARY_METHODS}, "
             f"got {boundary_method!r}")
+    if boundary_method == "wigner" and (isinstance(spec, TwoModeSpec)
+                                        or amp.gain_rate_g < 0.0):
+        raise ScenarioError("run.boundary = wigner applies only to the "
+                            "amplified position of a single mode (amp.g > 0)")
     if isinstance(spec, TwoModeSpec):
         if amp.gain_rate_g <= 0.0:
             raise ScenarioError("two-mode runs amplify both positions: "
@@ -163,10 +168,8 @@ def path_densities(spec, amp: AmplifierSpec, boundary_method: str = "direct"
     if amp.gain_rate_g < 0.0:
         return PathDensities(marginal_p(spec, amp, amp.t_final),
                              marginal_x(spec, amp, 0.0))
-    if boundary_method == "direct":
-        boundary = marginal_x(spec, amp, amp.t_final)
-    else:
-        boundary = fbc_from_wigner(spec, amp)
+    boundary = (fbc_from_wigner(spec, amp) if boundary_method == "wigner"
+                else marginal_x(spec, amp, amp.t_final))
     return PathDensities(boundary, marginal_p(spec, amp, 0.0))
 
 
@@ -214,31 +217,19 @@ def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
     return tuple(path for pair in pairs for path in pair)
 
 
-def single_mode_chunk(spec: Union[ModeSpec, SuperpositionSpec],
-                      amp: AmplifierSpec, seed: int, chunk_id: int,
-                      size: int, boundary_method: str = "direct",
-                      _densities: Optional[PathDensities] = None,
-                      _through: int = 3) -> Tuple[np.ndarray, ...]:
-    """One chunk of position-amplified paths: (x, p)."""
+def _chunk_entry(spec, amp: AmplifierSpec, seed: int, chunk_id: int,
+                 size: int, boundary_method: str = "direct",
+                 _densities: Optional[PathDensities] = None,
+                 _through: int = 3) -> Tuple[np.ndarray, ...]:
+    """One chunk of any run's paths, from the densities of
+    :func:`path_densities` unless they are given: (x, p) of a single
+    mode, (x_a, p_a, x_b, p_b) of the system-meter pair."""
     dens = _densities or path_densities(spec, amp, boundary_method)
     return _path_chunk(dens, amp, seed, chunk_id, size, _through)
 
 
-def p_measurement_chunk(spec: Union[ModeSpec, SuperpositionSpec],
-                        amp: AmplifierSpec, seed: int, chunk_id: int,
-                        size: int, _densities: Optional[PathDensities] = None,
-                        _through: int = 3) -> Tuple[np.ndarray, ...]:
-    """One chunk of momentum-amplified paths (negative gain rate): (x, p)."""
-    return _path_chunk(_densities or path_densities(spec, amp),
-                       amp, seed, chunk_id, size, _through)
-
-
-def two_mode_chunk(spec: TwoModeSpec, amp: AmplifierSpec, seed: int,
-                   chunk_id: int, size: int,
-                   _densities: Optional[PathDensities] = None, _through=3):
-    """One chunk of joint system-meter paths: (x_a, p_a, x_b, p_b)."""
-    return _path_chunk(_densities or path_densities(spec, amp),
-                       amp, seed, chunk_id, size, _through)
+# perfbench/tracing.py wraps these names; all three are the one body.
+single_mode_chunk = p_measurement_chunk = two_mode_chunk = _chunk_entry
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +289,15 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
     """
     n_traj = _check_count(n_traj, "n_traj")
     dens = path_densities(spec, amp, boundary_method)
-    # Looked up at run time so that a wrapper around it sees every chunk
-    # of paths; a tallied chunk holds no paths and goes to the kernel.
-    entry = (two_mode_chunk if dens.boundary.ndim == 2 else
-             single_mode_chunk if amp.gain_rate_g > 0.0 else
-             p_measurement_chunk)
 
     def call(cid):
         lo, hi = chunk_bounds(n_traj, cid)
         args = (seed, stream_offset + cid, hi - lo)
-        if _keep is not None:
+        if _keep is not None:  # a tally holds no paths: straight to the kernel
             return lo, hi, _path_chunk(dens, amp, *args, _through, _keep)
-        return lo, hi, entry(spec, amp, *args, _densities=dens,
-                             _through=_through)
+        # Looked up per call, so a wrapper around the name sees each chunk.
+        return lo, hi, single_mode_chunk(spec, amp, *args, _densities=dens,
+                                         _through=_through)
 
     ids = iter(range(n_chunks(n_traj)))
     threads = resolve_threads(threads)

@@ -102,6 +102,18 @@ class DensityComparison(NamedTuple):
     ks: float
 
 
+def _compared(hist: Histogram, target: Marginal1D):
+    """(z, p, frac): per-bin z-scores, target bin probabilities
+    renormalised to the histogram range, and in-range sample fractions."""
+    if hist.n == 0:
+        raise ValueError("no sample lies inside the histogram range")
+    masses = target.bin_masses(hist.edges)
+    p = masses / masses.sum()
+    frac = hist.counts / hist.n
+    se = np.sqrt(p * (1.0 - p) / hist.n)
+    return (frac - p) / np.where(se > 0, se, np.inf), p, frac
+
+
 def bin_z_scores(hist: Histogram, target: Marginal1D) -> np.ndarray:
     """Signed per-bin z-scores of binned samples against a density.
 
@@ -111,31 +123,20 @@ def bin_z_scores(hist: Histogram, target: Marginal1D) -> np.ndarray:
     bins the target nearly empties.  A histogram with no in-range
     sample raises ValueError.
     """
-    if hist.n == 0:
-        raise ValueError("no sample lies inside the histogram range")
-    masses = target.bin_masses(hist.edges)
-    p = masses / masses.sum()
-    frac = hist.counts / hist.n
-    se = np.sqrt(p * (1.0 - p) / hist.n)
-    return (frac - p) / np.where(se > 0, se, np.inf)
+    return _compared(hist, target)[0]
 
 
 def compare_density(hist: Histogram, target: Marginal1D) -> DensityComparison:
     """Compare binned samples against a closed-form density.
 
-    Per-bin deviations come from `bin_z_scores`; the second statistic
+    Per-bin deviations are those of `bin_z_scores`; the second statistic
     is the largest CDF discrepancy at the bin edges — a binned
     (conservative) Kolmogorov-Smirnov distance; use `ks_statistic` on
     the raw samples for the sharp version.
     """
-    z = np.abs(bin_z_scores(hist, target))  # refuses an empty histogram
-    masses = target.bin_masses(hist.edges)
-    p = masses / masses.sum()
-    frac = hist.counts / hist.n
-    cdf_emp = np.cumsum(frac)
-    cdf_target = np.cumsum(p)
-    ks = float(np.max(np.abs(cdf_emp - cdf_target)))
-    return DensityComparison(max_z=float(np.max(z)), ks=ks)
+    z, p, frac = _compared(hist, target)
+    ks = float(np.max(np.abs(np.cumsum(frac) - np.cumsum(p))))
+    return DensityComparison(max_z=float(np.max(np.abs(z))), ks=ks)
 
 
 def ks_statistic(samples, target: Marginal1D) -> float:

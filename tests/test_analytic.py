@@ -159,6 +159,14 @@ class TestDensityFamily:
         dens = self._hand_density()
         assert dens.scaled("p", 3.0).total_mass() == pytest.approx(
             dens.total_mass(), rel=1e-12)
+        # Bitwise the hand-built member: m / c, v / c^2 and k c on p.
+        c = 3.0
+        comps = (GaussComponent(0.55, (1.0, -0.5 / c), (1.5, 0.8 / c ** 2)),
+                 GaussComponent(0.45, (-2.0, 0.3 / c), (0.5, 2.0 / c ** 2)))
+        fringe = FringeTerm(0.3, (0.2, -0.1 / c), (1.0, 1.2 / c ** 2),
+                            (0.7, 1.3 * c), 0.4)
+        assert dens.scaled("p", c) == GaussFringeDensity(
+            gaussians=comps, fringe=fringe, norm=1.1, axes=("x", "p"))
 
     def test_convolved_adds_variance(self):
         comps = (GaussComponent(0.7, (1.0,), (2.0,)),
@@ -168,6 +176,11 @@ class TestDensityFamily:
                           axes=("x",))
         added = 0.9
         conv = dens.convolved("x", added)
+        assert conv == Marginal1D(  # bitwise the hand-built member
+            gaussians=(GaussComponent(0.7, (1.0,), (2.0 + added,)),
+                       GaussComponent(0.3, (-1.0,), (0.5 + added,))),
+            fringe=FringeTerm(0.2, (0.0,), (1.0 + added,), (0.0,), 0.1),
+            norm=1.0, axes=("x",))
         mean0, var0 = dens.moments(0)
         mean1, var1 = conv.moments(0)
         assert mean1 == pytest.approx(mean0, abs=1e-13)

@@ -242,18 +242,46 @@ class TestMainValidation:
         assert code == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
 
-    def test_nonpositive_trajectories_exits_2(self, tmp_path):
+    def test_nonpositive_trajectories_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SQUEEZED.format(seed=1))
         code = main(["run", "--scenario", str(path), "--out",
                      str(tmp_path / "o"), "--trajectories", "0"])
         assert code == EXIT_VALIDATION
-        empty = write_scenario(
-            tmp_path, SQUEEZED.format(seed=1).replace(
-                "run.trajectories = 2000", "run.trajectories = 0"),
-            "empty.scenario")
-        for cmd in ("run", "born", "postselect"):
-            assert main([cmd, "--scenario", str(empty), "--out",
-                         str(tmp_path / cmd)]) == EXIT_VALIDATION
+        assert "--trajectories" in capsys.readouterr().err
+        for n in (0, -3):
+            bad = write_scenario(
+                tmp_path, SQUEEZED.format(seed=1).replace(
+                    "run.trajectories = 2000", f"run.trajectories = {n}"),
+                f"bad{n}.scenario")
+            for cmd in ("run", "born", "postselect"):
+                out = tmp_path / f"{cmd}{n}"
+                assert main([cmd, "--scenario", str(bad), "--out",
+                             str(out)]) == EXIT_VALIDATION
+                err = capsys.readouterr().err
+                assert f"bad{n}: run.trajectories must be >= 1" in err, err
+                assert not list(out.glob("*.csv"))
+
+    def test_wigner_boundary_is_refused_off_a_single_position(
+            self, tmp_path, capsys):
+        # The Wigner construction builds a single mode's amplified
+        # position; a meter pair or an amplified momentum has none.
+        pair = TWO_MODE.format(x1b=2.0, n=100, seed=1)
+        momentum = SUPERPOSITION.format(gtf=-1.0, n_steps=2, n=100,
+                                        seed=1).replace("amp.g = 1.0",
+                                                        "amp.g = -1.0")
+        for cmd, text in (("collapse", pair), ("run", pair),
+                          ("run", momentum)):
+            path = write_scenario(tmp_path, text + "run.boundary = wigner\n")
+            out = tmp_path / cmd
+            assert main([cmd, "--scenario", str(path), "--out",
+                         str(out)]) == EXIT_VALIDATION
+            assert "run.boundary = wigner" in capsys.readouterr().err
+            assert not list(out.glob("*.csv"))
+        # born reads the momentum record by the direct density.
+        path = write_scenario(tmp_path, SUPERPOSITION.format(
+            gtf=1.0, n_steps=2, n=100, seed=1) + "run.boundary = wigner\n")
+        assert main(["born", "--scenario", str(path), "--out",
+                     str(tmp_path / "born")]) == EXIT_OK
 
     def test_born_rejects_two_mode(self, tmp_path):
         path = write_scenario(tmp_path, TWO_MODE.format(x1b=2.0, n=100,

@@ -237,6 +237,12 @@ class TestSingleModeLaw:
         with pytest.raises(ValueError):
             simulate_single_mode(ModeSpec(1.0, 0.0), amp, 10,
                                  SUITE_SEED, boundary_method="exact")
+        # The Wigner boundary is a single mode's amplified position only.
+        pair = TwoModeSpec(cat(1.0, 0.0, 0.5 * math.pi), ModeSpec(2.0))
+        for spec, gain_rate in ((pair, 1.0), (cat(2.0), -1.0)):
+            with pytest.raises(ScenarioError, match="run.boundary"):
+                path_densities(spec, AmplifierSpec(gain_rate, 1.0, 2),
+                               "wigner")
 
     def test_gain_sign_guards(self):
         with pytest.raises(ScenarioError):

@@ -121,24 +121,29 @@ def test_traced_names_resolve():
 def test_tracer_counts_the_normals_of_every_chunk_stage(through):
     # The tracer derives normals from the chunk it is handed: the first
     # array's shape times the number of arrays.  A stopped chunk must
-    # still hand it arrays, one per relaxed (or drawn) coordinate.
+    # still hand it arrays, one per relaxed (or drawn) coordinate.  The
+    # three traced names are one body, so each draws any run's chunk,
+    # bitwise that of the kernel.
     tracing = load_tracing()
     half = 1.0 / math.sqrt(2.0)
     cat = SuperpositionSpec(ModeSpec(1.0), c1_mag=half, c2_mag=half,
                             phase_phi=0.5 * math.pi)
     size, n_steps = 7, 4
     amp = AmplifierSpec(1.0, 1.5, n_steps)
-    cases = ((sde_engine.single_mode_chunk, cat, amp, 1),
-             (sde_engine.p_measurement_chunk, cat,
-              AmplifierSpec(-1.0, 1.5, n_steps), 1),
-             (sde_engine.two_mode_chunk, TwoModeSpec(cat, ModeSpec(2.0)),
-              amp, 2))
-    for entry, spec, amp, modes in cases:
-        args, kwargs = (spec, amp, 5, 0, size), {"_through": through}
-        extra = tracing._chunk_after(None, args, kwargs,
-                                     entry(*args, **kwargs))
-        relaxed = {1: 0, 2: modes, 3: 2 * modes}[through]
-        assert extra["normals"] == size * n_steps * relaxed, entry.__name__
+    cases = ((cat, amp, 1), (cat, AmplifierSpec(-1.0, 1.5, n_steps), 1),
+             (TwoModeSpec(cat, ModeSpec(2.0)), amp, 2))
+    for name in ("single_mode_chunk", "p_measurement_chunk",
+                 "two_mode_chunk"):
+        for spec, amp, modes in cases:
+            args, kwargs = (spec, amp, 5, 0, size), {"_through": through}
+            chunk = getattr(sde_engine, name)(*args, **kwargs)
+            want = sde_engine._path_chunk(sde_engine.path_densities(spec, amp),
+                                          amp, 5, 0, size, through)
+            assert [(a.shape, a.tobytes()) for a in chunk] \
+                == [(a.shape, a.tobytes()) for a in want], name
+            extra = tracing._chunk_after(None, args, kwargs, chunk)
+            relaxed = {1: 0, 2: modes, 3: 2 * modes}[through]
+            assert extra["normals"] == size * n_steps * relaxed, name
 
 
 TRACED_RUNS = """

@@ -136,11 +136,15 @@ class TestBinZScores:
 
 
 class TestCompareDensity:
-    def test_returns_both_metrics(self):
+    def test_returns_both_metrics(self, monkeypatch):
         target = centred_target()
         samples = rng(5).normal(0.0, math.sqrt(2.0), 200000)
         h = histogram(samples, np.linspace(-6, 6, 41))
+        calls, masses = [], Marginal1D.bin_masses
+        monkeypatch.setattr(Marginal1D, "bin_masses", lambda self, *a, **k:
+                            calls.append(a) or masses(self, *a, **k))
         comp = compare_density(h, target)
+        assert len(calls) == 1  # both metrics from one integration
         assert isinstance(comp, DensityComparison)
         assert comp.max_z == pytest.approx(
             float(np.max(np.abs(bin_z_scores(h, target)))))
