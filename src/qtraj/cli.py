@@ -69,31 +69,24 @@ def _parse_phase(value: str) -> float:
     return float(value)
 
 
-_KEY_TYPES = {
-    "state.kind": str,
-    "state.x1": float,
-    "state.r": float,
-    "state.phi": _parse_phase,
-    "state.c1_sq": float,
-    "meter.x1b": float,
-    "meter.r2": float,
-    "amp.g": float,
-    "amp.gtf": float,
-    "amp.n_steps": int,
-    "run.trajectories": int,
-    "run.seed": int,
-    "run.boundary": str,
-}
+_KINDS = ("squeezed", "superposition", "two_mode")
 
-_BASE_REQUIRED = {"state.kind", "state.x1", "state.r", "amp.g", "amp.gtf",
-                  "run.trajectories", "run.seed"}
-_BASE_OPTIONAL = {"amp.n_steps", "run.boundary"}
-_KIND_KEYS = {
-    "squeezed": (_BASE_REQUIRED, _BASE_OPTIONAL),
-    "superposition": (_BASE_REQUIRED | {"state.phi"},
-                      _BASE_OPTIONAL | {"state.c1_sq"}),
-    "two_mode": (_BASE_REQUIRED | {"state.phi", "meter.x1b", "meter.r2"},
-                 _BASE_OPTIONAL | {"state.c1_sq"}),
+# key: (parser, default, the kinds that take it).  A key with no default
+# is required by every kind that takes it; its field's suffix names it.
+_KEYS = {
+    "state.kind": (str, None, _KINDS),
+    "state.x1": (float, None, _KINDS),
+    "state.r": (float, None, _KINDS),
+    "state.phi": (_parse_phase, None, ("superposition", "two_mode")),
+    "state.c1_sq": (float, 0.5, ("superposition",)),
+    "meter.x1b": (float, None, ("two_mode",)),
+    "meter.r2": (float, None, ("two_mode",)),
+    "amp.g": (float, None, _KINDS),
+    "amp.gtf": (float, None, _KINDS),
+    "amp.n_steps": (int, 300, _KINDS),
+    "run.trajectories": (int, None, _KINDS),
+    "run.seed": (int, None, _KINDS),
+    "run.boundary": (str, "direct", ("squeezed", "superposition")),
 }
 
 
@@ -106,7 +99,7 @@ class ScenarioFile:
     kind: str
     x1: float
     r: float
-    phi: float
+    phi: Optional[float]
     c1_sq: float
     x1b: Optional[float]
     r2: Optional[float]
@@ -141,12 +134,12 @@ def parse_scenario_text(text: str, label: str) -> ScenarioFile:
                 f"{label}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KEY_TYPES:
+        if key not in _KEYS:
             raise ScenarioFileError(f"{label}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ScenarioFileError(f"{label}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = _KEY_TYPES[key](val)
+            values[key] = _KEYS[key][0](val)
         except ValueError as exc:
             raise ScenarioFileError(
                 f"{label}:{lineno}: bad value for {key!r}: {exc}") from exc
@@ -155,42 +148,34 @@ def parse_scenario_text(text: str, label: str) -> ScenarioFile:
                 f"{label}:{lineno}: {key!r} must be finite, got {val!r}")
 
     kind = values.get("state.kind")
-    if kind not in _KIND_KEYS:
+    if kind not in _KINDS:
         raise ScenarioFileError(
-            f"{label}: state.kind must be one of {sorted(_KIND_KEYS)}, "
+            f"{label}: state.kind must be one of {sorted(_KINDS)}, "
             f"got {kind!r}")
-    required, optional = _KIND_KEYS[kind]
-    missing = sorted(required - values.keys())
+    taken = {key for key, row in _KEYS.items() if kind in row[2]}
+    missing = sorted(k for k in taken - values.keys() if _KEYS[k][1] is None)
     if missing:
         raise ScenarioFileError(f"{label}: missing keys for kind "
                                 f"{kind!r}: {', '.join(missing)}")
-    extra = sorted(values.keys() - required - optional)
+    extra = sorted(values.keys() - taken)
     if extra:
         raise ScenarioFileError(f"{label}: keys not applicable to kind "
                                 f"{kind!r}: {', '.join(extra)}")
-    boundary = values.get("run.boundary", "direct")
-    if boundary not in ("direct", "wigner"):
+    values = {key: values.get(key, row[1]) for key, row in _KEYS.items()}
+    if values["run.boundary"] not in ("direct", "wigner"):
         raise ScenarioFileError(
             f"{label}: run.boundary must be 'direct' or 'wigner', "
-            f"got {boundary!r}")
+            f"got {values['run.boundary']!r}")
     if values["run.trajectories"] < 1:
         raise ScenarioFileError(f"{label}: run.trajectories must be >= 1, "
                                 f"got {values['run.trajectories']}")
-    g = values["amp.g"]
-    gtf = values["amp.gtf"]
+    g, gtf = values["amp.g"], values["amp.gtf"]
     if g == 0.0 or gtf / g <= 0.0:
         raise ScenarioFileError(
             f"{label}: amp.gtf must be non-zero and share the sign of amp.g")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return ScenarioFile(
-        label=label, digest=digest, kind=kind,
-        x1=values["state.x1"], r=values["state.r"],
-        phi=values.get("state.phi", 0.0),
-        c1_sq=values.get("state.c1_sq", 0.5),
-        x1b=values.get("meter.x1b"), r2=values.get("meter.r2"),
-        g=g, gtf=gtf, n_steps=values.get("amp.n_steps", 300),
-        trajectories=values["run.trajectories"], seed=values["run.seed"],
-        boundary=boundary)
+    return ScenarioFile(label, digest, **{key.split(".")[1]: value
+                                          for key, value in values.items()})
 
 
 def shipped_scenarios() -> Tuple[str, ...]:
@@ -356,7 +341,8 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     """
     state, amp0 = build_state(sc)
     if isinstance(state, TwoModeSpec):
-        raise ScenarioError("born checks run on single-mode scenarios")
+        raise ScenarioError("born checks run on single-mode scenarios, "
+                            "not state.kind = two_mode")
     rate = abs(sc.g)
     t_final = abs(sc.t_final)
     results = []
@@ -384,14 +370,19 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
                 f"born: no {basis} record lies within 4 sigma "
                 f"({hist.n_below} below, {hist.n_above} above); "
                 f"raise run.trajectories (now {sc.trajectories})")
+        masses = target.bin_masses(edges)
+        if not masses.sum() > 0.0:
+            raise ScenarioError(
+                f"born: the {basis} density has no mass the bin quadrature "
+                f"resolves at state.r = {_fmt(sc.r)}")
         comp = compare_density(hist, target)
         ks = ks_statistic(scaled, target)
         del scaled  # released before the next basis draws
-        results.append((basis, hist, target, comp, ks))
+        results.append((basis, hist, target, masses, comp, ks))
 
     def rows():
-        for basis, hist, target, comp, _ in results:
-            expected = target.bin_masses(hist.edges) / hist.widths
+        for basis, hist, target, masses, _, _ in results:
+            expected = masses / hist.widths
             zs = bin_z_scores(hist, target)
             for c, w, cnt, obs, exp, z in zip(hist.centers, hist.widths,
                                               hist.counts, hist.density,
@@ -400,7 +391,7 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
 
     extra = ["  ".join(
         f"basis={basis} max_z={_fmt(comp.max_z)} ks={_fmt(ks)}"
-        for basis, _, _, comp, ks in results)]
+        for basis, _, _, _, comp, ks in results)]
     _write_csv(out_dir, "born_check.csv", _comment_fields(sc),
                ("basis", "center", "width", "count", "observed_density",
                 "expected_density", "z"), rows(), extra_comments=extra)
@@ -419,7 +410,7 @@ def cmd_postselect(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     """
     if sc.kind == "two_mode":
         raise ScenarioError("the separation sweep runs on single-mode "
-                            "scenarios")
+                            "scenarios, not state.kind = two_mode")
     if sc.g <= 0.0:
         raise ScenarioError("the separation sweep amplifies the position "
                             "(amp.g > 0)")
@@ -462,7 +453,8 @@ def cmd_collapse(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     """Meter-sign correlation and the state inferred from the meter record."""
     state, amp = build_state(sc)
     if not isinstance(state, TwoModeSpec):
-        raise ScenarioError("collapse analysis needs a two_mode scenario")
+        raise ScenarioError("collapse analysis needs a two_mode scenario, "
+                            f"not state.kind = {sc.kind}")
     plus, minus, n_agree = _select_by_sign(state, amp, sc.trajectories,
                                            sc.seed, threads, sc.boundary)
     inferred = infer_state_A_numeric(plus, state)

@@ -371,7 +371,8 @@ def infer_state_A_numeric(selected: PostselectedEnsemble, spec: TwoModeSpec
     sup = spec.mode_a
     if _phase_kind(sup.phase_phi) != "quarter":
         raise UnsupportedPhase(
-            "inferred-state reconstruction needs the quarter phase")
+            "inferred-state reconstruction needs the quarter phase "
+            "(state.phi = pi/2)")
     _require_samples(selected.n)
     x_b0 = selected.x_b0
     w_plus, s = meter_condition_weights(spec, _T0_AMP, 0.0, x_b0)

@@ -87,9 +87,6 @@ class TrajectoryEnsemble:
     def is_two_mode(self) -> bool:
         return self.x_b_paths is not None
 
-    def __len__(self) -> int:
-        return self.count
-
 
 def relax(rows, start, rate: float, dt: float, rng) -> None:
     """Fill the row buffers ``rows`` hands out, in turn, with the exact kernel.
@@ -351,6 +348,9 @@ def simulate_single_mode(spec: Union[ModeSpec, SuperpositionSpec],
         Defaults to the QTRAJ_THREADS environment variable (else 1).
         Results do not depend on the thread count.
     """
+    if isinstance(spec, TwoModeSpec):
+        raise ScenarioError("simulate_single_mode needs a single mode; use "
+                            "simulate_two_mode for a TwoModeSpec")
     if amp.gain_rate_g <= 0.0:
         raise ScenarioError("position amplification needs gain_rate_g > 0; "
                             "use simulate_p_measurement for negative gain")

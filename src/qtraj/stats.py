@@ -108,6 +108,8 @@ def _compared(hist: Histogram, target: Marginal1D):
     if hist.n == 0:
         raise ValueError("no sample lies inside the histogram range")
     masses = target.bin_masses(hist.edges)
+    if not masses.sum() > 0.0:
+        raise ValueError("the target has no mass inside the histogram range")
     p = masses / masses.sum()
     frac = hist.counts / hist.n
     se = np.sqrt(p * (1.0 - p) / hist.n)

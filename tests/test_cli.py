@@ -10,6 +10,7 @@ import math
 import re
 import shutil
 import subprocess
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -27,7 +28,7 @@ from qtraj.cli import (
     N_BORN_BINS,
     N_SAVED_PATHS,
     ScenarioFileError,
-    _KEY_TYPES,
+    _KEYS,
     _STREAM_BLOCK,
     _fmt,
     build_state,
@@ -127,8 +128,13 @@ class TestParseScenarioText:
                                  .replace("amp.n_steps = 4\n", ""),
                                  "case")
         assert sc.n_steps == 300
+        assert sc.phi is None
         state, _ = build_state(sc)
         assert isinstance(state, ModeSpec)
+        # A pair holds only equal amplitudes and the direct boundary.
+        pair = parse_scenario_text(TWO_MODE.format(x1b=2.0, n=10, seed=1),
+                                   "case")
+        assert (pair.c1_sq, pair.boundary) == (0.5, "direct")
 
     @pytest.mark.parametrize("word,value", [
         ("pi", math.pi), ("-pi/2", -0.5 * math.pi), ("2pi", 2 * math.pi),
@@ -157,10 +163,14 @@ class TestParseScenarioText:
                                 "run.seed = 1\n", "case")
 
     def test_inapplicable_key_is_named(self):
-        text = SQUEEZED.format(seed=1) + "meter.x1b = 2\n"
-        with pytest.raises(ScenarioFileError,
-                           match="not applicable.*squeezed.*meter.x1b"):
-            parse_scenario_text(text, "case")
+        pair = TWO_MODE.format(x1b=2.0, n=10, seed=1)
+        for text, kind, key in (
+                (SQUEEZED.format(seed=1), "squeezed", "meter.x1b"),
+                (pair, "two_mode", "state.c1_sq"),
+                (pair, "two_mode", "run.boundary")):
+            with pytest.raises(ScenarioFileError,
+                               match=f"not applicable.*{kind}.*{key}"):
+                parse_scenario_text(text + f"{key} = 0.5\n", "case")
 
     def test_bad_value(self):
         text = SQUEEZED.format(seed=1).replace("state.x1 = 1.0",
@@ -168,7 +178,7 @@ class TestParseScenarioText:
         with pytest.raises(ScenarioFileError, match="bad value.*state.x1"):
             parse_scenario_text(text, "case")
 
-    @pytest.mark.parametrize("key", sorted(_KEY_TYPES))
+    @pytest.mark.parametrize("key", sorted(_KEYS))
     def test_unparsable_value_names_its_key(self, key):
         lines = [line for line in TWO_MODE.format(x1b=2.0, n=10, seed=1)
                  .splitlines() if line.split("=")[0].strip() != key]
@@ -269,13 +279,17 @@ class TestMainValidation:
         momentum = SUPERPOSITION.format(gtf=-1.0, n_steps=2, n=100,
                                         seed=1).replace("amp.g = 1.0",
                                                         "amp.g = -1.0")
-        for cmd, text in (("collapse", pair), ("run", pair),
-                          ("run", momentum)):
+        for cmd, text, said in (
+                ("collapse", pair, "keys not applicable to kind 'two_mode': "
+                                   "run.boundary"),
+                ("run", pair, "keys not applicable to kind 'two_mode': "
+                              "run.boundary"),
+                ("run", momentum, "run.boundary = wigner")):
             path = write_scenario(tmp_path, text + "run.boundary = wigner\n")
             out = tmp_path / cmd
             assert main([cmd, "--scenario", str(path), "--out",
                          str(out)]) == EXIT_VALIDATION
-            assert "run.boundary = wigner" in capsys.readouterr().err
+            assert said in capsys.readouterr().err
             assert not list(out.glob("*.csv"))
         # born reads the momentum record by the direct density.
         path = write_scenario(tmp_path, SUPERPOSITION.format(
@@ -720,6 +734,26 @@ class TestCmdBorn:
             in capsys.readouterr().err
         assert not [w for w in caught if w.category is RuntimeWarning]
         assert not out.exists()
+        # At state.r = 40 the x packets (variance e^-80) fall between the
+        # nodes of the bin quadrature, so every target mass would be 0.
+        cat = (resources.files("qtraj") / "scenarios" / "fig_born_x.scenario"
+               ).read_text(encoding="utf-8")
+        assert "state.r = 0\n" in cat
+        for name, text in (
+                ("cat", cat.replace("state.r = 0\n", "state.r = 40\n")),
+                ("squeezed", SQUEEZED.format(seed=1).replace(
+                    "state.r = 0.0", "state.r = 40"))):
+            out = tmp_path / name
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["born", "--scenario",
+                             str(write_scenario(tmp_path, text)), "--out",
+                             str(out), "--trajectories", "20000"])
+            assert code == EXIT_VALIDATION
+            assert ("born: the x density has no mass the bin quadrature "
+                    "resolves at state.r = 40") in capsys.readouterr().err
+            assert not [w for w in caught if w.category is RuntimeWarning]
+            assert not out.exists()
 
 
 class TestCmdPostselect:
@@ -874,6 +908,93 @@ class TestEndpointCommands:
                                    sc.seed, sc.boundary)
         plus, minus = bin_by_sign(ens)
         assert counts == {+1: plus.n, -1: minus.n}
+
+
+QUARTER_CAT = {"state.kind": "superposition", "state.x1": "2",
+               "state.r": "0", "state.phi": "pi/2", "amp.g": "1",
+               "amp.gtf": "3", "amp.n_steps": "20",
+               "run.trajectories": "2000", "run.seed": str(SEED)}
+PAIR = dict(QUARTER_CAT, **{"state.kind": "two_mode", "meter.x1b": "3",
+                            "meter.r2": "0"})
+SQUEEZED_MODE = dict(QUARTER_CAT, **{"state.kind": "squeezed",
+                                     "state.phi": None})
+# Each changes one or two keys of a base (None drops a key).
+EDGE_SCENARIOS = {
+    "x1_small": (QUARTER_CAT, {"state.x1": "0.01"}),
+    "x1_large": (QUARTER_CAT, {"state.x1": "50"}),
+    "r_-40": (QUARTER_CAT, {"state.r": "-40"}),
+    "r_-3": (QUARTER_CAT, {"state.r": "-3"}),
+    "r_40": (QUARTER_CAT, {"state.r": "40"}),
+    "c1_sq_0": (QUARTER_CAT, {"state.c1_sq": "0"}),
+    "c1_sq_1": (QUARTER_CAT, {"state.c1_sq": "1"}),
+    "phi_0": (QUARTER_CAT, {"state.phi": "0"}),
+    "phi_pi": (QUARTER_CAT, {"state.phi": "pi"}),
+    "g_negative": (QUARTER_CAT, {"amp.g": "-1", "amp.gtf": "-3"}),
+    "gtf_tiny": (QUARTER_CAT, {"amp.gtf": "1e-12"}),
+    "gtf_30": (QUARTER_CAT, {"amp.gtf": "30"}),
+    "n_steps_1": (QUARTER_CAT, {"amp.n_steps": "1"}),
+    "squeezed": (SQUEEZED_MODE, {}),
+    "squeezed_r_40": (SQUEEZED_MODE, {"state.r": "40"}),
+    "pair": (PAIR, {}),
+    "pair_x1_small": (PAIR, {"state.x1": "0.1", "meter.x1b": "0.1"}),
+    "pair_squeezed": (PAIR, {"state.r": "-3", "meter.r2": "3"}),
+    "pair_x1_large": (PAIR, {"state.x1": "50", "meter.x1b": "50"}),
+    "pair_phi_0": (PAIR, {"state.phi": "0"}),
+    "pair_g_negative": (PAIR, {"amp.g": "-1", "amp.gtf": "-3"}),
+    "pair_c1_sq": (PAIR, {"state.c1_sq": "0.3"}),
+}
+
+
+def _non_finite(csv_path):
+    """The non-finite numbers of a CSV, but for a flagged epsilon."""
+    comments, header, rows = read_csv(csv_path)
+    cells = [tuple(field.split("=", 1)) for line in comments
+             for field in line[1:].split()
+             if not field.startswith("scenario_sha256=")]
+    for row in rows:
+        flagged = dict(zip(header, row)).get("negative_variance") == "1"
+        cells += [(name, value) for name, value in zip(header, row)
+                  if not (flagged and name in ("epsilon", "epsilon_err"))]
+    bad = []
+    for name, value in cells:
+        try:
+            if not math.isfinite(float(value)):
+                bad.append((csv_path.name, name, value))
+        except ValueError:  # a label such as a basis or a quantity name
+            pass
+    return bad
+
+
+class TestScenarioSpace:
+    """Every run ends in finite output or in a refusal that names a key."""
+
+    @pytest.mark.parametrize("cmd", ["run", "born", "postselect",
+                                     "collapse"])
+    @pytest.mark.parametrize("name", sorted(EDGE_SCENARIOS))
+    def test_finite_output_or_a_named_refusal(self, tmp_path, capsys, name,
+                                              cmd):
+        base, change = EDGE_SCENARIOS[name]
+        keys = {k: v for k, v in {**base, **change}.items() if v is not None}
+        path = write_scenario(tmp_path, "".join(f"{k} = {v}\n"
+                                                for k, v in keys.items()))
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([cmd, "--scenario", str(path), "--out", str(out)])
+        assert time.perf_counter() - start < 5.0
+        assert not caught, [str(w.message) for w in caught]
+        csvs = sorted(out.glob("*.csv"))
+        if code == EXIT_VALIDATION:
+            assert not csvs
+            last = capsys.readouterr().err.splitlines()[-1]
+            names = [*_KEYS, "--trajectories", "--seed", "--threads"]
+            assert last.startswith("error: ")
+            assert any(n in last for n in names), last
+        else:
+            assert code == EXIT_OK
+            assert csvs
+            assert [bad for p in csvs for bad in _non_finite(p)] == []
 
 
 class TestConsoleScript:

@@ -126,7 +126,7 @@ class TestEnsembleContainer:
         ens = self._ensemble()
         assert ens.x_paths.shape == ens.p_paths.shape == (10, 3)
         assert ens.x_b_paths is None
-        assert len(ens) == ens.count == 10
+        assert ens.count == 10
         assert not ens.is_two_mode
 
     def test_shape_validation(self):
@@ -420,6 +420,11 @@ class TestTwoMode:
         with pytest.raises(ScenarioError):
             simulate_two_mode(cat(1.0), AmplifierSpec(1.0, 1.0, 2), 10,
                               SUITE_SEED)
+
+    def test_single_mode_refuses_a_pair(self):
+        with pytest.raises(ScenarioError, match="simulate_two_mode"):
+            simulate_single_mode(self._spec(), AmplifierSpec(1.0, 1.0, 2),
+                                 10, SUITE_SEED)
 
     def test_negative_gain_is_refused(self):
         # Both positions carry the boundary, so neither may be de-amplified.

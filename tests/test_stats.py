@@ -133,6 +133,11 @@ class TestBinZScores:
         for compare in (bin_z_scores, compare_density):
             with pytest.raises(ValueError, match="histogram range"):
                 compare(h, centred_target())
+        # So would a target with no mass the bin quadrature reaches.
+        h = histogram([0.5, 1.5], np.linspace(-6, 6, 13))
+        for compare in (bin_z_scores, compare_density):
+            with pytest.raises(ValueError, match="no mass inside"):
+                compare(h, centred_target(1000.0))
 
 
 class TestCompareDensity:

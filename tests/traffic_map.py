@@ -1,0 +1,137 @@
+"""Print the statements of ``qtraj`` that no shipped run reaches.
+
+Under ``sys.settrace`` (and ``threading.settrace`` for the chunk
+workers) every shipped scenario runs under each of the four commands at
+one and at two threads, in-process, and each case of the benchmark's
+``sampling`` workload runs through the Python API at reduced size.  The
+cases are loaded read-only from ``perfbench/cases.py``.  Then every
+function of ``src/qtraj`` that has an unreached statement is printed
+with those statements:
+
+    PYTHONPATH=src python tests/traffic_map.py --trajectories 20000
+
+Refusal branches, input checks and closed-form twins that only the
+tests call show up here; so does dead code.  Pytest does not collect
+this file (its name does not start with ``test_``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import inspect
+import io
+import sys
+import tempfile
+import threading
+from collections import defaultdict
+from pathlib import Path
+
+import qtraj
+from qtraj import cli
+
+COMMANDS = ("run", "born", "postselect", "collapse")
+PACKAGE = Path(qtraj.__file__).parent
+CASES = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
+
+
+class LineRecorder:
+    """Collects (file, line) of every line run in the package's files."""
+
+    def __init__(self):
+        self.reached = defaultdict(set)
+
+    def _global(self, frame, event, arg):
+        if frame.f_code.co_filename.startswith(str(PACKAGE)):
+            return self._local
+        return None
+
+    def _local(self, frame, event, arg):
+        if event == "line":
+            self.reached[frame.f_code.co_filename].add(frame.f_lineno)
+        return self._local
+
+    @contextlib.contextmanager
+    def recording(self):
+        threading.settrace(self._global)
+        sys.settrace(self._global)
+        try:
+            yield
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+
+
+def run_cli(trajectories):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in cli.shipped_scenarios():
+            for cmd in COMMANDS:
+                for threads in (1, 2):
+                    out = Path(tmp, name, cmd, str(threads))
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        cli.main([cmd, "--scenario", name, "--out", str(out),
+                                  "--threads", str(threads),
+                                  "--trajectories", str(trajectories)])
+
+
+def run_api_cases(trajectories):
+    spec = importlib.util.spec_from_file_location("perfbench_cases", CASES)
+    cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cases)
+    cases.build_first_densities(qtraj)
+    for name, params in cases.CASES.items():
+        params = dict(params, n=min(params["n"], trajectories))
+        result = cases.RUN[name](qtraj, cases.case_seed(name, 1), params)
+        cases.summarise(qtraj, name, result)
+
+
+def _functions(code, owner=None):
+    """(function qualname, lines) for each function under a code object.
+
+    Comprehensions and lambdas count toward the function around them;
+    module and class bodies, which run at import, are not listed.
+    """
+    for const in code.co_consts:
+        if not hasattr(const, "co_lines"):
+            continue
+        name = owner if const.co_name.startswith("<") else const.co_qualname
+        if not const.co_flags & inspect.CO_OPTIMIZED:
+            name = None
+        if name:
+            yield name, {line for _, _, line in const.co_lines()
+                         if line not in (None, const.co_firstlineno)}
+        yield from _functions(const, name)
+
+
+def unreached(reached):
+    """Yield (file, function, sorted unreached lines) for the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = defaultdict(set)
+        for name, own in _functions(compile(source, str(path), "exec")):
+            lines[name] |= own
+        for name, own in lines.items():
+            missed = sorted(own - reached.get(str(path), set()))
+            if missed:
+                yield path, name, missed
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--trajectories", type=int, default=20000,
+                        help="trajectories of every CLI run and API case")
+    args = parser.parse_args(argv)
+    recorder = LineRecorder()
+    with recorder.recording():
+        run_cli(args.trajectories)
+        run_api_cases(args.trajectories)
+    for path, name, missed in unreached(recorder.reached):
+        text = path.read_text(encoding="utf-8").splitlines()
+        print(f"{path.name}:{name}")
+        for line in missed:
+            print(f"  {line:4d}  {text[line - 1].strip()}")
+
+
+if __name__ == "__main__":
+    main()
