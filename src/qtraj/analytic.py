@@ -282,11 +282,21 @@ class Marginal1D(GaussFringeDensity):
         return self.density(u)
 
     def bin_masses(self, edges: np.ndarray, order: int = 24) -> np.ndarray:
-        """Integrate the density over each bin by Gauss-Legendre rule."""
+        """Integrate the density over each bin by Gauss-Legendre rule.
+
+        Raises ValueError if the fringe turns more than ``order`` rad
+        across the widest half bin: the rule cannot resolve it there.
+        """
         edges = np.asarray(edges, dtype=float)
         nodes, weights = np.polynomial.legendre.leggauss(order)
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * np.diff(edges)
+        if self.fringe is not None and self.fringe.amplitude != 0.0:
+            turn = abs(self.fringe.wave[0]) * half.max(initial=0.0)
+            if turn > order:
+                raise ValueError(
+                    f"the fringe turns {turn:.3g} rad across a half bin, "
+                    f"more than the {order}-point bin quadrature resolves")
         pts = mid[:, None] + half[:, None] * nodes[None, :]
         vals = self.density(pts)
         return (vals * weights[None, :]).sum(axis=1) * half

@@ -86,7 +86,6 @@ _KEYS = {
     "amp.n_steps": (int, 300, _KINDS),
     "run.trajectories": (int, None, _KINDS),
     "run.seed": (int, None, _KINDS),
-    "run.boundary": (str, "direct", ("squeezed", "superposition")),
 }
 
 
@@ -108,7 +107,6 @@ class ScenarioFile:
     n_steps: int
     trajectories: int
     seed: int
-    boundary: str
 
     @property
     def t_final(self) -> float:
@@ -162,10 +160,6 @@ def parse_scenario_text(text: str, label: str) -> ScenarioFile:
         raise ScenarioFileError(f"{label}: keys not applicable to kind "
                                 f"{kind!r}: {', '.join(extra)}")
     values = {key: values.get(key, row[1]) for key, row in _KEYS.items()}
-    if values["run.boundary"] not in ("direct", "wigner"):
-        raise ScenarioFileError(
-            f"{label}: run.boundary must be 'direct' or 'wigner', "
-            f"got {values['run.boundary']!r}")
     if values["run.trajectories"] < 1:
         raise ScenarioFileError(f"{label}: run.trajectories must be >= 1, "
                                 f"got {values['run.trajectories']}")
@@ -267,7 +261,7 @@ def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     # Per coordinate and grid time: sum and sum of squares, in chunk order.
     totals = np.zeros((len(names), len(grid), 2))
     for lo, _, tallies in sde_engine.iter_chunks(
-            state, amp, sc.trajectories, sc.seed, threads, sc.boundary,
+            state, amp, sc.trajectories, sc.seed, threads,
             _keep=N_SAVED_PATHS):
         totals += [t[:, :2] for t in tallies]
         if lo == 0:
@@ -350,9 +344,8 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         amp = AmplifierSpec(rate if basis == "x" else -rate, t_final, 1)
         validate_scenario(state, amp)
         scaled = np.empty(sc.trajectories)  # the final records, one column
-        boundary = sc.boundary if basis == "x" else "direct"
         for lo, hi, arrays in sde_engine.iter_chunks(
-                state, amp, sc.trajectories, sc.seed, threads, boundary,
+                state, amp, sc.trajectories, sc.seed, threads,
                 stream_offset=block * _STREAM_BLOCK, _through=1):
             scaled[lo:hi] = arrays[0][:, -1]
         scaled /= math.exp(rate * t_final)
@@ -366,11 +359,19 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         edges = np.linspace(lo_s, hi_s, N_BORN_BINS + 1)
         hist = histogram(scaled, edges)
         if hist.n == 0:
+            # Records on both sides of an empty window: more cannot help.
+            advice = (f"the {basis} target is far narrower than the records "
+                      f"at state.r = {_fmt(sc.r)}"
+                      if hist.n_below and hist.n_above else
+                      f"raise run.trajectories (now {sc.trajectories})")
             raise ScenarioError(
                 f"born: no {basis} record lies within 4 sigma "
-                f"({hist.n_below} below, {hist.n_above} above); "
-                f"raise run.trajectories (now {sc.trajectories})")
-        masses = target.bin_masses(edges)
+                f"({hist.n_below} below, {hist.n_above} above); {advice}")
+        try:
+            masses = target.bin_masses(edges)
+        except ValueError as exc:  # a fringe finer than the rule resolves
+            raise ScenarioError(f"born: the {basis} density cannot be binned "
+                                f"at state.r = {_fmt(sc.r)}: {exc}") from exc
         if not masses.sum() > 0.0:
             raise ScenarioError(
                 f"born: the {basis} density has no mass the bin quadrature "
@@ -420,7 +421,7 @@ def cmd_postselect(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         state, amp = build_state(replace(sc, x1=x1))
         base = 2 * i * _STREAM_BLOCK
         *branches, _ = _select_by_sign(state, amp, sc.trajectories, sc.seed,
-                                       threads, sc.boundary, base)
+                                       threads, base)
         loop_rng = RngStream(sc.seed, base + _STREAM_BLOCK // 2)
         for selected in branches:
             branch = selected.branch
@@ -456,7 +457,7 @@ def cmd_collapse(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         raise ScenarioError("collapse analysis needs a two_mode scenario, "
                             f"not state.kind = {sc.kind}")
     plus, minus, n_agree = _select_by_sign(state, amp, sc.trajectories,
-                                           sc.seed, threads, sc.boundary)
+                                           sc.seed, threads)
     inferred = infer_state_A_numeric(plus, state)
 
     def grid_rows():

@@ -154,8 +154,7 @@ def _take(cols, keep: np.ndarray) -> list:
 
 
 def _select_by_sign(spec, amp: AmplifierSpec, n_traj: int, seed: int,
-                    threads: Optional[int], boundary_method: str = "direct",
-                    stream_offset: int = 0):
+                    threads: Optional[int], stream_offset: int = 0):
     """``(plus, minus, n_agree)``: a run split by final sign, chunk by chunk.
 
     Bitwise ``bin_by_sign(simulate_*(...))``'s branches, the meter
@@ -168,7 +167,7 @@ def _select_by_sign(spec, amp: AmplifierSpec, n_traj: int, seed: int,
         raise ScenarioError("sign selection needs gain rate amp.g > 0")
     kept, n_agree = ([], []), 0  # per branch, each chunk's selected columns
     for _, _, paths in iter_chunks(spec, amp, n_traj, seed, threads,
-                                   boundary_method, stream_offset, _through=2):
+                                   stream_offset=stream_offset, _through=2):
         mask = paths[-1][:, -1] >= 0.0  # the meter decides two modes
         n_agree += np.count_nonzero(mask == (paths[0][:, -1] >= 0.0))
         for parts, keep in zip(kept, (mask, ~mask)):

@@ -153,7 +153,7 @@ def path_densities(spec, amp: AmplifierSpec, boundary_method: str = "direct"
             f"got {boundary_method!r}")
     if boundary_method == "wigner" and (isinstance(spec, TwoModeSpec)
                                         or amp.gain_rate_g < 0.0):
-        raise ScenarioError("run.boundary = wigner applies only to the "
+        raise ScenarioError('boundary_method = "wigner" applies only to the '
                             "amplified position of a single mode (amp.g > 0)")
     if isinstance(spec, TwoModeSpec):
         if amp.gain_rate_g <= 0.0:

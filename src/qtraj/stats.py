@@ -38,9 +38,6 @@ class Histogram:
         Overflow tallies outside the edge range (excluded from ``n``).
     density : ndarray
         counts / (n * bin width); integrates to 1 over the range.
-    std_error : ndarray
-        Binomial error of each density value,
-        sqrt(c (1 - c/n)) / (n * width).
     """
 
     edges: np.ndarray
@@ -49,7 +46,6 @@ class Histogram:
     n_below: int
     n_above: int
     density: np.ndarray
-    std_error: np.ndarray
 
     @property
     def centers(self) -> np.ndarray:
@@ -86,15 +82,9 @@ def histogram(samples, edges) -> Histogram:
     counts, _ = np.histogram(samples, bins=edges)
     n = int(counts.sum())
     widths = np.diff(edges)
-    if n > 0:
-        density = counts / (n * widths)
-        frac = counts / n
-        std_error = np.sqrt(counts * (1.0 - frac)) / (n * widths)
-    else:
-        density = np.zeros_like(widths)
-        std_error = np.zeros_like(widths)
+    density = counts / (n * widths) if n > 0 else np.zeros_like(widths)
     return Histogram(edges=edges, counts=counts, n=n, n_below=n_below,
-                     n_above=n_above, density=density, std_error=std_error)
+                     n_above=n_above, density=density)
 
 
 class DensityComparison(NamedTuple):

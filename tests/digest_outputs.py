@@ -2,8 +2,11 @@
 
 Every shipped scenario (or those named) runs under each of the four
 commands at one and at two threads, in-process.  For each run it prints
-the exit code, the SHA-256 of every CSV written, and stderr.  Two trees
-whose digests are equal wrote the same bytes and said the same things:
+the exit code, the SHA-256 of every CSV written, and stderr.  Each CSV
+also gets a second SHA-256, of its lines after the leading ``#``
+comments, so a changed scenario text (its ``scenario_sha256``) shows as
+changed provenance over unchanged data.  Two trees whose digests are
+equal wrote the same bytes and said the same things:
 
     PYTHONPATH=src python tests/digest_outputs.py --trajectories 20000 > a
     (same in the other tree) > b
@@ -20,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import tempfile
+from itertools import dropwhile
 from pathlib import Path
 
 from qtraj import cli
@@ -43,8 +47,13 @@ def digest_lines(scenarios, trajectories=None):
                         code = cli.main(argv)
                     yield f"{name} {cmd} threads={threads} exit={code}"
                     for path in sorted(out.glob("*.csv")):
-                        sha = hashlib.sha256(path.read_bytes()).hexdigest()
-                        yield f"  {path.name} {sha}"
+                        raw = path.read_bytes()
+                        data = b"".join(dropwhile(
+                            lambda line: line.startswith(b"#"),
+                            raw.splitlines(keepends=True)))
+                        yield (f"  {path.name} "
+                               f"{hashlib.sha256(raw).hexdigest()} "
+                               f"data={hashlib.sha256(data).hexdigest()}")
                     for line in err.getvalue().splitlines():
                         yield f"  stderr: {line.replace(tmp, '<out>')}"
 

@@ -207,6 +207,30 @@ class TestDensityFamily:
         assert float(masses.sum()) == pytest.approx(dens.total_mass(),
                                                     abs=1e-12)
 
+    @staticmethod
+    def fringed(k, amplitude=0.5):
+        """A wide Gaussian carrying a fringe of wave number k."""
+        return Marginal1D(
+            gaussians=(GaussComponent(1.0, (0.0,), (1e4,)),),
+            fringe=FringeTerm(amplitude, (0.0,), (1e4,), (k,), 0.0),
+            axes=("x",))
+
+    def test_bin_masses_refuse_a_fringe_the_rule_cannot_resolve(self):
+        # Half bins of width 1, so the fringe turns k rad across each.
+        # 24 nodes integrate cos(K u) on [-1, 1] to 8e-11 at K = 24 and
+        # miss it by 1e-2 at K = 40 and by 0.59 at K = 48.
+        edges = np.linspace(-10.0, 10.0, 11)
+        fine = self.fringed(24.0).bin_masses(np.linspace(-10.0, 10.0, 2001))
+        np.testing.assert_allclose(self.fringed(24.0).bin_masses(edges),
+                                   fine.reshape(10, 200).sum(axis=1),
+                                   rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="turns 24 rad.*24-point"):
+            self.fringed(24.0 * (1 + 1e-9)).bin_masses(edges)
+        with pytest.raises(ValueError, match="8-point"):
+            self.fringed(8.01).bin_masses(edges, order=8)
+        # Without amplitude there is nothing to resolve.
+        self.fringed(1e3, amplitude=0.0).bin_masses(edges)
+
     def test_cdf_monotone_and_normalised(self):
         dens = marginal_x(cat(2.0, 0.5, 0.0), AMP, 1.0)
         pts = np.linspace(*dens.support_hint(), 400)

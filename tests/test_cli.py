@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtraj.analytic import born_p, born_x, variances_postselected_analytic
+from qtraj.analytic import (born_p, born_x, marginal_x,
+                            variances_postselected_analytic)
 from qtraj.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -41,7 +42,8 @@ from qtraj.core import AmplifierSpec, ModeSpec, SuperpositionSpec, TwoModeSpec
 from qtraj.postselect import bin_by_sign, meter_sign_agreement
 from qtraj.sde_engine import (CHUNK, iter_chunks, simulate_single_mode,
                                simulate_two_mode)
-from qtraj.stats import bin_z_scores, compare_density, histogram
+from qtraj.stats import (bin_z_scores, compare_density, histogram, ks_critical,
+                         ks_statistic)
 
 SEED = 20210905
 
@@ -117,7 +119,6 @@ class TestParseScenarioText:
         assert sc.c1_sq == 0.5
         assert sc.n_steps == 10
         assert sc.t_final == pytest.approx(3.0)
-        assert sc.boundary == "direct"
         assert len(sc.digest) == 64
         state, amp = build_state(sc)
         assert isinstance(state, SuperpositionSpec)
@@ -131,10 +132,10 @@ class TestParseScenarioText:
         assert sc.phi is None
         state, _ = build_state(sc)
         assert isinstance(state, ModeSpec)
-        # A pair holds only equal amplitudes and the direct boundary.
+        # A pair holds only equal amplitudes.
         pair = parse_scenario_text(TWO_MODE.format(x1b=2.0, n=10, seed=1),
                                    "case")
-        assert (pair.c1_sq, pair.boundary) == (0.5, "direct")
+        assert pair.c1_sq == 0.5
 
     @pytest.mark.parametrize("word,value", [
         ("pi", math.pi), ("-pi/2", -0.5 * math.pi), ("2pi", 2 * math.pi),
@@ -147,8 +148,18 @@ class TestParseScenarioText:
 
     def test_unknown_key_names_key_and_line(self):
         text = SQUEEZED.format(seed=1) + "state.bogus = 1\n"
-        with pytest.raises(ScenarioFileError, match=r"case:9.*state.bogus"):
+        with pytest.raises(ScenarioFileError,
+                           match=r"case:9: unknown key 'state.bogus'"):
             parse_scenario_text(text, "case")
+
+    def test_bad_boundary(self):
+        # run.boundary is no key: the final-time position boundary is
+        # always the amplified marginal, so any value is refused by name.
+        for value in ("magic", "wigner"):
+            text = SQUEEZED.format(seed=1) + f"run.boundary = {value}\n"
+            with pytest.raises(ScenarioFileError,
+                               match=r"case:9: unknown key 'run.boundary'"):
+                parse_scenario_text(text, "case")
 
     def test_duplicate_key(self):
         text = SQUEEZED.format(seed=1) + "state.x1 = 2\n"
@@ -166,8 +177,7 @@ class TestParseScenarioText:
         pair = TWO_MODE.format(x1b=2.0, n=10, seed=1)
         for text, kind, key in (
                 (SQUEEZED.format(seed=1), "squeezed", "meter.x1b"),
-                (pair, "two_mode", "state.c1_sq"),
-                (pair, "two_mode", "run.boundary")):
+                (pair, "two_mode", "state.c1_sq")):
             with pytest.raises(ScenarioFileError,
                                match=f"not applicable.*{kind}.*{key}"):
                 parse_scenario_text(text + f"{key} = 0.5\n", "case")
@@ -193,11 +203,6 @@ class TestParseScenarioText:
     def test_bad_kind(self):
         text = SQUEEZED.format(seed=1).replace("squeezed", "gaussian")
         with pytest.raises(ScenarioFileError, match="state.kind"):
-            parse_scenario_text(text, "case")
-
-    def test_bad_boundary(self):
-        text = SQUEEZED.format(seed=1) + "run.boundary = magic\n"
-        with pytest.raises(ScenarioFileError, match="run.boundary"):
             parse_scenario_text(text, "case")
 
     def test_gain_sign_consistency(self):
@@ -270,32 +275,6 @@ class TestMainValidation:
                 err = capsys.readouterr().err
                 assert f"bad{n}: run.trajectories must be >= 1" in err, err
                 assert not list(out.glob("*.csv"))
-
-    def test_wigner_boundary_is_refused_off_a_single_position(
-            self, tmp_path, capsys):
-        # The Wigner construction builds a single mode's amplified
-        # position; a meter pair or an amplified momentum has none.
-        pair = TWO_MODE.format(x1b=2.0, n=100, seed=1)
-        momentum = SUPERPOSITION.format(gtf=-1.0, n_steps=2, n=100,
-                                        seed=1).replace("amp.g = 1.0",
-                                                        "amp.g = -1.0")
-        for cmd, text, said in (
-                ("collapse", pair, "keys not applicable to kind 'two_mode': "
-                                   "run.boundary"),
-                ("run", pair, "keys not applicable to kind 'two_mode': "
-                              "run.boundary"),
-                ("run", momentum, "run.boundary = wigner")):
-            path = write_scenario(tmp_path, text + "run.boundary = wigner\n")
-            out = tmp_path / cmd
-            assert main([cmd, "--scenario", str(path), "--out",
-                         str(out)]) == EXIT_VALIDATION
-            assert said in capsys.readouterr().err
-            assert not list(out.glob("*.csv"))
-        # born reads the momentum record by the direct density.
-        path = write_scenario(tmp_path, SUPERPOSITION.format(
-            gtf=1.0, n_steps=2, n=100, seed=1) + "run.boundary = wigner\n")
-        assert main(["born", "--scenario", str(path), "--out",
-                     str(tmp_path / "born")]) == EXIT_OK
 
     def test_born_rejects_two_mode(self, tmp_path):
         path = write_scenario(tmp_path, TWO_MODE.format(x1b=2.0, n=100,
@@ -722,6 +701,22 @@ class TestCmdBorn:
         # whole-array CDF peaked at 26 MB.
         assert peak < 8 * n + 6e6
 
+    def test_x_ks_at_high_squeezing_is_the_finite_gain(self):
+        # born's x basis reads its records against the infinite-gain
+        # born_x.  At state.r = 8 (gtf = 6) the records' variance is
+        # e^-2r + e^-2gtf, so they are far from born_x but true to the
+        # finite-gain twin: the large KS is physics, not the CDF table.
+        sc = replace(load_scenario("fig_born_x"), r=8.0, trajectories=20000)
+        state, _ = build_state(sc)
+        amp = AmplifierSpec(sc.g, sc.t_final, 1)
+        records = np.concatenate([a[0][:, -1] for _, _, a in iter_chunks(
+            state, amp, sc.trajectories, sc.seed, 1, _through=1)])
+        records /= math.exp(sc.gtf)
+        twin = marginal_x(state, amp, sc.t_final).scaled("x", math.exp(sc.gtf))
+        critical = ks_critical(sc.trajectories)
+        assert ks_statistic(records, born_x(state)) > 10 * critical
+        assert ks_statistic(records, twin) < critical
+
     def test_no_record_in_range_exits_2(self, tmp_path, capsys):
         # This seed puts the single p record below the 4-sigma range.
         out = tmp_path / "o"
@@ -753,6 +748,31 @@ class TestCmdBorn:
             assert ("born: the x density has no mass the bin quadrature "
                     "resolves at state.r = 40") in capsys.readouterr().err
             assert not [w for w in caught if w.category is RuntimeWarning]
+            assert not out.exists()
+        # At state.r = 6 the p fringe cos(x1 p) turns 64.5 rad across half
+        # a bin, where 24 nodes misread it (p max_z read 9.27 and 59.7 at
+        # 20,000 and 1,000,000 trajectories).  At state.r = -40 the p
+        # target is about e^-40 wide, so the records fall on both sides of
+        # its window and more of them cannot help.
+        quarter = SUPERPOSITION.format(gtf=3.0, n_steps=1, n=2000, seed=SEED)
+        for name, text, said in (
+                ("r6", cat.replace("state.r = 0\n", "state.r = 6\n"),
+                 "born: the p density cannot be binned at state.r = 6: the "
+                 "fringe turns 64.5 rad across a half bin, more than the "
+                 "24-point bin quadrature resolves"),
+                ("r-40", quarter.replace("state.r = 0.0", "state.r = -40"),
+                 "above); the p target is far narrower than the records at "
+                 "state.r = -40")):
+            out = tmp_path / name
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["born", "--scenario",
+                             str(write_scenario(tmp_path, text)), "--out",
+                             str(out), "--trajectories", "20000"])
+            assert code == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert said in err and "run.trajectories" not in err, err
+            assert not caught, [str(w.message) for w in caught]
             assert not out.exists()
 
 
@@ -905,7 +925,7 @@ class TestEndpointCommands:
                   if v == x1}
         state, amp = build_state(replace(sc, x1=x1))
         ens = simulate_single_mode(state, replace(amp, n_steps=1), 20000,
-                                   sc.seed, sc.boundary)
+                                   sc.seed)
         plus, minus = bin_by_sign(ens)
         assert counts == {+1: plus.n, -1: minus.n}
 

@@ -240,7 +240,7 @@ class TestSingleModeLaw:
         # The Wigner boundary is a single mode's amplified position only.
         pair = TwoModeSpec(cat(1.0, 0.0, 0.5 * math.pi), ModeSpec(2.0))
         for spec, gain_rate in ((pair, 1.0), (cat(2.0), -1.0)):
-            with pytest.raises(ScenarioError, match="run.boundary"):
+            with pytest.raises(ScenarioError, match="boundary_method"):
                 path_densities(spec, AmplifierSpec(gain_rate, 1.0, 2),
                                "wigner")
 
