@@ -284,19 +284,32 @@ class Marginal1D(GaussFringeDensity):
     def bin_masses(self, edges: np.ndarray, order: int = 24) -> np.ndarray:
         """Integrate the density over each bin by Gauss-Legendre rule.
 
-        Raises ValueError if the fringe turns more than ``order`` rad
-        across the widest half bin: the rule cannot resolve it there.
+        Raises ValueError where the rule cannot resolve a term across the
+        widest half bin: if the fringe turns more than ``order`` rad
+        there, or if it spans more than ``order / 4`` standard deviations
+        of the narrowest term with nonzero weight.
         """
         edges = np.asarray(edges, dtype=float)
         nodes, weights = np.polynomial.legendre.leggauss(order)
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * np.diff(edges)
-        if self.fringe is not None and self.fringe.amplitude != 0.0:
-            turn = abs(self.fringe.wave[0]) * half.max(initial=0.0)
+        widest = half.max(initial=0.0)
+        live = [c for c in self.gaussians if c.weight != 0.0]
+        fr = self.fringe
+        if fr is not None and fr.amplitude != 0.0:
+            turn = abs(fr.wave[0]) * widest
             if turn > order:
                 raise ValueError(
                     f"the fringe turns {turn:.3g} rad across a half bin, "
                     f"more than the {order}-point bin quadrature resolves")
+            live.append(fr)
+        sigma = min((math.sqrt(t.variances[0]) for t in live),
+                    default=math.inf)
+        if widest > 0.25 * order * sigma:
+            raise ValueError(
+                f"a half bin spans {widest / sigma:.3g} standard deviations "
+                f"of the narrowest term, more than the {order}-point bin "
+                f"quadrature resolves")
         pts = mid[:, None] + half[:, None] * nodes[None, :]
         vals = self.density(pts)
         return (vals * weights[None, :]).sum(axis=1) * half

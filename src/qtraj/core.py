@@ -177,6 +177,11 @@ class AmplifierSpec:
     def gain_tf(self) -> float:
         return math.exp(self.gain_rate_g * self.t_final)
 
+    @property
+    def grid(self) -> np.ndarray:
+        """The n_steps + 1 grid times, 0 to t_final inclusive."""
+        return np.linspace(0.0, self.t_final, self.n_steps + 1)
+
 
 StateSpec = Union[ModeSpec, SuperpositionSpec, TwoModeSpec]
 
@@ -201,28 +206,6 @@ def sigma_x2_at(mode: ModeSpec, amp: AmplifierSpec, t) -> float:
 def sigma_p2_at(mode: ModeSpec, amp: AmplifierSpec, t) -> float:
     g2 = gain(amp, t) ** 2
     return 1.0 + (mode.sigma_p2 - 1.0) / g2
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A validated state + amplifier pairing.
-
-    Attributes
-    ----------
-    state : SuperpositionSpec or TwoModeSpec
-    amp : AmplifierSpec
-        The one amplifier of the run, shared by system and meter.
-    grid : np.ndarray
-        The n_steps + 1 grid times, 0 to t_final inclusive.
-    """
-
-    state: Union[SuperpositionSpec, TwoModeSpec]
-    amp: AmplifierSpec
-    grid: np.ndarray
-
-    @property
-    def is_two_mode(self) -> bool:
-        return isinstance(self.state, TwoModeSpec)
 
 
 # Largest exponent a double holds, with headroom for sums of squares.
@@ -255,19 +238,15 @@ def _check_overflow(amp: AmplifierSpec, mode: ModeSpec, x_key: str,
                             f"this state needs |amp.gtf| < {limit:.4g}")
 
 
-def validate_scenario(spec: StateSpec, amp: AmplifierSpec) -> Scenario:
+def validate_scenario(spec: StateSpec, amp: AmplifierSpec) -> None:
     """Check a state/amplifier pairing.
 
     Parameters
     ----------
     spec : ModeSpec, SuperpositionSpec or TwoModeSpec
-        Bare packets are promoted to trivial superpositions.
+        A bare packet is checked as the trivial superposition's packet.
     amp : AmplifierSpec
         Amplifier acting on every mode of the state.
-
-    Returns
-    -------
-    Scenario
 
     Raises
     ------
@@ -277,11 +256,8 @@ def validate_scenario(spec: StateSpec, amp: AmplifierSpec) -> Scenario:
         For a packet whose own closed forms would overflow (naming its
         key), or a gain whose closed forms at t_final would overflow.
     """
-    grid = np.linspace(0.0, amp.t_final, amp.n_steps + 1)
     if isinstance(spec, TwoModeSpec):
         _check_overflow(amp, spec.mode_a.mode, "state.x1", "state.r")
         _check_overflow(amp, spec.mode_b, "meter.x1b", "meter.r2")
-        return Scenario(state=spec, amp=amp, grid=grid)
-    sup = as_superposition(spec)
-    _check_overflow(amp, sup.mode, "state.x1", "state.r")
-    return Scenario(state=sup, amp=amp, grid=grid)
+        return
+    _check_overflow(amp, as_superposition(spec).mode, "state.x1", "state.r")

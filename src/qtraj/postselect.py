@@ -97,6 +97,11 @@ def _require_samples(n: int) -> None:
             f"{n} samples in branch; need at least {MIN_SAMPLES}")
 
 
+def _batch_se(batch_values) -> float:
+    """Standard error of a mean from its ``N_BATCHES`` batch values."""
+    return float(np.std(batch_values, ddof=1)) / math.sqrt(N_BATCHES)
+
+
 def _moment_estimate(values: np.ndarray, correction: float) -> MomentEstimate:
     n = len(values)
     mean = float(np.mean(values))
@@ -104,9 +109,7 @@ def _moment_estimate(values: np.ndarray, correction: float) -> MomentEstimate:
     batches = np.array_split(values, N_BATCHES)
     b_means = [float(np.mean(b)) for b in batches]
     b_vars = [float(np.var(b, ddof=1)) - correction for b in batches]
-    se_mean = float(np.std(b_means, ddof=1)) / math.sqrt(N_BATCHES)
-    se_var = float(np.std(b_vars, ddof=1)) / math.sqrt(N_BATCHES)
-    return MomentEstimate(mean, var, se_mean, se_var, n)
+    return MomentEstimate(mean, var, _batch_se(b_means), _batch_se(b_vars), n)
 
 
 def bin_by_sign(ensemble: TrajectoryEnsemble, mode: str = "a"
@@ -386,8 +389,7 @@ def infer_state_A_numeric(selected: PostselectedEnsemble, spec: TwoModeSpec
     b_moments = [moments_at(float(np.mean(wb)), float(np.mean(sb)))[1]
                  for wb, sb in zip(np.array_split(w_plus, N_BATCHES),
                                    np.array_split(s, N_BATCHES))]
-    se = [float(np.std(col, ddof=1)) / math.sqrt(N_BATCHES)
-          for col in zip(*b_moments)]
+    se = [_batch_se(col) for col in zip(*b_moments)]
     moments_x = MomentEstimate(mx, vx, se[0], se[1], selected.n)
     moments_p = MomentEstimate(mp, vp, se[2], se[3], selected.n)
 

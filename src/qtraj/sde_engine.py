@@ -42,8 +42,8 @@ import numpy as np
 
 from .analytic import (GaussFringeDensity, fbc_from_wigner, marginal_p,
                        marginal_x, two_mode_q)
-from .core import (AmplifierSpec, ModeSpec, Scenario, ScenarioError,
-                   SuperpositionSpec, TwoModeSpec, validate_scenario)
+from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
+                   TwoModeSpec, validate_scenario)
 from .sampler import RngStream, sample_fringe_density
 
 CHUNK = 8192
@@ -57,17 +57,18 @@ class TrajectoryEnsemble:
 
     Paths are indexed (trajectory, grid time) and stored time-major, so
     each column is contiguous; column 0 is t = 0, the last is t_final.
-    Both quadratures of every mode are required: no ``None`` conjugate.
+    Both quadratures of every mode are required: no ``None`` conjugate,
+    and each path has one column per time of ``amp.grid``.
     """
 
-    scenario: Scenario
+    amp: AmplifierSpec
     x_paths: np.ndarray
     p_paths: np.ndarray
     x_b_paths: Optional[np.ndarray] = None
     p_b_paths: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        n_times = len(self.scenario.grid)
+        n_times = self.amp.n_steps + 1
         meter = self.x_b_paths is not None or self.p_b_paths is not None
         for name in ("x_paths", "p_paths", "x_b_paths",
                      "p_b_paths")[:2 + 2 * meter]:
@@ -215,13 +216,12 @@ def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
 
 
 def _chunk_entry(spec, amp: AmplifierSpec, seed: int, chunk_id: int,
-                 size: int, boundary_method: str = "direct",
-                 _densities: Optional[PathDensities] = None,
+                 size: int, _densities: Optional[PathDensities] = None,
                  _through: int = 3) -> Tuple[np.ndarray, ...]:
     """One chunk of any run's paths, from the densities of
     :func:`path_densities` unless they are given: (x, p) of a single
     mode, (x_a, p_a, x_b, p_b) of the system-meter pair."""
-    dens = _densities or path_densities(spec, amp, boundary_method)
+    dens = _densities or path_densities(spec, amp)
     return _path_chunk(dens, amp, seed, chunk_id, size, _through)
 
 
@@ -312,16 +312,16 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
 def _simulate(spec, amp: AmplifierSpec, n_traj: int, seed: int,
               threads: Optional[int], boundary_method: str = "direct"
               ) -> TrajectoryEnsemble:
-    scenario = validate_scenario(spec, amp)
+    validate_scenario(spec, amp)
     n_traj = _check_count(n_traj, "n_traj")
     paths = [np.empty((amp.n_steps + 1, n_traj)).T
-             for _ in range(4 if scenario.is_two_mode else 2)]
+             for _ in range(4 if isinstance(spec, TwoModeSpec) else 2)]
     for lo, hi, chunk in iter_chunks(spec, amp, n_traj, seed, threads,
                                      boundary_method):
         for out, block in zip(paths, chunk):
             out[lo:hi] = block
         del chunk, block  # release the chunk before the next is submitted
-    return TrajectoryEnsemble(scenario, *paths)
+    return TrajectoryEnsemble(amp, *paths)
 
 
 def simulate_single_mode(spec: Union[ModeSpec, SuperpositionSpec],

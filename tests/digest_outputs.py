@@ -9,8 +9,13 @@ changed provenance over unchanged data.  Two trees whose digests are
 equal wrote the same bytes and said the same things:
 
     PYTHONPATH=src python tests/digest_outputs.py --trajectories 20000 > a
-    (same in the other tree) > b
-    diff a b
+    (in the other tree) PYTHONPATH=src python tests/digest_outputs.py \
+        --trajectories 20000 --against a
+
+With ``--against FILE`` the digest is compared with a saved one: every
+line that differs, or is missing on either side, is printed as a
+unified diff (``-`` the file, ``+`` this run), and the exit code is 1
+on any difference, 0 when the two are equal.
 
 Without ``--trajectories`` each scenario runs at its own size.  Pytest
 does not collect this file (its name does not start with ``test_``).
@@ -20,8 +25,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
+import sys
 import tempfile
 from itertools import dropwhile
 from pathlib import Path
@@ -58,17 +65,30 @@ def digest_lines(scenarios, trajectories=None):
                         yield f"  stderr: {line.replace(tmp, '<out>')}"
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenarios", nargs="*",
                         help="shipped scenario names (default: all)")
     parser.add_argument("--trajectories", type=int, default=None,
                         help="override every scenario's run.trajectories")
+    parser.add_argument("--against", metavar="FILE", default=None,
+                        help="compare with a saved digest; exit 1 if any "
+                             "line differs")
     args = parser.parse_args(argv)
-    for line in digest_lines(args.scenarios or cli.shipped_scenarios(),
-                             args.trajectories):
-        print(line, flush=True)
+    saved = (None if args.against is None else
+             Path(args.against).read_text(encoding="utf-8").splitlines())
+    lines = digest_lines(args.scenarios or cli.shipped_scenarios(),
+                         args.trajectories)
+    if saved is None:
+        for line in lines:
+            print(line, flush=True)
+        return 0
+    diff = list(difflib.unified_diff(saved, list(lines), args.against,
+                                     "this run", n=0, lineterm=""))
+    print("\n".join(diff) if diff else
+          f"{len(saved)} lines equal to {args.against}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -71,8 +71,8 @@ def cat(x1, r=0.0, phi=0.5 * math.pi):
 def scaled_finals(ens, which="x"):
     """Final-time record divided by the accumulated gain of its axis."""
     if which == "x":
-        return ens.x_paths[:, -1] / abs(ens.scenario.amp.gain_tf)
-    return ens.p_paths[:, -1] * abs(ens.scenario.amp.gain_tf)
+        return ens.x_paths[:, -1] / abs(ens.amp.gain_tf)
+    return ens.p_paths[:, -1] * abs(ens.amp.gain_tf)
 
 
 def pooled_max_z(hist, target):
@@ -228,7 +228,7 @@ class TestAcceptance:
         amp = AmplifierSpec(1.0, 3.0, 10)
         ens = simulate_single_mode(spec, amp, 200_000, SUITE_SEED + 105)
         worst = 0.0
-        for j, t in enumerate(ens.scenario.grid):
+        for j, t in enumerate(ens.amp.grid):
             expected = sigma_p2_at(spec.mode, amp, t)
             got = float(np.var(ens.p_paths[:, j], ddof=1))
             se = variance_batch_se(ens.p_paths[:, j])

@@ -7,6 +7,7 @@ reuse the closed-form path being tested.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,6 +231,41 @@ class TestDensityFamily:
             self.fringed(8.01).bin_masses(edges, order=8)
         # Without amplitude there is nothing to resolve.
         self.fringed(1e3, amplitude=0.0).bin_masses(edges)
+
+    @staticmethod
+    def erfc_masses(edges):
+        """Bin masses of N(0, 1) from ``math.erfc``."""
+        tail = [0.5 * math.erfc(e / math.sqrt(2.0)) for e in edges]
+        return np.array(tail[:-1]) - np.array(tail[1:])
+
+    def test_bin_masses_refuse_a_term_the_rule_cannot_resolve(self):
+        # A unit Gaussian centred on a bin edge, in half bins of h sigma.
+        # The rule of n nodes is exact to 2e-11 (24) and 1e-7 (8) in all
+        # at h = n / 4, and refuses just above it.
+        def unit(extra=()):
+            return Marginal1D(
+                gaussians=(GaussComponent(1.0, (0.0,), (1.0,)),) + extra,
+                fringe=None, axes=("x",))
+
+        for order, tol in ((24, 5e-11), (8, 2e-7)):
+            h = order / 4
+            edges = np.arange(-4, 5) * 2.0 * h + h
+            got = unit().bin_masses(edges, order=order)
+            assert np.abs(got - self.erfc_masses(edges)).sum() < tol
+            with pytest.raises(ValueError,
+                               match=f"spans {h:g} standard.*{order}-point"):
+                unit().bin_masses(edges * (1 + 1e-9), order=order)
+        # A narrower term counts only with weight; a narrow fringe
+        # envelope counts too.
+        edges = np.linspace(-30.0, 30.0, 6)
+        narrow = GaussComponent(0.0, (0.0,), (1e-6,))
+        np.testing.assert_array_equal(unit((narrow,)).bin_masses(edges),
+                                      unit().bin_masses(edges))
+        with pytest.raises(ValueError, match="spans 6e\\+03 standard"):
+            unit((replace(narrow, weight=1e-9),)).bin_masses(edges)
+        with pytest.raises(ValueError, match="spans 6e\\+03 standard"):
+            replace(unit(), fringe=FringeTerm(
+                1e-9, (0.0,), (1e-6,), (0.0,), 0.0)).bin_masses(edges)
 
     def test_cdf_monotone_and_normalised(self):
         dens = marginal_x(cat(2.0, 0.5, 0.0), AMP, 1.0)

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import digest_outputs
 from qtraj.analytic import (born_p, born_x, marginal_x,
                             variances_postselected_analytic)
 from qtraj.cli import (
@@ -730,7 +731,8 @@ class TestCmdBorn:
         assert not [w for w in caught if w.category is RuntimeWarning]
         assert not out.exists()
         # At state.r = 40 the x packets (variance e^-80) fall between the
-        # nodes of the bin quadrature, so every target mass would be 0.
+        # nodes of the bin quadrature, so every target mass would be 0:
+        # the packets are far narrower than the bins, and born says so.
         cat = (resources.files("qtraj") / "scenarios" / "fig_born_x.scenario"
                ).read_text(encoding="utf-8")
         assert "state.r = 0\n" in cat
@@ -745,21 +747,33 @@ class TestCmdBorn:
                              str(write_scenario(tmp_path, text)), "--out",
                              str(out), "--trajectories", "20000"])
             assert code == EXIT_VALIDATION
-            assert ("born: the x density has no mass the bin quadrature "
-                    "resolves at state.r = 40") in capsys.readouterr().err
+            assert ("born: the x density cannot be binned at state.r = 40: "
+                    "a half bin spans ") in capsys.readouterr().err
             assert not [w for w in caught if w.category is RuntimeWarning]
             assert not out.exists()
         # At state.r = 6 the p fringe cos(x1 p) turns 64.5 rad across half
         # a bin, where 24 nodes misread it (p max_z read 9.27 and 59.7 at
-        # 20,000 and 1,000,000 trajectories).  At state.r = -40 the p
-        # target is about e^-40 wide, so the records fall on both sides of
-        # its window and more of them cannot help.
+        # 20,000 and 1,000,000 trajectories).  Both bases fail at the same
+        # x1 e^r, and x comes first: its packets are 16.2 sigma to a half
+        # bin.  A squeezed state's p basis has no fringe, and its x packet
+        # at +3 is e^-r wide in bins spanning [-3, 3]: at r = 8 and 10 its
+        # masses summed to 0.72 and 2.33 and the x ks read 0.369 and 0.462,
+        # yet born exited 0.  At state.r = -40 the p target is about e^-40
+        # wide, so the records fall on both sides of its window and more of
+        # them cannot help.
         quarter = SUPERPOSITION.format(gtf=3.0, n_steps=1, n=2000, seed=SEED)
+        squeezed = (SQUEEZED.format(seed=5)
+                    .replace("state.x1 = 1.0", "state.x1 = 3")
+                    .replace("amp.gtf = 1.0", "amp.gtf = 6"))
         for name, text, said in (
                 ("r6", cat.replace("state.r = 0\n", "state.r = 6\n"),
-                 "born: the p density cannot be binned at state.r = 6: the "
-                 "fringe turns 64.5 rad across a half bin, more than the "
-                 "24-point bin quadrature resolves"),
+                 "born: the x density cannot be binned at state.r = 6: a "
+                 "half bin spans 16.2 standard deviations of the narrowest "
+                 "term, more than the 24-point bin quadrature resolves"),
+                *((f"squeezed{r}", squeezed.replace(
+                    "state.r = 0.0", f"state.r = {r}"),
+                   f"born: the x density cannot be binned at state.r = {r}: "
+                   f"a half bin spans ") for r in (8, 10, 12)),
                 ("r-40", quarter.replace("state.r = 0.0", "state.r = -40"),
                  "above); the p target is far narrower than the records at "
                  "state.r = -40")):
@@ -1015,6 +1029,28 @@ class TestScenarioSpace:
             assert code == EXIT_OK
             assert csvs
             assert [bad for p in csvs for bad in _non_finite(p)] == []
+
+
+class TestDigestOutputs:
+    def test_against_a_saved_digest(self, tmp_path, capsys):
+        argv = ["fig_fb1", "--trajectories", "300"]
+        assert digest_outputs.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "fig_fb1 run threads=1 exit=0"
+        saved = tmp_path / "digest"
+        saved.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv += ["--against", str(saved)]
+        assert digest_outputs.main(argv) == 0
+        assert capsys.readouterr().out == (f"{len(lines)} lines equal to "
+                                           f"{saved}\n")
+        # A line missing from the file and one only the file holds.
+        saved.write_text("\n".join(lines[1:] + ["gone"]) + "\n",
+                         encoding="utf-8")
+        assert digest_outputs.main(argv) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert f"+{lines[0]}" in out and "-gone" in out
+        assert not [line for line in out if line[:1] in "+-"
+                    and line[1:] in lines[1:]]
 
 
 class TestConsoleScript:

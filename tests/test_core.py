@@ -152,9 +152,18 @@ class TestAmplifierSpec:
 class TestTimeGrid:
     def test_from_amplifier(self):
         amp = AmplifierSpec(1.0, 2.0, n_steps=4)
-        grid = validate_scenario(ModeSpec(1.0), amp).grid
-        np.testing.assert_array_equal(grid, np.linspace(0.0, 2.0, 5))
-        np.testing.assert_array_equal(grid, [0.0, 0.5, 1.0, 1.5, 2.0])
+        np.testing.assert_array_equal(amp.grid, np.linspace(0.0, 2.0, 5))
+        np.testing.assert_array_equal(amp.grid, [0.0, 0.5, 1.0, 1.5, 2.0])
+
+    @pytest.mark.parametrize("rate, t_final, n_steps", [
+        (1.0, 6.0, 300), (-0.3, 0.7 / 3, 7), (2.0, 1e-12, 1), (1.0, 3.0, 50)])
+    def test_is_the_linspace_bit_for_bit(self, rate, t_final, n_steps):
+        # run's t column and every path column are read off this grid.
+        amp = AmplifierSpec(rate, t_final, n_steps)
+        assert amp.grid.tobytes() == np.linspace(
+            0.0, t_final, n_steps + 1).tobytes()
+        with pytest.raises(AttributeError):
+            amp.grid = np.zeros(n_steps + 1)
 
 
 class TestEvolvedVariances:
@@ -218,21 +227,22 @@ class TestValidateScenario:
     def test_single_mode_constants(self):
         sup = self._cat(phi=0.0)
         amp = AmplifierSpec(1.0, 2.0, 8)
-        sc = validate_scenario(sup, amp)
-        assert not sc.is_two_mode
-        assert sc.state is sup
-        assert sc.amp is amp
-        assert len(sc.grid) == 9
+        assert validate_scenario(sup, amp) is None
+        assert len(amp.grid) == 9
 
     def test_bare_mode_is_promoted(self):
-        sc = validate_scenario(ModeSpec(1.0), AmplifierSpec(1.0, 1.0, 2))
-        assert isinstance(sc.state, SuperpositionSpec)
+        # A bare packet is checked as the trivial superposition's packet.
+        amp = AmplifierSpec(1.0, 1.0, 2)
+        assert validate_scenario(ModeSpec(1.0), amp) is None
+        for spec in (ModeSpec(6.0, 400.0), as_superposition(ModeSpec(6.0,
+                                                                     400.0))):
+            with pytest.raises(ScenarioError, match=r"^state\.r = 400 "):
+                validate_scenario(spec, amp)
 
     def test_two_mode_defaults_meter_amplifier(self):
         spec = TwoModeSpec(self._cat(), ModeSpec(4.0, 0.0))
         amp = AmplifierSpec(1.0, 2.0, 8)
-        sc = validate_scenario(spec, amp)
-        assert sc.is_two_mode
+        assert validate_scenario(spec, amp) is None
         # quarter phase: no interference in the joint norm
         assert two_mode_q(spec, amp, 0.0).norm == pytest.approx(1.0,
                                                                abs=1e-15)
@@ -240,7 +250,7 @@ class TestValidateScenario:
     def test_two_mode_zero_phase_norm(self):
         spec = TwoModeSpec(self._cat(phi=0.0), ModeSpec(1.0, 0.0))
         amp = AmplifierSpec(1.0, 2.0, 8)
-        assert validate_scenario(spec, amp).is_two_mode
+        assert validate_scenario(spec, amp) is None
         ea = spec.mode_a.mode.overlap_exponent
         eb = spec.mode_b.overlap_exponent
         f2 = 1.0 + math.exp(-ea - eb)
@@ -260,8 +270,9 @@ class TestValidateScenario:
         validate_scenario(self._cat(), amp)
         validate_scenario(TwoModeSpec(self._cat(), ModeSpec(4.0, 0.0)), amp)
         # well inside the range: the closed forms stay finite
-        sc = validate_scenario(self._cat(), AmplifierSpec(rate, 300.0, 2))
-        assert math.isfinite(sc.amp.gain_tf)
+        amp = AmplifierSpec(rate, 300.0, 2)
+        validate_scenario(self._cat(), amp)
+        assert math.isfinite(amp.gain_tf)
 
     @pytest.mark.parametrize("r", [300.0, -400.0])
     def test_overflowing_squeezing_names_its_key(self, r):

@@ -74,16 +74,16 @@ def synthetic_ensemble(finals, x_b_finals=None):
     """Tiny ensemble whose column 0 tags rows and whose last column is given."""
     spec = cat(1.0) if x_b_finals is None else two_spec()
     amp = AmplifierSpec(1.0, 1.0, 1)
-    scenario = validate_scenario(spec, amp)
+    validate_scenario(spec, amp)
     n = len(finals)
     tags = np.arange(n, dtype=float)
     x = np.column_stack([tags, np.asarray(finals, dtype=float)])
     p = np.column_stack([10.0 + tags, np.zeros(n)])
     if x_b_finals is None:
-        return TrajectoryEnsemble(scenario=scenario, x_paths=x, p_paths=p)
+        return TrajectoryEnsemble(amp=amp, x_paths=x, p_paths=p)
     xb = np.column_stack([20.0 + tags, np.asarray(x_b_finals, dtype=float)])
     pb = np.column_stack([30.0 + tags, np.zeros(n)])
-    return TrajectoryEnsemble(scenario=scenario, x_paths=x, p_paths=p,
+    return TrajectoryEnsemble(amp=amp, x_paths=x, p_paths=p,
                               x_b_paths=xb, p_b_paths=pb)
 
 
@@ -145,7 +145,7 @@ class TestBinBySign:
 
     def test_empty_ensemble(self):
         ens = synthetic_ensemble([1.0])
-        empty = TrajectoryEnsemble(scenario=ens.scenario,
+        empty = TrajectoryEnsemble(amp=ens.amp,
                                    x_paths=ens.x_paths[:0],
                                    p_paths=ens.p_paths[:0])
         with pytest.raises(EmptyEnsemble):

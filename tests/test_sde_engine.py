@@ -132,12 +132,21 @@ class TestEnsembleContainer:
     def test_shape_validation(self):
         ens = self._ensemble()
         with pytest.raises(ValueError):
-            TrajectoryEnsemble(scenario=ens.scenario, x_paths=ens.x_paths,
+            TrajectoryEnsemble(amp=ens.amp, x_paths=ens.x_paths,
                                p_paths=ens.p_paths[:, :-1])
         with pytest.raises(ValueError):
-            TrajectoryEnsemble(scenario=ens.scenario,
+            TrajectoryEnsemble(amp=ens.amp,
                                x_paths=ens.x_paths, p_paths=ens.p_paths,
                                x_b_paths=ens.x_paths)
+
+    def test_amp_sets_the_column_count(self):
+        # Each path holds one column per time of its amplifier's grid.
+        ens = self._ensemble()
+        assert len(ens.amp.grid) == ens.x_paths.shape[1] == 3
+        for n_steps in (1, 3):
+            with pytest.raises(ValueError, match=rf"\(count, {n_steps + 1}\)"):
+                TrajectoryEnsemble(replace(ens.amp, n_steps=n_steps),
+                                   ens.x_paths, ens.p_paths)
 
     def test_conjugates_come_for_every_mode_or_none(self):
         # Only (x, p) and (x, p, x_b, p_b) are ensembles; any other set of
@@ -147,12 +156,12 @@ class TestEnsembleContainer:
         for present in itertools.product((True, False), repeat=4):
             arrays = [ens.x_paths if on else None for on in present]
             if present in ((True, True, False, False), (True,) * 4):
-                assert TrajectoryEnsemble(ens.scenario, *arrays).count == 10
+                assert TrajectoryEnsemble(ens.amp, *arrays).count == 10
                 continue
             missing = next(name for name, on in zip(names, present)
                            if not on)
             with pytest.raises(ValueError, match=missing):
-                TrajectoryEnsemble(ens.scenario, *arrays)
+                TrajectoryEnsemble(ens.amp, *arrays)
 
 
 class TestSingleModeLaw:
@@ -178,7 +187,7 @@ class TestSingleModeLaw:
         spec = cat(1.5, 1.0, 0.5 * math.pi)
         amp = AmplifierSpec(1.0, 2.0, 8)
         ens = simulate_single_mode(spec, amp, self.N, SUITE_SEED + 47)
-        for j, t in enumerate(ens.scenario.grid):
+        for j, t in enumerate(ens.amp.grid):
             for arr, marg in ((ens.x_paths, marginal_x(spec, amp, t)),
                               (ens.p_paths, marginal_p(spec, amp, t))):
                 _, var = marg.moments(0)
@@ -201,7 +210,7 @@ class TestSingleModeLaw:
         fine = AmplifierSpec(1.0, 2.0, 8)
         for amp, col in ((coarse, 2), (fine, 4)):
             ens = simulate_single_mode(spec, amp, self.N, SUITE_SEED + 49)
-            t = ens.scenario.grid[col]
+            t = ens.amp.grid[col]
             assert t == pytest.approx(1.0)
             got = float(np.var(ens.x_paths[:, col], ddof=1))
             se = variance_batch_se(ens.x_paths[:, col])
@@ -352,7 +361,7 @@ class TestPMeasurement:
         spec = ModeSpec(0.0, 2.0)
         amp = AmplifierSpec(-1.0, 2.0, 4)
         ens = simulate_p_measurement(spec, amp, self.N, SUITE_SEED + 56)
-        t = ens.scenario.grid[-1]
+        t = ens.amp.grid[-1]
         got = float(np.var(ens.x_paths[:, -1], ddof=1))
         se = variance_batch_se(ens.x_paths[:, -1])
         assert got == pytest.approx(sigma_x2_at(spec, amp, t), abs=5 * se)
