@@ -554,10 +554,6 @@ class PostselectedMoments:
     def observed_var_p(self) -> float:
         return self.var_p - 1.0
 
-    @property
-    def observed_product(self) -> float:
-        return math.sqrt(self.observed_var_x * self.observed_var_p)
-
 
 def _remnant_damping(mode: ModeSpec) -> float:
     """exp(-x1^2 (1 + sigma_p^2/sigma_x^2) / (2 sigma_x^2)) of one packet."""

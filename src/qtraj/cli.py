@@ -160,9 +160,10 @@ def parse_scenario_text(text: str, label: str) -> ScenarioFile:
         raise ScenarioFileError(f"{label}: keys not applicable to kind "
                                 f"{kind!r}: {', '.join(extra)}")
     values = {key: values.get(key, row[1]) for key, row in _KEYS.items()}
-    if values["run.trajectories"] < 1:
-        raise ScenarioFileError(f"{label}: run.trajectories must be >= 1, "
-                                f"got {values['run.trajectories']}")
+    for key in ("run.trajectories", "amp.n_steps"):
+        if values[key] < 1:
+            raise ScenarioFileError(f"{label}: {key} must be >= 1, "
+                                    f"got {values[key]}")
     g, gtf = values["amp.g"], values["amp.gtf"]
     if g == 0.0 or gtf / g <= 0.0:
         raise ScenarioFileError(
@@ -334,22 +335,21 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     negative rate (momentum record) — scales each final record by its
     gain, and compares binned densities with the projective limits.
     """
-    state, amp0 = build_state(sc)
+    state, _ = build_state(sc)
     if isinstance(state, TwoModeSpec):
         raise ScenarioError("born checks run on single-mode scenarios, "
                             "not state.kind = two_mode")
     rate = abs(sc.g)
-    t_final = abs(sc.t_final)
     results = []
     for block, basis in ((0, "x"), (1, "p")):
-        amp = AmplifierSpec(rate if basis == "x" else -rate, t_final, 1)
+        amp = AmplifierSpec(rate if basis == "x" else -rate, sc.t_final, 1)
         validate_scenario(state, amp)
         scaled = np.empty(sc.trajectories)  # the final records, one column
         for lo, hi, arrays in sde_engine.iter_chunks(
                 state, amp, sc.trajectories, sc.seed, threads,
                 stream_offset=block * _STREAM_BLOCK, _through=1):
             scaled[lo:hi] = arrays[0][:, -1]
-        scaled /= math.exp(rate * t_final)
+        scaled /= math.exp(rate * sc.t_final)
         scaled.sort()  # counts ignore the order; the KS reads it ascending
         target = born_x(state) if basis == "x" else born_p(state)
         # 4 sigma keeps every bin's expected count well away from the

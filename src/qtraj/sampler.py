@@ -1,34 +1,34 @@
 """Named random streams and exact samplers for the density family.
 
 Each density is compiled once into its rejection envelope, cached by the
-frozen density so that every chunk of a run reuses one compile.
-Gaussian mixtures are drawn exactly, and so are densities whose
-non-oscillating fringe has non-negative weight: it folds into the
-mixture.  A two-axis member whose terms share one diagonal covariance is
-whitened (u_a / sigma_a) and rotated onto a draw axis e: the unit wave if
-the fringe oscillates, else the line of the means.  If every mean has one
-coordinate c across e, it is a one-axis member along e times N(c, 1),
-drawn so and mapped back.  Other multi-axis densities reject against the
-global proposal
+frozen density so that every chunk of a run reuses one compile.  Two
+forms are drawn; any other density is refused.  A one-axis Gaussian
+mixture is drawn exactly, and so is one whose non-oscillating fringe has
+non-negative weight: it folds into the mixture.  A two-axis member whose
+terms share one diagonal covariance is whitened (u_a / sigma_a) and
+rotated onto a draw axis e: the unit wave if the fringe oscillates, else
+the line of the means.  If every mean has one coordinate c across e, it
+is a one-axis member along e times N(c, 1), drawn so and mapped back.
+Other one-axis members reject against a piecewise-constant envelope: an
+exact upper bound on each of ``_BINS`` equal bins spanning
+``_RANGE_SIGMAS`` sigmas of every component, with the bin drawn from an
+alias table, and a lower bound under which a candidate is accepted
+unevaluated (Marsaglia's squeeze), as the full test would accept it.  On
+a bin, one Gaussian times W + A cos(k u + theta) lies between the
+Gaussian's minimum and maximum times the bracket's (W - |A| in a trough,
+W + |A| on a crest); components of one variance v plus a non-oscillating
+fringe are N(u; c, v) h(u), h a constant plus exponentials of u, so h
+and each exponential take their extremes at edges; any member lies
+between the sums of its terms' extremes; the tighter bounds are kept.  A
+compile checks the density at each bin's edges and midpoint against
+them.  Beyond the bins the envelope is the global proposal
 
     proposal = sum_i w_i g_i + |A| * envelope  >=  target
 
-(a subtracting non-oscillating fringe is dropped from it).  One-axis
-densities reject against a piecewise-constant envelope: an exact upper
-bound on each of ``_BINS`` equal bins spanning ``_RANGE_SIGMAS`` sigmas
-of every component, with the bin drawn from an alias table, and a lower
-bound under which a candidate is accepted unevaluated (Marsaglia's
-squeeze), as the full test would accept it.  On a bin, one Gaussian
-times W + A cos(k u + theta) lies between the Gaussian's minimum and
-maximum times the bracket's (W - |A| in a trough, W + |A| on a crest);
-components of one variance v plus a non-oscillating fringe are
-N(u; c, v) h(u), h a constant plus exponentials of u, so h and each
-exponential take their extremes at edges; any member lies between the
-sums of its terms' extremes; the tighter bounds are kept.  A compile
-checks the density at each bin's edges and midpoint against them.
-Beyond the bins the envelope is the global proposal, drawn from its
-components' normal tails, so the draws stay exact.  A normalised density
-is accepted at the rate 1 / (mass of the envelope), ``acceptance_bound``.
+(a subtracting non-oscillating fringe is dropped from it), drawn from
+its components' normal tails, so the draws stay exact.  A normalised
+density is accepted at the rate 1 / (mass of the envelope),
+``acceptance_bound``.
 
 A stream is SFC64 seeded by ``SeedSequence(seed, spawn_key=(stream_index,))``,
 so any chunk of work can be given its own independent stream and
@@ -181,6 +181,10 @@ class _Envelope:
     is its total mass in the density's own units."""
 
     def __init__(self, density: GaussFringeDensity):
+        if density.ndim != 1:  # nor of _factored's two-axis form
+            raise ValueError(f"cannot sample a {density.ndim}-axis density: "
+                             "only one axis, or two of one shared diagonal "
+                             "covariance with the means along the draw axis")
         try:
             self.proposal, self.exact = _proposal_parts(density)
         except ValueError as exc:  # an envelope the family refuses, e.g. NaN
@@ -188,22 +192,23 @@ class _Envelope:
                 f"no proposal for this density: {exc}") from exc
         comps = self.proposal.gaussians
         weights = np.array([c.weight for c in comps])
-        self.means = np.array([c.means for c in comps])
-        self.sigmas = np.sqrt([c.variances for c in comps])
+        mean = self.means = np.array([c.means[0] for c in comps])
+        sigma = self.sigmas = np.sqrt([c.variances[0] for c in comps])
         self.cdf = _cdf(weights)
         self.mass = density.norm * weights.sum()
-        self.keep = None
-        if self.exact or density.ndim > 1:
+        if self.exact:
             return
-        mean, sigma = self.means[:, 0], self.sigmas[:, 0]
         self.lo, hi = Marginal1D.support_hint(density, _RANGE_SIGMAS)
         edges = np.linspace(self.lo, hi, _BINS + 1)
         lower, bounds = _bin_bounds(density, edges[:-1], edges[1:])
         # The certificate: at each bin's edges and midpoint the density lies
         # within the bin's bounds, beyond rounding; so it is not negative.
+        # A nearly cancelling fringe rounds on the scale of its terms, not
+        # of its value, so both sides allow tol.
         probe = density.density(np.linspace(self.lo, hi, 2 * _BINS + 1))
         tol = 1e-12 * np.max(bounds)
-        if not all(np.all((lower - tol <= d) & (d <= bounds * (1 + 1e-9)))
+        top = bounds * (1 + 1e-9) + tol
+        if not all(np.all((lower - tol <= d) & (d <= top))
                    for d in (probe[:-1:2], probe[1::2], probe[2::2])):
             raise EnvelopeViolation("density is negative, not finite or "
                                     "outside its bounds on a bin")
@@ -223,15 +228,12 @@ class _Envelope:
 
     def mixture(self, rng, m):
         idx = np.searchsorted(self.cdf, rng.random(m), side="right")
-        z = rng.standard_normal((m, self.means.shape[1]))
-        return self.means.take(idx, 0) + self.sigmas.take(idx, 0) * z
+        z = rng.standard_normal(m)
+        return self.means.take(idx) + self.sigmas.take(idx) * z
 
     def propose(self, rng, m):
         """m candidates, the envelope's height at each and a lower bound
         of the density there (0 where there is none)."""
-        if self.keep is None:
-            pts = self.mixture(rng, m)
-            return pts, self.proposal.density(*pts.T), 0.0
         y = rng.random(m) * (_BINS + 1)
         slot = np.minimum(y.astype(np.intp), _BINS)
         slot = np.where(y - slot < self.keep[slot], slot, self.alias[slot])
@@ -241,7 +243,7 @@ class _Envelope:
         if tail.size:
             u[tail] = self._tail(rng, tail.size)
             height[tail] = self.proposal.density(u[tail])
-        return u[:, None], height, self.lower[slot]
+        return u, height, self.lower[slot]
 
     def _tail(self, rng, n):
         """n draws of the global proposal beyond the bins (Marsaglia's
@@ -302,8 +304,8 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
                           diagnostics: Optional[dict] = None) -> np.ndarray:
     """Draw exact samples from a Gaussian-mixture-plus-fringe density.
 
-    Returns an array of shape (size,) for one-axis densities and
-    (size, ndim) otherwise.
+    Returns an array of shape (size,) for a one-axis density and
+    (size, 2) for a two-axis one.
 
     Parameters
     ----------
@@ -321,6 +323,8 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
 
     Raises
     ------
+    ValueError
+        For a density of neither form, such as ``q_single_mode``.
     EnvelopeViolation
         If the density at a bin's edge or midpoint is outside the bin's
         bounds at compile, or at an evaluated candidate is not finite,
@@ -338,7 +342,7 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
     if env.exact:
         out = env.mixture(rng, size)
     else:
-        out = np.empty((size, density.ndim))
+        out = np.empty(size)
         filled = n_proposed = n_accepted = 0
         while filled < size:
             m = min(math.ceil((size - filled) * env.mass), _MAX_BATCH)
@@ -348,7 +352,7 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
             accept = u * height < lower
             rest = np.flatnonzero(~accept)
             n_evaluated += rest.size
-            target, height = density.density(*pts[rest].T), height[rest]
+            target, height = density.density(pts[rest]), height[rest]
             if not (np.isfinite(target).all() and np.isfinite(height).all()):
                 raise EnvelopeViolation("density or envelope is not finite "
                                         "at a candidate")
@@ -359,7 +363,7 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
                     f"density/envelope ratio outside [0, 1]: "
                     f"[{ratio.min():.3g}, {ratio.max():.3g}]")
             accept[rest] = u[rest] < ratio
-            got = pts.compress(accept, axis=0)
+            got = pts[accept]
             n_proposed += m
             n_accepted += len(got)
             take = min(len(got), size - filled)
@@ -369,7 +373,7 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
         diagnostics.update(n_proposed=n_proposed, n_accepted=n_accepted,
                            n_evaluated=n_evaluated,
                            acceptance_bound=1.0 / env.mass)
-    return out[:, 0] if density.ndim == 1 else out
+    return out
 
 
 def _fringe_stage(s: np.ndarray, k: float, phi: float, rng) -> np.ndarray:
@@ -415,13 +419,10 @@ def sample_p_given_x(spec: Union[ModeSpec, SuperpositionSpec], x_at_t0, rng
     """
     rng = _as_generator(rng)
     sup = as_superposition(spec)
-    x = np.asarray(x_at_t0, dtype=float).ravel()
+    x = np.asarray(x_at_t0, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("sample_p_given_x needs finite positions")
     k = sup.x1 / sup.mode.sigma_x2
     sigma_p = math.sqrt(sup.mode.sigma_p2)
-    out = sigma_p * _fringe_stage(_branch_fringe_ratio(sup, x * k),
-                                  k * sigma_p, sup.phase_phi, rng)
-    if np.isscalar(x_at_t0) or np.ndim(x_at_t0) == 0:
-        return out[0]
-    return out.reshape(np.shape(x_at_t0))
+    return sigma_p * _fringe_stage(_branch_fringe_ratio(sup, x * k),
+                                   k * sigma_p, sup.phase_phi, rng)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import digest_outputs
+import traffic_map
 from qtraj.analytic import (born_p, born_x, marginal_x,
                             variances_postselected_analytic)
 from qtraj.cli import (
@@ -967,6 +968,7 @@ EDGE_SCENARIOS = {
     "gtf_tiny": (QUARTER_CAT, {"amp.gtf": "1e-12"}),
     "gtf_30": (QUARTER_CAT, {"amp.gtf": "30"}),
     "n_steps_1": (QUARTER_CAT, {"amp.n_steps": "1"}),
+    "n_steps_0": (QUARTER_CAT, {"amp.n_steps": "0"}),
     "squeezed": (SQUEEZED_MODE, {}),
     "squeezed_r_40": (SQUEEZED_MODE, {"state.r": "40"}),
     "pair": (PAIR, {}),
@@ -1051,6 +1053,48 @@ class TestDigestOutputs:
         assert f"+{lines[0]}" in out and "-gone" in out
         assert not [line for line in out if line[:1] in "+-"
                     and line[1:] in lines[1:]]
+
+
+class TestTrafficMap:
+    SAVED = ["sampler.py:_Envelope.propose",
+             "   233  pts = self.mixture(rng, m)",
+             "   234  return pts, self.proposal.density(*pts.T), 0.0",
+             "cli.py:main",
+             "   526  raise ScenarioFileError(\"--trajectories must be >= 1\")"]
+
+    def test_moved_statements_are_equal(self, capsys):
+        moved = ["sampler.py:_Envelope.propose",
+                 "   240  pts = self.mixture(rng, m)",
+                 "   241  return pts, self.proposal.density(*pts.T), 0.0",
+                 "cli.py:main",
+                 "   530  raise ScenarioFileError(\"--trajectories must be "
+                 ">= 1\")"]
+        assert traffic_map.compare(self.SAVED, moved, "saved") == 0
+        assert capsys.readouterr().out == "3 statements equal to saved\n"
+
+    def test_gone_and_new_statements_are_a_diff(self, capsys):
+        # One statement gone, one new in another function, one that keeps
+        # its text and line but moves to another function.
+        now = ["sampler.py:_Envelope.propose",
+               "   233  pts = self.mixture(rng, m)",
+               "sampler.py:_Envelope.__init__",
+               "   185  raise ValueError(f\"cannot sample\")",
+               "cli.py:parse_scenario_text",
+               "   526  raise ScenarioFileError(\"--trajectories must be "
+               ">= 1\")"]
+        assert traffic_map.compare(self.SAVED, now, "saved") == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["--- saved", "+++ this run"]
+        changed = [line for line in out if line[:1] in "+-"][2:]
+        assert sorted(changed) == sorted([
+            "-sampler.py:_Envelope.propose  return pts, "
+            "self.proposal.density(*pts.T), 0.0",
+            "+sampler.py:_Envelope.__init__  raise ValueError(f\"cannot "
+            "sample\")",
+            "-cli.py:main  raise ScenarioFileError(\"--trajectories must "
+            "be >= 1\")",
+            "+cli.py:parse_scenario_text  raise ScenarioFileError("
+            "\"--trajectories must be >= 1\")"])
 
 
 class TestConsoleScript:

@@ -11,14 +11,27 @@ with those statements:
     PYTHONPATH=src python tests/traffic_map.py --trajectories 20000
 
 Refusal branches, input checks and closed-form twins that only the
-tests call show up here; so does dead code.  Pytest does not collect
-this file (its name does not start with ``test_``).
+tests call show up here; so does dead code.
+
+With ``--against FILE`` the listing is compared with a saved one by
+file, function and statement text, so statements that only moved to
+other line numbers count as equal.  Every statement unreached on one
+side only is printed as a unified diff (``-`` the file, ``+`` this run),
+and the exit code is 1 on any difference, 0 when the two are equal:
+
+    PYTHONPATH=src python tests/traffic_map.py > a
+    (in the other tree) PYTHONPATH=src python tests/traffic_map.py \
+        --against a
+
+Pytest does not collect this file (its name does not start with
+``test_``).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import importlib.util
 import inspect
 import io
@@ -117,21 +130,56 @@ def unreached(reached):
                 yield path, name, missed
 
 
-def main(argv=None) -> None:
+def listing(reached):
+    """Yield the listing: each function, then its unreached statements."""
+    for path, name, missed in unreached(reached):
+        text = path.read_text(encoding="utf-8").splitlines()
+        yield f"{path.name}:{name}"
+        for line in missed:
+            yield f"  {line:4d}  {text[line - 1].strip()}"
+
+
+def statements(lines):
+    """A listing's statements as ``file:function  text``, numbers dropped."""
+    owner = None
+    for line in lines:
+        if line.startswith(" "):
+            yield f"{owner}  {line.split(None, 1)[1]}"
+        elif line:
+            owner = line
+
+
+def compare(saved, lines, label) -> int:
+    """Print the statements unreached on one side only; 1 if there are any."""
+    old, new = list(statements(saved)), list(statements(lines))
+    diff = list(difflib.unified_diff(old, new, label, "this run", n=0,
+                                     lineterm=""))
+    print("\n".join(diff) if diff else
+          f"{len(old)} statements equal to {label}")
+    return 1 if diff else 0
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trajectories", type=int, default=20000,
                         help="trajectories of every CLI run and API case")
+    parser.add_argument("--against", metavar="FILE", default=None,
+                        help="compare with a saved listing; exit 1 if any "
+                             "statement differs")
     args = parser.parse_args(argv)
+    saved = (None if args.against is None else
+             Path(args.against).read_text(encoding="utf-8").splitlines())
     recorder = LineRecorder()
     with recorder.recording():
         run_cli(args.trajectories)
         run_api_cases(args.trajectories)
-    for path, name, missed in unreached(recorder.reached):
-        text = path.read_text(encoding="utf-8").splitlines()
-        print(f"{path.name}:{name}")
-        for line in missed:
-            print(f"  {line:4d}  {text[line - 1].strip()}")
+    lines = list(listing(recorder.reached))
+    if saved is None:
+        for line in lines:
+            print(line)
+        return 0
+    return compare(saved, lines, args.against)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
