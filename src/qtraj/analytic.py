@@ -46,7 +46,6 @@ from .core import (
 # Conditionals taken at t = 0 involve no amplifier; any one stands in.
 _T0_AMP = AmplifierSpec(1.0, 1.0, 1)
 _CDF_BINS = 20000  # bins of the CDF table over 12 sigma
-_CDF_BLOCK = 2000  # bins per block of its Gauss-Legendre points
 
 
 class TimeOutOfRange(ScenarioError):
@@ -281,38 +280,45 @@ class Marginal1D(GaussFringeDensity):
     def pdf(self, u) -> np.ndarray:
         return self.density(u)
 
-    def bin_masses(self, edges: np.ndarray, order: int = 24) -> np.ndarray:
-        """Integrate the density over each bin by Gauss-Legendre rule.
+    def _terms(self):
+        """(weight, mean, variance, wave, phase) of each term; a component
+        is a term of wave 0."""
+        f = self.fringe
+        return [(c.weight, c.means[0], c.variances[0], 0.0, 0.0)
+                for c in self.gaussians] + ([] if f is None else [(
+                    f.amplitude, f.means[0], f.variances[0], f.wave[0],
+                    f.phase)])
 
-        Raises ValueError where the rule cannot resolve a term across the
-        widest half bin: if the fringe turns more than ``order`` rad
-        there, or if it spans more than ``order / 4`` standard deviations
-        of the narrowest term with nonzero weight.
-        """
-        edges = np.asarray(edges, dtype=float)
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        widest = half.max(initial=0.0)
-        live = [c for c in self.gaussians if c.weight != 0.0]
-        fr = self.fringe
-        if fr is not None and fr.amplitude != 0.0:
-            turn = abs(fr.wave[0]) * widest
-            if turn > order:
-                raise ValueError(
-                    f"the fringe turns {turn:.3g} rad across a half bin, "
-                    f"more than the {order}-point bin quadrature resolves")
-            live.append(fr)
-        sigma = min((math.sqrt(t.variances[0]) for t in live),
-                    default=math.inf)
-        if widest > 0.25 * order * sigma:
-            raise ValueError(
-                f"a half bin spans {widest / sigma:.3g} standard deviations "
-                f"of the narrowest term, more than the {order}-point bin "
-                f"quadrature resolves")
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = self.density(pts)
-        return (vals * weights[None, :]).sum(axis=1) * half
+    def _integrated(self, u, binned: bool) -> np.ndarray:
+        """The exact CDF at each point u, or with ``binned`` the mass
+        between consecutive points.  Term w N(m, v) cos(k u + theta) at the
+        standardized s, with kappa = k sqrt(v): the integral of N(0, 1)
+        exp(i kappa t) over (-inf, s] is exp(-s^2/2 + i kappa s) w(-(kappa
+        + i s) / sqrt 2) / 2 for s <= 0, and that at (-s, -kappa) is the
+        one over [s, inf) for s > 0.  So a bin on one side of the mean is a
+        difference of two tails, which keeps its relative precision."""
+        u = np.asarray(u, dtype=float)
+        out = np.zeros(len(u) - 1 if binned else u.shape)
+        for w, m, v, k, theta in self._terms():
+            s = (u - m) / math.sqrt(v)
+            # Above the mean the tail is taken at (-s, -kappa), and negated.
+            above = (s > 0).astype(float)
+            a, kappa = -np.abs(s), (1.0 - 2.0 * above) * k * math.sqrt(v)
+            g = (0.5 - above) * np.exp(a * (-0.5 * a + 1j * kappa)) \
+                * _faddeeva(-(kappa + 1j * a) / math.sqrt(2.0))
+            total = math.exp(-0.5 * k * k * v)
+            part = (np.diff(g) + total * np.diff(above) if binned
+                    else g + total * above)
+            out += w * np.real(np.exp(1j * (k * m + theta)) * part)
+        return self.norm * out
+
+    def bin_masses(self, edges) -> np.ndarray:
+        """The exact mass in each bin between consecutive edges."""
+        return self._integrated(edges, True)
+
+    def cdf(self, points) -> np.ndarray:
+        """The exact mass below each point."""
+        return self._integrated(points, False)
 
     def support_hint(self, n_sigma: float = 10.0) -> Tuple[float, float]:
         """Interval outside which the density is negligible."""
@@ -322,20 +328,30 @@ class Marginal1D(GaussFringeDensity):
         return min(m - r for m, r in reach), max(m + r for m, r in reach)
 
     def _cdf_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """A dense grid over the support hint and the cumulative masses at
-        its points (the truncated tail mass is far below any statistical
-        resolution).  Masses are taken a block of bins at a time; each
-        bin sums its own row, so the bits are those of the whole grid."""
+        """A dense grid over the support hint and the CDF at its points
+        (the truncated tail mass is far below any statistical
+        resolution)."""
         grid = np.linspace(*self.support_hint(12.0), _CDF_BINS + 1)
-        masses = [self.bin_masses(grid[j:j + _CDF_BLOCK + 1], order=8)
-                  for j in range(0, _CDF_BINS, _CDF_BLOCK)]
-        return grid, np.concatenate([[0.0], np.cumsum(np.concatenate(masses))])
+        return grid, self.cdf(grid)
 
-    def cdf(self, points) -> np.ndarray:
-        """The CDF, interpolated between the masses of `_cdf_table`."""
-        grid, cdfv = self._cdf_table()
-        return np.interp(np.asarray(points, dtype=float), grid, cdfv,
-                         left=0.0, right=cdfv[-1])
+
+# Weideman's rational approximation of the Faddeeva function with N = 40
+# terms (SIAM J. Numer. Anal. 31, 1497, 1994): its scale L, and the cosine
+# coefficients of exp(-t^2) (L^2 + t^2) at t = L tan(j pi / 4N), |j| < 2N.
+_W_N = 40
+_W_SCALE = math.sqrt(_W_N / math.sqrt(2.0))
+_W_J = np.arange(1 - 2 * _W_N, 2 * _W_N)
+_W_T = _W_SCALE * np.tan(_W_J * math.pi / (4 * _W_N))
+_W_COEF = (np.cos(np.outer(np.arange(_W_N, 0, -1), _W_J) * math.pi
+                  / (2 * _W_N)) * np.exp(-_W_T ** 2)
+           * (_W_SCALE ** 2 + _W_T ** 2)).sum(axis=1) / (4 * _W_N)
+
+
+def _faddeeva(z) -> np.ndarray:
+    """w(z) = exp(-z^2) erfc(-iz) for Im z >= 0."""
+    d = _W_SCALE - 1j * z
+    return (2.0 * np.polyval(_W_COEF, (_W_SCALE + 1j * z) / d) / d
+            + 1.0 / math.sqrt(math.pi)) / d
 
 
 # ----------------------------------------------------------------------
@@ -435,16 +451,17 @@ def conditional_p_given_x(spec, amp: AmplifierSpec, t: float,
 def born_x(spec) -> Marginal1D:
     """Infinite-gain limit of the gain-rescaled position marginal.
 
-    Two Gaussians of variance exp(-2r) at +-x1 with weights |c_j|^2 plus
-    the overlap-suppressed interference Gaussian — i.e. the measured
+    Two Gaussians of variance exp(-2r) at +-x1 with weights |c_j|^2 (one
+    of zero weight is omitted) plus the overlap-suppressed interference
+    Gaussian — i.e. the measured
     outcome distribution the amplification steers the rescaled variable
     x0 = x/G towards.
     """
     sup = as_superposition(spec)
     v = math.exp(-2.0 * sup.mode.squeeze_r)
     x1 = sup.x1
-    comps = (GaussComponent(sup.c1_mag ** 2, (x1,), (v,)),
-             GaussComponent(sup.c2_mag ** 2, (-x1,), (v,)))
+    comps = tuple(GaussComponent(w, (mean,), (v,)) for w, mean in (
+        (sup.c1_mag ** 2, x1), (sup.c2_mag ** 2, -x1)) if w != 0.0)
     fringe = None
     if sup.fringe_weight != 0.0:
         fringe = FringeTerm(

@@ -358,6 +358,14 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         # truncation itself is bias-free.
         lo_s, hi_s = target.support_hint(4.0)
         edges = np.linspace(lo_s, hi_s, N_BORN_BINS + 1)
+        masses = target.bin_masses(edges)
+        crowded = ("its bin edges coincide" if np.any(np.diff(edges) <= 0.0)
+                   else None if masses.max() < masses.sum()
+                   else "one bin holds all of its mass")
+        if crowded:
+            raise ScenarioError(f"born: the {basis} target is narrower than "
+                                f"its bins resolve at state.r = "
+                                f"{_fmt(sc.r)}: {crowded}")
         hist = histogram(scaled, edges)
         if hist.n == 0:
             # Records on both sides of an empty window: more cannot help.
@@ -368,11 +376,6 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
             raise ScenarioError(
                 f"born: no {basis} record lies within 4 sigma "
                 f"({hist.n_below} below, {hist.n_above} above); {advice}")
-        try:
-            masses = target.bin_masses(edges)
-        except ValueError as exc:  # a term finer than the rule resolves
-            raise ScenarioError(f"born: the {basis} density cannot be binned "
-                                f"at state.r = {_fmt(sc.r)}: {exc}") from exc
         comp = compare_density(hist, target)
         ks = ks_statistic(scaled, target)
         del scaled  # released before the next basis draws

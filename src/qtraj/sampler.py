@@ -206,7 +206,7 @@ class _Envelope:
         # A nearly cancelling fringe rounds on the scale of its terms, not
         # of its value, so both sides allow tol.
         probe = density.density(np.linspace(self.lo, hi, 2 * _BINS + 1))
-        tol = 1e-12 * np.max(bounds)
+        tol = self.tol = 1e-12 * np.max(bounds)
         top = bounds * (1 + 1e-9) + tol
         if not all(np.all((lower - tol <= d) & (d <= top))
                    for d in (probe[:-1:2], probe[1::2], probe[2::2])):
@@ -358,7 +358,9 @@ def sample_fringe_density(density: GaussFringeDensity, rng, size: int,
                                         "at a candidate")
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratio = np.where(height > 0.0, target / height, 0.0)
-            if np.any(ratio > 1.0 + 1e-9) or np.any(ratio < -1e-12):
+            # Beyond rounding on the terms' scale, as at compile.
+            if np.any(target > height * (1 + 1e-9) + env.tol) \
+                    or np.any(target < -env.tol):
                 raise EnvelopeViolation(
                     f"density/envelope ratio outside [0, 1]: "
                     f"[{ratio.min():.3g}, {ratio.max():.3g}]")

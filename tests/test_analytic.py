@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import wofz
 
 from conftest import gl_nodes, quad_grid, quad_moments_1d
 from qtraj.analytic import (
@@ -22,6 +24,7 @@ from qtraj.analytic import (
     Marginal1D,
     TimeOutOfRange,
     UnsupportedPhase,
+    _faddeeva,
     born_p,
     born_x,
     conditional_given_meter_x,
@@ -52,6 +55,37 @@ def two_mode(x1=1.0, r=1.5, x1b=4.0, r2=0.0, phi=0.5 * math.pi):
 
 
 AMP = AmplifierSpec(1.0, 3.0, 30)
+
+
+def erfc_cdf(points, mean=0.0, sd=1.0, upper=False):
+    """The CDF of N(mean, sd^2) at each point from ``math.erfc``, or with
+    ``upper`` the mass above it."""
+    sign = 1.0 if upper else -1.0
+    return np.array([0.5 * math.erfc(sign * (u - mean) / (sd * math.sqrt(2.0)))
+                     for u in points])
+
+
+def erfc_masses(edges, mean=0.0, sd=1.0):
+    """Bin masses of N(mean, sd^2) from ``math.erfc``; a bin above the
+    mean is the difference of two upper tails."""
+    edges = np.asarray(edges)
+    above = edges[:-1] >= mean
+    cdf = erfc_cdf(edges, mean, sd)
+    sf = erfc_cdf(edges, mean, sd, upper=True)
+    return np.where(above, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
+
+
+def quad_masses(dens, edges):
+    """Bin masses by scipy ``quad`` on pieces shorter than a fringe period."""
+    k = 0.0 if dens.fringe is None else abs(dens.fringe.wave[0])
+    out = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        cuts = np.linspace(a, b, math.ceil(k * (b - a) / (2 * math.pi)) + 2)
+        out.append(math.fsum(
+            quad(lambda u: float(dens.pdf(u)), lo, hi, epsabs=1e-17,
+                 epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(cuts[:-1], cuts[1:])))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -216,56 +250,74 @@ class TestDensityFamily:
             fringe=FringeTerm(amplitude, (0.0,), (1e4,), (k,), 0.0),
             axes=("x",))
 
-    def test_bin_masses_refuse_a_fringe_the_rule_cannot_resolve(self):
-        # Half bins of width 1, so the fringe turns k rad across each.
-        # 24 nodes integrate cos(K u) on [-1, 1] to 8e-11 at K = 24 and
-        # miss it by 1e-2 at K = 40 and by 0.59 at K = 48.
+    def test_bin_masses_of_a_fringe_are_exact_at_any_wave(self):
+        # Half bins of width 1, so the fringe turns k rad across each: the
+        # 24-point rule used to refuse k > 24, and the 8-point one k > 8.
         edges = np.linspace(-10.0, 10.0, 11)
-        fine = self.fringed(24.0).bin_masses(np.linspace(-10.0, 10.0, 2001))
-        np.testing.assert_allclose(self.fringed(24.0).bin_masses(edges),
-                                   fine.reshape(10, 200).sum(axis=1),
-                                   rtol=0, atol=1e-12)
-        with pytest.raises(ValueError, match="turns 24 rad.*24-point"):
-            self.fringed(24.0 * (1 + 1e-9)).bin_masses(edges)
-        with pytest.raises(ValueError, match="8-point"):
-            self.fringed(8.01).bin_masses(edges, order=8)
-        # Without amplitude there is nothing to resolve.
-        self.fringed(1e3, amplitude=0.0).bin_masses(edges)
+        for k in (24.0, 24.0 * (1 + 1e-9), 8.01, 40.0):
+            dens = self.fringed(k)
+            np.testing.assert_allclose(dens.bin_masses(edges),
+                                       quad_masses(dens, edges),
+                                       rtol=0, atol=1e-15)
+        # Without amplitude the fringe adds nothing.
+        np.testing.assert_array_equal(
+            self.fringed(1e3, amplitude=0.0).bin_masses(edges),
+            replace(self.fringed(1e3), fringe=None).bin_masses(edges))
 
-    @staticmethod
-    def erfc_masses(edges):
-        """Bin masses of N(0, 1) from ``math.erfc``."""
-        tail = [0.5 * math.erfc(e / math.sqrt(2.0)) for e in edges]
-        return np.array(tail[:-1]) - np.array(tail[1:])
-
-    def test_bin_masses_refuse_a_term_the_rule_cannot_resolve(self):
-        # A unit Gaussian centred on a bin edge, in half bins of h sigma.
-        # The rule of n nodes is exact to 2e-11 (24) and 1e-7 (8) in all
-        # at h = n / 4, and refuses just above it.
+    def test_bin_masses_of_a_narrow_term_are_exact(self):
+        # A unit Gaussian centred on a bin edge, in half bins of h sigma:
+        # the 24- and 8-point rules used to refuse h above 6 and 2.
         def unit(extra=()):
             return Marginal1D(
                 gaussians=(GaussComponent(1.0, (0.0,), (1.0,)),) + extra,
                 fringe=None, axes=("x",))
 
-        for order, tol in ((24, 5e-11), (8, 2e-7)):
-            h = order / 4
-            edges = np.arange(-4, 5) * 2.0 * h + h
-            got = unit().bin_masses(edges, order=order)
-            assert np.abs(got - self.erfc_masses(edges)).sum() < tol
-            with pytest.raises(ValueError,
-                               match=f"spans {h:g} standard.*{order}-point"):
-                unit().bin_masses(edges * (1 + 1e-9), order=order)
-        # A narrower term counts only with weight; a narrow fringe
-        # envelope counts too.
+        for h in (6.0, 2.0):
+            for edges in (np.arange(-4, 5) * 2.0 * h + h,
+                          (np.arange(-4, 5) * 2.0 * h + h) * (1 + 1e-9)):
+                np.testing.assert_allclose(unit().bin_masses(edges),
+                                           erfc_masses(edges), rtol=0,
+                                           atol=1e-15)
+                np.testing.assert_allclose(unit().cdf(edges),
+                                           erfc_cdf(edges), rtol=0,
+                                           atol=1e-15)
+        # A narrow term of weight 0 adds nothing; one of weight 1e-9 adds
+        # its mass, whether a component or a non-oscillating fringe.
         edges = np.linspace(-30.0, 30.0, 6)
         narrow = GaussComponent(0.0, (0.0,), (1e-6,))
         np.testing.assert_array_equal(unit((narrow,)).bin_masses(edges),
                                       unit().bin_masses(edges))
-        with pytest.raises(ValueError, match="spans 6e\\+03 standard"):
-            unit((replace(narrow, weight=1e-9),)).bin_masses(edges)
-        with pytest.raises(ValueError, match="spans 6e\\+03 standard"):
-            replace(unit(), fringe=FringeTerm(
-                1e-9, (0.0,), (1e-6,), (0.0,), 0.0)).bin_masses(edges)
+        want = erfc_masses(edges) + 1e-9 * erfc_masses(edges, sd=1e-3)
+        for dens in (unit((replace(narrow, weight=1e-9),)),
+                     replace(unit(), fringe=FringeTerm(
+                         1e-9, (0.0,), (1e-6,), (0.0,), 0.0))):
+            np.testing.assert_allclose(dens.bin_masses(edges), want,
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("r", [6.0, 12.0])
+    def test_born_masses_the_rules_refused_are_exact(self, r):
+        # born's bins at fig_born_x's state beyond state.r = 5: each x
+        # packet is many sigma to a half bin, and the p fringe cos(x1 p)
+        # turns tens to thousands of rad across one.
+        spec = cat(4.0, r, 0.0)
+        tx, tp = born_x(spec), born_p(spec)
+        edges = np.linspace(*tx.support_hint(4.0), 101)
+        f = tx.fringe  # a Gaussian of weight A cos(phi)
+        assert f.wave == (0.0,)
+        want = tx.norm * sum(
+            w * erfc_masses(edges, t.means[0], math.sqrt(t.variances[0]))
+            for w, t in [(c.weight, c) for c in tx.gaussians]
+            + [(f.amplitude * math.cos(f.phase), f)])
+        np.testing.assert_allclose(tx.bin_masses(edges), want, rtol=0,
+                                   atol=1e-15)
+        edges = np.linspace(*tp.support_hint(4.0), 101)
+        if r == 6.0:  # 21 pieces to each of 100 bins
+            np.testing.assert_allclose(tp.bin_masses(edges),
+                                       quad_masses(tp, edges), rtol=0,
+                                       atol=1e-15)
+        np.testing.assert_allclose(np.cumsum(tp.bin_masses(edges)),
+                                   tp.cdf(edges[1:]) - tp.cdf(edges[0]),
+                                   rtol=0, atol=1e-15)
 
     def test_cdf_monotone_and_normalised(self):
         dens = marginal_x(cat(2.0, 0.5, 0.0), AMP, 1.0)
@@ -964,3 +1016,37 @@ def test_convolved_keeps_mass_and_mean_and_adds_variance(added, x1, r, phi,
             got_mean, got_var = out.moments(ax)
             assert got_mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
             assert got_var == pytest.approx(var + added, abs=tol)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_sd=st.floats(-6.0, 4.0), wave=st.floats(-1e3, 1e3),
+       phase=st.floats(0.0, 2.0 * math.pi), visibility=st.floats(0.0, 1.0),
+       centre=st.floats(-1e3, 1e3), other=st.floats(0.0, 2.0),
+       shift=st.floats(-20.0, 20.0), ratio=st.floats(0.1, 10.0))
+def test_bin_masses_and_cdf_agree_on_any_one_axis_member(
+        log_sd, wave, phase, visibility, centre, other, shift, ratio):
+    # N(c, sd^2)(1 + V cos(k u + theta)) plus a second packet: non-negative.
+    sd = 10.0 ** log_sd
+    dens = Marginal1D(
+        gaussians=(GaussComponent(1.0, (centre,), (sd * sd,)),
+                   GaussComponent(other, (centre + shift * sd,),
+                                  ((ratio * sd) ** 2,))),
+        fringe=FringeTerm(visibility, (centre,), (sd * sd,), (wave,), phase),
+        axes=("u",))
+    edges = np.linspace(*dens.support_hint(12.0), 257)
+    masses, cdf = dens.bin_masses(edges), dens.cdf(edges)
+    total = dens.total_mass()
+    assert masses.sum() == pytest.approx(total, abs=1e-13)
+    # Monotone, and the cumulative masses, up to rounding.
+    assert np.all(np.diff(cdf) >= -1e-15 * total)
+    assert np.all(masses >= -1e-15 * total)
+    np.testing.assert_allclose(cdf[1:] - cdf[0], np.cumsum(masses), rtol=0,
+                               atol=1e-13)
+
+
+class TestFaddeeva:
+    def test_matches_scipy_over_the_upper_half_plane(self):
+        radius = np.logspace(-4.0, 3.0, 281)
+        angle = np.linspace(0.0, math.pi, 361)
+        z = (radius[:, None] * np.exp(1j * angle)).ravel()
+        np.testing.assert_allclose(_faddeeva(z), wofz(z), rtol=1e-13, atol=0)

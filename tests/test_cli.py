@@ -72,6 +72,13 @@ run.trajectories = {n}
 run.seed = {seed}
 """
 
+BORN_X_TEXT = (resources.files("qtraj") / "scenarios"
+               / "fig_born_x.scenario").read_text(encoding="utf-8")
+# A squeezed packet at x1 = 3 under amp.gtf = 6.
+SQUEEZED_3_TEXT = (SQUEEZED.format(seed=5)
+                   .replace("state.x1 = 1.0", "state.x1 = 3")
+                   .replace("amp.gtf = 1.0", "amp.gtf = 6"))
+
 TWO_MODE = """\
 state.kind = two_mode
 state.x1 = 1.0
@@ -659,11 +666,23 @@ class TestCmdBorn:
                       / math.exp(rate * t_final))
             target = born_x(state) if basis == "x" else born_p(state)
             s, n = np.sort(scaled), len(scaled)
+            total = target.total_mass()
             grid = np.linspace(*target.support_hint(12.0), 20001)
-            cdfv = np.concatenate([[0.0], np.cumsum(
-                target.bin_masses(grid, order=8))])
-            cdf = np.interp(s, grid, cdfv, left=0.0,
-                            right=cdfv[-1]) / target.total_mass()
+            cdfv = target.cdf(grid)
+            cdf = np.interp(s, grid, cdfv, left=0.0, right=cdfv[-1])
+            # Exact where a cell's interpolation may err by more than
+            # ks_critical(n) / 100: by its mass, or by h^2 / 8 times the
+            # largest slope of its terms.
+            slope = target.norm * sum(
+                abs(w) * (math.exp(-0.5) / v + abs(k) / math.sqrt(v))
+                for w, _, v, k, _ in target._terms()) / math.sqrt(2 * math.pi)
+            bound = np.diff(cdfv, prepend=0.0, append=total)
+            bound[1:-1] = np.minimum(bound[1:-1],
+                                     (grid[1] - grid[0]) ** 2 / 8 * slope)
+            exact = (bound > ks_critical(n) / 100 * total)[
+                np.searchsorted(grid, s, side="right")]
+            cdf[exact] = target.cdf(s[exact])
+            cdf /= total
             i = np.arange(1, n + 1)
             ks = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
             hist = histogram(scaled, np.linspace(
@@ -731,64 +750,67 @@ class TestCmdBorn:
             in capsys.readouterr().err
         assert not [w for w in caught if w.category is RuntimeWarning]
         assert not out.exists()
-        # At state.r = 40 the x packets (variance e^-80) fall between the
-        # nodes of the bin quadrature, so every target mass would be 0:
-        # the packets are far narrower than the bins, and born says so.
-        cat = (resources.files("qtraj") / "scenarios" / "fig_born_x.scenario"
-               ).read_text(encoding="utf-8")
-        assert "state.r = 0\n" in cat
-        for name, text in (
-                ("cat", cat.replace("state.r = 0\n", "state.r = 40\n")),
-                ("squeezed", SQUEEZED.format(seed=1).replace(
-                    "state.r = 0.0", "state.r = 40"))):
-            out = tmp_path / name
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main(["born", "--scenario",
-                             str(write_scenario(tmp_path, text)), "--out",
-                             str(out), "--trajectories", "20000"])
-            assert code == EXIT_VALIDATION
-            assert ("born: the x density cannot be binned at state.r = 40: "
-                    "a half bin spans ") in capsys.readouterr().err
-            assert not [w for w in caught if w.category is RuntimeWarning]
-            assert not out.exists()
-        # At state.r = 6 the p fringe cos(x1 p) turns 64.5 rad across half
-        # a bin, where 24 nodes misread it (p max_z read 9.27 and 59.7 at
-        # 20,000 and 1,000,000 trajectories).  Both bases fail at the same
-        # x1 e^r, and x comes first: its packets are 16.2 sigma to a half
-        # bin.  A squeezed state's p basis has no fringe, and its x packet
-        # at +3 is e^-r wide in bins spanning [-3, 3]: at r = 8 and 10 its
-        # masses summed to 0.72 and 2.33 and the x ks read 0.369 and 0.462,
-        # yet born exited 0.  At state.r = -40 the p target is about e^-40
-        # wide, so the records fall on both sides of its window and more of
-        # them cannot help.
+        # At state.r = -40 the p target is about e^-40 wide, so the records
+        # fall on both sides of its window and more of them cannot help.
         quarter = SUPERPOSITION.format(gtf=3.0, n_steps=1, n=2000, seed=SEED)
-        squeezed = (SQUEEZED.format(seed=5)
-                    .replace("state.x1 = 1.0", "state.x1 = 3")
-                    .replace("amp.gtf = 1.0", "amp.gtf = 6"))
-        for name, text, said in (
-                ("r6", cat.replace("state.r = 0\n", "state.r = 6\n"),
-                 "born: the x density cannot be binned at state.r = 6: a "
-                 "half bin spans 16.2 standard deviations of the narrowest "
-                 "term, more than the 24-point bin quadrature resolves"),
-                *((f"squeezed{r}", squeezed.replace(
-                    "state.r = 0.0", f"state.r = {r}"),
-                   f"born: the x density cannot be binned at state.r = {r}: "
-                   f"a half bin spans ") for r in (8, 10, 12)),
-                ("r-40", quarter.replace("state.r = 0.0", "state.r = -40"),
-                 "above); the p target is far narrower than the records at "
-                 "state.r = -40")):
-            out = tmp_path / name
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main(["born", "--scenario",
-                             str(write_scenario(tmp_path, text)), "--out",
-                             str(out), "--trajectories", "20000"])
-            assert code == EXIT_VALIDATION
-            err = capsys.readouterr().err
-            assert said in err and "run.trajectories" not in err, err
-            assert not caught, [str(w.message) for w in caught]
-            assert not out.exists()
+        out = tmp_path / "r-40"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["born", "--scenario", str(write_scenario(
+                tmp_path, quarter.replace("state.r = 0.0", "state.r = -40"))),
+                "--out", str(out), "--trajectories", "20000"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert ("above); the p target is far narrower than the records at "
+                "state.r = -40") in err and "run.trajectories" not in err, err
+        assert not caught, [str(w.message) for w in caught]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,r", [
+        *((BORN_X_TEXT.replace("state.r = 0\n", "state.r = {r}\n"), r)
+          for r in ("6", "8", "12", "40")),
+        *((SQUEEZED_3_TEXT.replace("state.r = 0.0", "state.r = {r}"), r)
+          for r in ("5.3", "8", "10", "12"))])
+    def test_high_squeezing_is_binned_exactly(self, tmp_path, text, r):
+        # Each basis used to be refused past the bin quadrature's reach
+        # (fig_born_x from state.r = 5, the squeezed packet from 5.3).
+        # Exact masses need no such limit; no basis holds all of its
+        # target's mass in one bin.
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["born", "--scenario", str(write_scenario(
+                tmp_path, text.format(r=r))), "--out", str(out),
+                "--trajectories", "20000"])
+        assert code == EXIT_OK
+        assert not caught, [str(w.message) for w in caught]
+        assert _non_finite(out / "born_check.csv") == []
+        _, header, rows = read_csv(out / "born_check.csv")
+        for basis in ("x", "p"):
+            expected = [float(row[header.index("expected_density")])
+                        for row in rows if row[0] == basis]
+            assert sum(e > 0.0 for e in expected) > 1, basis
+
+    @pytest.mark.parametrize("text,said", [
+        (SQUEEZED.format(seed=1).replace("state.r = 0.0", "state.r = 40"),
+         "born: the x target is narrower than its bins resolve at state.r "
+         "= 40: its bin edges coincide"),
+        (SUPERPOSITION.format(gtf=6.0, n_steps=1, n=20000, seed=SEED)
+         .replace("state.x1 = 2.0", "state.x1 = 3").replace(
+             "state.r = 0.0", "state.r = 8\nstate.c1_sq = 1e-300"),
+         "born: the x target is narrower than its bins resolve at state.r "
+         "= 8: one bin holds all of its mass")])
+    def test_a_target_in_one_bin_is_refused(self, tmp_path, capsys, text,
+                                            said):
+        # One packet e^-40 wide at x1 = 1 spans no floating-point step, and
+        # a packet of weight 1e-300 widens the window of the other to bins
+        # wider than it: max_z would read 0.
+        out = tmp_path / "o"
+        code = main(["born", "--scenario", str(write_scenario(tmp_path, text)),
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert said in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCmdPostselect:
@@ -953,6 +975,9 @@ PAIR = dict(QUARTER_CAT, **{"state.kind": "two_mode", "meter.x1b": "3",
                             "meter.r2": "0"})
 SQUEEZED_MODE = dict(QUARTER_CAT, **{"state.kind": "squeezed",
                                      "state.phi": None})
+# fig_born_x at this suite's size.
+FIG_BORN_X = dict(QUARTER_CAT, **{"state.x1": "4", "state.phi": "0",
+                                  "amp.gtf": "6", "amp.n_steps": "50"})
 # Each changes one or two keys of a base (None drops a key).
 EDGE_SCENARIOS = {
     "x1_small": (QUARTER_CAT, {"state.x1": "0.01"}),
@@ -971,6 +996,9 @@ EDGE_SCENARIOS = {
     "n_steps_0": (QUARTER_CAT, {"amp.n_steps": "0"}),
     "squeezed": (SQUEEZED_MODE, {}),
     "squeezed_r_40": (SQUEEZED_MODE, {"state.r": "40"}),
+    "squeezed_x1_3_r_8": (SQUEEZED_MODE, {"state.x1": "3", "amp.gtf": "6",
+                                          "state.r": "8"}),
+    "born_x_r_6": (FIG_BORN_X, {"state.r": "6"}),
     "pair": (PAIR, {}),
     "pair_x1_small": (PAIR, {"state.x1": "0.1", "meter.x1b": "0.1"}),
     "pair_squeezed": (PAIR, {"state.r": "-3", "meter.r2": "3"}),

@@ -512,6 +512,21 @@ class TestSqueeze:
         x = sample_fringe_density(dens, RngStream(SUITE_SEED, 93), 100_000)
         assert ks_statistic(x, dens) < ks_critical(100_000, alpha=0.001)
 
+    def test_draws_allow_the_rounding_of_a_cancelling_fringe(self,
+                                                             monkeypatch):
+        # Every candidate proposed at the same edge: the density there
+        # rounds 2e-9 above the bin's height, far inside the certificate's
+        # tol, so each is drawn.  The draw used to raise EnvelopeViolation.
+        dens = crest(0.0546875, 2.6875)
+        env = sampler._compiled(dens)
+        edge = env.lo + 3748 * env.width
+        height = env.bounds[3748]
+        assert dens.density(edge) > height * (1.0 + 1e-9)
+        monkeypatch.setattr(env, "propose", lambda rng, m: (
+            np.full(m, edge), np.full(m, height), np.zeros(m)))
+        x = sample_fringe_density(dens, RngStream(SUITE_SEED, 94), 10)
+        assert np.all(x == edge)
+
     def test_exact_mixtures_evaluate_nothing(self):
         diag = {}
         sample_fringe_density(born_x(cat(1.0, 0.0, 0.0)),

@@ -130,7 +130,7 @@ class TestBinZScores:
         for compare in (bin_z_scores, compare_density):
             with pytest.raises(ValueError, match="histogram range"):
                 compare(h, centred_target())
-        # So would a target with no mass the bin quadrature reaches.
+        # So would a target with no mass in range.
         h = histogram([0.5, 1.5], np.linspace(-6, 6, 13))
         for compare in (bin_z_scores, compare_density):
             with pytest.raises(ValueError, match="no mass inside"):
@@ -184,15 +184,45 @@ class TestKsStatistic:
         d = ks_statistic(samples, centred_target())
         assert d > ks_critical(100000, alpha=0.001)
 
-    def test_a_fringe_finer_than_the_table_is_refused(self):
-        # The table's half bins are 12 sigma / 20,000 = 6e-4 wide here, so
-        # a fringe of wave number 2e4 turns 12 rad across each: past the
-        # 8 its 8-point rule resolves.
+    @staticmethod
+    def exact(samples, target):
+        """The statistic with the exact CDF at every sample."""
+        s = np.sort(samples)
+        n = len(s)
+        cdf = target.cdf(s) / target.total_mass()
+        i = np.arange(1, n + 1)
+        return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+
+    def test_a_fringe_finer_than_the_table_keeps_the_stated_bound(self):
+        # The table's cells are 24 sigma / 20,000 = 1.2e-3 wide here, so a
+        # fringe of wave number 2e4 turns 24 rad across each (the 8-point
+        # rule used to refuse it); at n = 1000 the central cells' bound
+        # exceeds ks_critical(n) / 100, and they are evaluated exactly.
         target = Marginal1D(
             gaussians=(GaussComponent(1.0, (0.0,), (1.0,)),),
             fringe=FringeTerm(0.5, (0.0,), (1.0,), (2e4,), 0.0), axes=("x",))
-        with pytest.raises(ValueError, match="8-point"):
-            ks_statistic([0.0], target)
+        for n in (1, 1000):
+            samples = rng(11).normal(0.0, 1.0, n)
+            assert ks_statistic(samples, target) == pytest.approx(
+                self.exact(samples, target), abs=ks_critical(n) / 100)
+
+    def test_equals_exact_evaluation_at_high_squeezing(self):
+        # born_x at state.r = 12: packets e^-12 wide, each inside one table
+        # cell, against records e^-6 wide (the finite gain of fig_born_x).
+        # Interpolated, those cells misread the CDF by far more than the
+        # critical value; they are evaluated exactly.
+        target = born_x(SuperpositionSpec(ModeSpec(4.0, 12.0), math.sqrt(0.5),
+                                          math.sqrt(0.5), 0.0))
+        n = 20000
+        draw = rng(12)
+        samples = (np.where(draw.random(n) < 0.5, -4.0, 4.0)
+                   + math.exp(-6.0) * draw.standard_normal(n))
+        exact = self.exact(samples, target)
+        assert ks_statistic(samples, target) == pytest.approx(
+            exact, abs=ks_critical(n) / 100)
+        grid, cdfv = target._cdf_table()
+        assert np.max(np.abs(np.interp(samples, grid, cdfv)
+                             - target.cdf(samples))) > 10 * ks_critical(n)
 
 
 class TestKsBlocks:
@@ -203,7 +233,9 @@ class TestKsBlocks:
     def unblocked(samples, target):
         s = np.sort(samples)
         n = len(s)
-        cdf = target.cdf(s) / target.total_mass()
+        grid, cdfv = target._cdf_table()  # no cell of these needs more
+        cdf = np.interp(s, grid, cdfv, left=0.0, right=cdfv[-1]) \
+            / target.total_mass()
         i = np.arange(1, n + 1)
         return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
 
@@ -283,12 +315,12 @@ class TestKsBlocks:
 
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_cdf_table_has_the_bits_of_the_unblocked_masses(self, name):
+        # The table's nodes are the exact CDF, taken at once.
         target = self.TABLES[name]()
         grid, cdfv = target._cdf_table()
         want = np.linspace(*target.support_hint(12.0), 20001)
-        masses = np.cumsum(target.bin_masses(want, order=8))
         assert grid.tobytes() == want.tobytes()
-        assert cdfv.tobytes() == np.concatenate([[0.0], masses]).tobytes()
+        assert cdfv.tobytes() == target.cdf(want).tobytes()
 
 
 class TestKsCritical:
