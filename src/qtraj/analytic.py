@@ -354,13 +354,30 @@ def _faddeeva(z) -> np.ndarray:
             + 1.0 / math.sqrt(math.pi)) / d
 
 
+def _packets(weights, mean, variances, fringe, norm, axes):
+    """The packet at ``mean`` of ``weights[0]`` and, given a second weight
+    (zero is kept), its mirror image, both of ``variances``, plus ``fringe
+    = (amplitude, wave, phase)`` at the origin or None; a Marginal1D on
+    one axis.  A mirror coordinate is 0.0 - m, so no zero becomes -0.0."""
+    centres = (tuple(mean), tuple(0.0 - m for m in mean))
+    comps = tuple(GaussComponent(w, c, variances)
+                  for w, c in zip(weights, centres))
+    if fringe is not None:
+        fringe = FringeTerm(fringe[0], (0.0,) * len(axes), variances,
+                            *fringe[1:])
+    cls = Marginal1D if len(axes) == 1 else GaussFringeDensity
+    return cls(gaussians=comps, fringe=fringe, norm=norm, axes=axes)
+
+
 # ----------------------------------------------------------------------
 # Single-mode distributions
 # ----------------------------------------------------------------------
 
 def _at(mode: ModeSpec, amp: AmplifierSpec, t: float
         ) -> Tuple[float, float, float]:
-    """Gain G(t) and one packet's variances (sigma_x^2(t), sigma_p^2(t))."""
+    """Gain G(t) and one packet's variances (sigma_x^2(t), sigma_p^2(t)),
+    with t checked against the amplifier window."""
+    t = _check_time(amp, t)
     return (float(gain(amp, t)), sigma_x2_at(mode, amp, t),
             sigma_p2_at(mode, amp, t))
 
@@ -385,20 +402,13 @@ def q_single_mode(spec: Union[ModeSpec, SuperpositionSpec], amp: AmplifierSpec,
     GaussFringeDensity with axes ("x", "p").
     """
     sup = as_superposition(spec)
-    g, sx2, sp2 = _at(sup.mode, amp, _check_time(amp, t))
-    x1 = sup.x1
-    comps = (
-        GaussComponent(sup.c1_mag ** 2, (g * x1, 0.0), (sx2, sp2)),
-        GaussComponent(sup.c2_mag ** 2, (-g * x1, 0.0), (sx2, sp2)),
-    )
-    fringe = None
-    if sup.fringe_weight != 0.0:
-        fringe = FringeTerm(
-            amplitude=sup.fringe_weight * math.exp(-0.5 * (g * x1) ** 2 / sx2),
-            means=(0.0, 0.0), variances=(sx2, sp2),
-            wave=(0.0, g * x1 / sx2), phase=sup.phase_phi)
-    return GaussFringeDensity(gaussians=comps, fringe=fringe,
-                              norm=sup.norm_factor, axes=("x", "p"))
+    g, sx2, sp2 = _at(sup.mode, amp, t)
+    x1 = g * sup.x1
+    fringe = None if sup.fringe_weight == 0.0 else (
+        sup.fringe_weight * math.exp(-0.5 * x1 ** 2 / sx2), (0.0, x1 / sx2),
+        sup.phase_phi)
+    return _packets((sup.c1_mag ** 2, sup.c2_mag ** 2), (x1, 0.0),
+                    (sx2, sp2), fringe, sup.norm_factor, ("x", "p"))
 
 
 def marginal_x(spec, amp: AmplifierSpec, t: float) -> Marginal1D:
@@ -438,13 +448,11 @@ def conditional_p_given_x(spec, amp: AmplifierSpec, t: float,
     for equal amplitudes s = sech(u).
     """
     sup = as_superposition(spec)
-    g, sx2, sp2 = _at(sup.mode, amp, _check_time(amp, t))
+    g, sx2, sp2 = _at(sup.mode, amp, t)
     k = g * sup.x1 / sx2
     s = float(_branch_fringe_ratio(sup, x * g * sup.x1 / sx2))
-    fringe = (FringeTerm(s, (0.0,), (sp2,), (k,), sup.phase_phi)
-              if s != 0.0 else None)
-    dens = Marginal1D(gaussians=(GaussComponent(1.0, (0.0,), (sp2,)),),
-                      fringe=fringe, axes=("p",))
+    fringe = None if s == 0.0 else (s, (k,), sup.phase_phi)
+    dens = _packets((1.0,), (0.0,), (sp2,), fringe, 1.0, ("p",))
     return replace(dens, norm=1.0 / dens.total_mass())
 
 
@@ -459,16 +467,13 @@ def born_x(spec) -> Marginal1D:
     """
     sup = as_superposition(spec)
     v = math.exp(-2.0 * sup.mode.squeeze_r)
-    x1 = sup.x1
-    comps = tuple(GaussComponent(w, (mean,), (v,)) for w, mean in (
-        (sup.c1_mag ** 2, x1), (sup.c2_mag ** 2, -x1)) if w != 0.0)
-    fringe = None
-    if sup.fringe_weight != 0.0:
-        fringe = FringeTerm(
-            amplitude=sup.fringe_weight * math.exp(-sup.mode.overlap_exponent),
-            means=(0.0,), variances=(v,), wave=(0.0,), phase=sup.phase_phi)
-    return Marginal1D(gaussians=comps, fringe=fringe, norm=sup.norm_factor,
-                      axes=("x",))
+    fringe = None if sup.fringe_weight == 0.0 else (
+        sup.fringe_weight * math.exp(-sup.mode.overlap_exponent), (0.0,),
+        sup.phase_phi)
+    dens = _packets((sup.c1_mag ** 2, sup.c2_mag ** 2), (sup.x1,), (v,),
+                    fringe, sup.norm_factor, ("x",))
+    return replace(dens, gaussians=tuple(c for c in dens.gaussians
+                                         if c.weight != 0.0))
 
 
 def born_p(spec) -> Marginal1D:
@@ -480,13 +485,9 @@ def born_p(spec) -> Marginal1D:
     """
     sup = as_superposition(spec)
     v = math.exp(2.0 * sup.mode.squeeze_r)
-    comps = (GaussComponent(1.0, (0.0,), (v,)),)
-    fringe = None
-    if sup.fringe_weight != 0.0:
-        fringe = FringeTerm(sup.fringe_weight, (0.0,), (v,), (sup.x1,),
-                            sup.phase_phi)
-    return Marginal1D(gaussians=comps, fringe=fringe, norm=sup.norm_factor,
-                      axes=("p",))
+    fringe = None if sup.fringe_weight == 0.0 else (
+        sup.fringe_weight, (sup.x1,), sup.phase_phi)
+    return _packets((1.0,), (0.0,), (v,), fringe, sup.norm_factor, ("p",))
 
 
 def _phase_kind(phi: float) -> str:
@@ -517,26 +518,19 @@ def wigner_cat(spec) -> GaussFringeDensity:
     vp = math.exp(2.0 * sup.mode.squeeze_r)
     x1 = sup.x1
     if sup.fringe_weight == 0.0:
-        return GaussFringeDensity(
-            gaussians=(GaussComponent(1.0, (x1, 0.0), (vx, vp)),),
-            fringe=None, norm=1.0, axes=("x", "p"))
+        return _packets((1.0,), (x1, 0.0), (vx, vp), None, 1.0, ("x", "p"))
     kind = _phase_kind(sup.phase_phi)
-    comps = (GaussComponent(sup.c1_mag ** 2, (x1, 0.0), (vx, vp)),
-             GaussComponent(sup.c2_mag ** 2, (-x1, 0.0), (vx, vp)))
-    if kind == "quarter":
-        return GaussFringeDensity(gaussians=comps, fringe=None,
-                                  norm=sup.norm_factor, axes=("x", "p"))
-    if kind != "zero":
+    if kind not in ("zero", "quarter"):
         raise UnsupportedPhase(
             f"no closed-form Wigner at phi = {sup.phase_phi!r}")
-    sx2 = sup.mode.sigma_x2
-    sp2 = sup.mode.sigma_p2
-    wave_p = x1 * sp2 / (sx2 * vp)
-    amp = sup.fringe_weight * math.exp(
-        -0.5 * x1 ** 2 / sx2 + 0.5 * x1 ** 2 * sp2 / (sx2 ** 2 * vp))
-    fringe = FringeTerm(amp, (0.0, 0.0), (vx, vp), (0.0, wave_p), 0.0)
-    return GaussFringeDensity(gaussians=comps, fringe=fringe,
-                              norm=sup.norm_factor, axes=("x", "p"))
+    fringe = None
+    if kind == "zero":
+        sx2, sp2 = sup.mode.sigma_x2, sup.mode.sigma_p2
+        amp = sup.fringe_weight * math.exp(
+            -0.5 * x1 ** 2 / sx2 + 0.5 * x1 ** 2 * sp2 / (sx2 ** 2 * vp))
+        fringe = (amp, (0.0, x1 * sp2 / (sx2 * vp)), 0.0)
+    return _packets((sup.c1_mag ** 2, sup.c2_mag ** 2), (x1, 0.0), (vx, vp),
+                    fringe, sup.norm_factor, ("x", "p"))
 
 
 def fbc_from_wigner(spec, amp: AmplifierSpec) -> Marginal1D:
@@ -622,27 +616,17 @@ def two_mode_q(spec: TwoModeSpec, amp: AmplifierSpec, t: float
     """
     if not isinstance(spec, TwoModeSpec):
         raise ScenarioError("two_mode_q needs a TwoModeSpec")
-    t = _check_time(amp, t)
     sup = spec.mode_a
     g, sxa, spa = _at(sup.mode, amp, t)
     _, sxb, spb = _at(spec.mode_b, amp, t)
-    x1, x1b = spec.x1, spec.x1b
+    x1, x1b = g * spec.x1, g * spec.x1b
     ea = sup.mode.overlap_exponent
     eb = spec.mode_b.overlap_exponent
     f2 = 1.0 + math.cos(sup.phase_phi) * math.exp(-ea - eb)
-    comps = (
-        GaussComponent(0.5, (g * x1, 0.0, g * x1b, 0.0), (sxa, spa, sxb, spb)),
-        GaussComponent(0.5, (-g * x1, 0.0, -g * x1b, 0.0), (sxa, spa, sxb, spb)),
-    )
-    fringe = FringeTerm(
-        amplitude=math.exp(-0.5 * (g * x1) ** 2 / sxa
-                           - 0.5 * (g * x1b) ** 2 / sxb),
-        means=(0.0, 0.0, 0.0, 0.0),
-        variances=(sxa, spa, sxb, spb),
-        wave=(0.0, g * x1 / sxa, 0.0, g * x1b / sxb),
-        phase=sup.phase_phi)
-    return GaussFringeDensity(gaussians=comps, fringe=fringe, norm=1.0 / f2,
-                              axes=("x_a", "p_a", "x_b", "p_b"))
+    fringe = (math.exp(-0.5 * x1 ** 2 / sxa - 0.5 * x1b ** 2 / sxb),
+              (0.0, x1 / sxa, 0.0, x1b / sxb), sup.phase_phi)
+    return _packets((0.5, 0.5), (x1, 0.0, x1b, 0.0), (sxa, spa, sxb, spb),
+                    fringe, 1.0 / f2, ("x_a", "p_a", "x_b", "p_b"))
 
 
 def meter_condition_weights(spec: TwoModeSpec, amp: AmplifierSpec, t: float,
@@ -654,7 +638,7 @@ def meter_condition_weights(spec: TwoModeSpec, amp: AmplifierSpec, t: float,
     factor sech u (the branch fringe ratio at the equal amplitudes of a
     TwoModeSpec), both vectorised over x_b and finite for any |u|.
     """
-    g, sxb, _ = _at(spec.mode_b, amp, _check_time(amp, t))
+    g, sxb, _ = _at(spec.mode_b, amp, t)
     u = np.asarray(x_b, dtype=float) * g * spec.x1b / sxb
     return 0.5 * (1.0 + np.tanh(u)), _branch_fringe_ratio(spec.mode_a, u)
 
@@ -672,14 +656,10 @@ def _meter_branch_density(spec: TwoModeSpec, w_plus: float, s: float,
     g, sxa, spa = _at(sup.mode, amp, t)
     _, sxb, spb = _at(spec.mode_b, amp, t)
     x1 = g * spec.x1
-    comps = (GaussComponent(w_plus, (x1, 0.0, 0.0), (sxa, spa, spb)),
-             GaussComponent(1.0 - w_plus, (-x1, 0.0, 0.0), (sxa, spa, spb)))
-    fringe = FringeTerm(
-        amplitude=s * math.exp(-0.5 * x1 ** 2 / sxa),
-        means=(0.0, 0.0, 0.0), variances=(sxa, spa, spb),
-        wave=(0.0, x1 / sxa, g * spec.x1b / sxb), phase=sup.phase_phi)
-    return GaussFringeDensity(gaussians=comps, fringe=fringe, norm=1.0,
-                              axes=("x_a", "p_a", "p_b"))
+    fringe = (s * math.exp(-0.5 * x1 ** 2 / sxa),
+              (0.0, x1 / sxa, g * spec.x1b / sxb), sup.phase_phi)
+    return _packets((w_plus, 1.0 - w_plus), (x1, 0.0, 0.0), (sxa, spa, spb),
+                    fringe, 1.0, ("x_a", "p_a", "p_b"))
 
 
 def conditional_given_meter_x(spec: TwoModeSpec, x_b: float,
@@ -692,7 +672,6 @@ def conditional_given_meter_x(spec: TwoModeSpec, x_b: float,
     Defaults to t = 0 (the inferred-state construction conditions on
     backward-propagated meter values).
     """
-    t = _check_time(amp, t)
     w_plus, s = meter_condition_weights(spec, amp, t, x_b)
     dens = _meter_branch_density(spec, float(w_plus), float(s), amp, t)
     return replace(dens, norm=1.0 / dens.total_mass())
@@ -713,17 +692,12 @@ def inferred_state_A_analytic(spec: TwoModeSpec, branch: int = +1
         raise UnsupportedPhase("inferred-state closed form needs phase pi/2")
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
-    sxa = sup.mode.sigma_x2
-    spa = sup.mode.sigma_p2
+    sxa, spa = sup.mode.sigma_x2, sup.mode.sigma_p2
     x1 = spec.x1
-    comps = (GaussComponent(1.0, (branch * x1, 0.0), (sxa, spa)),)
-    fringe = FringeTerm(
-        amplitude=(_remnant_damping(spec.mode_b)
-                   * math.exp(-0.5 * x1 ** 2 / sxa)),
-        means=(0.0, 0.0), variances=(sxa, spa),
-        wave=(0.0, x1 / sxa), phase=branch * 0.5 * math.pi)
-    return GaussFringeDensity(gaussians=comps, fringe=fringe, norm=1.0,
-                              axes=("x", "p"))
+    fringe = (_remnant_damping(spec.mode_b) * math.exp(-0.5 * x1 ** 2 / sxa),
+              (0.0, x1 / sxa), branch * 0.5 * math.pi)
+    return _packets((1.0,), (branch * x1, 0.0), (sxa, spa), fringe, 1.0,
+                    ("x", "p"))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .stats import Histogram, histogram
 
 N_BATCHES = 10
 MIN_SAMPLES = 100
-_SELECT_BLOCK = 1 << 14  # rows per block of bin_by_sign's index
 _INFER_BINS = 100  # points per axis of the inferred-state grid and meter bins
 _INFER_SPAN = 8.0  # grid half-width beyond the packet centres, in sigmas
 
@@ -144,16 +143,8 @@ def bin_by_sign(ensemble: TrajectoryEnsemble, mode: str = "a"
 
 
 def _take(cols, keep: np.ndarray) -> list:
-    """Each column's rows where ``keep`` holds, by an index per block."""
-    outs = [np.empty(np.count_nonzero(keep)) for _ in cols]
-    at = 0
-    for lo in range(0, len(keep), _SELECT_BLOCK):
-        block = slice(lo, lo + _SELECT_BLOCK)
-        idx = np.flatnonzero(keep[block])
-        for c, out in zip(cols, outs):  # mode="clip" writes to out unbuffered
-            c[block].take(idx, out=out[at:at + idx.size], mode="clip")
-        at += idx.size
-    return outs
+    """Each column's rows where ``keep`` holds."""
+    return [np.compress(keep, c) for c in cols]
 
 
 def _select_by_sign(spec, amp: AmplifierSpec, n_traj: int, seed: int,

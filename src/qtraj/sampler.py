@@ -45,8 +45,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .analytic import (FringeTerm, GaussComponent, GaussFringeDensity,
-                       Marginal1D, _branch_fringe_ratio, _gauss_pdf)
+from .analytic import (GaussComponent, GaussFringeDensity, Marginal1D,
+                       _branch_fringe_ratio, _gauss_pdf, _packets)
 from .core import ModeSpec, SuperpositionSpec, as_superposition
 
 _MASK64 = (1 << 64) - 1
@@ -385,9 +385,7 @@ def _fringe_stage(s: np.ndarray, k: float, phi: float, rng) -> np.ndarray:
     N(v)(1 + cos(phi + k v)) / M, M its mass, with probability
     s M / (1 - s + s M), and from N(0, 1) otherwise.
     """
-    crest = Marginal1D((GaussComponent(1.0, (0.0,), (1.0,)),),
-                       FringeTerm(1.0, (0.0,), (1.0,), (k,), phi),
-                       axes=("v",))
+    crest = _packets((1.0,), (0.0,), (1.0,), (1.0, (k,), phi), 1.0, ("v",))
     mass = crest.total_mass()
     on_crest = rng.random(s.shape) * (1.0 - s + s * mass) < s * mass
     n = np.count_nonzero(on_crest)

@@ -68,7 +68,7 @@ def histogram(samples, edges) -> Histogram:
     ------
     BadEdges
     ValueError
-        If the sample set is empty.
+        If the sample set is empty or holds a NaN.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
@@ -77,6 +77,9 @@ def histogram(samples, edges) -> Histogram:
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
         raise ValueError("cannot histogram an empty sample set")
+    n_nan = np.count_nonzero(np.isnan(samples))
+    if n_nan:
+        raise ValueError(f"cannot histogram {n_nan} NaN sample(s)")
     n_below = int(np.count_nonzero(samples < edges[0]))
     n_above = int(np.count_nonzero(samples > edges[-1]))
     counts, _ = np.histogram(samples, bins=edges)

@@ -35,7 +35,7 @@ from pathlib import Path
 
 from qtraj import cli
 
-COMMANDS = ("run", "born", "postselect", "collapse")
+COMMANDS = tuple(cli._COMMANDS)
 
 
 def digest_lines(scenarios, trajectories=None):

@@ -25,6 +25,7 @@ from qtraj.analytic import (
     TimeOutOfRange,
     UnsupportedPhase,
     _faddeeva,
+    _meter_branch_density,
     born_p,
     born_x,
     conditional_given_meter_x,
@@ -33,6 +34,7 @@ from qtraj.analytic import (
     inferred_state_A_analytic,
     marginal_p,
     marginal_x,
+    meter_condition_weights,
     meter_conditional_variances,
     q_single_mode,
     two_mode_q,
@@ -373,6 +375,46 @@ class TestCheckTime:
         spec = cat(1.0)
         q_single_mode(spec, AMP, -1e-13)
         q_single_mode(spec, AMP, AMP.t_final * (1.0 + 1e-13))
+
+    @pytest.mark.parametrize("build", [
+        lambda t: conditional_p_given_x(cat(1.0), AMP, t, 0.5),
+        lambda t: two_mode_q(two_mode(), AMP, t),
+        lambda t: meter_condition_weights(two_mode(), AMP, t, 0.5),
+        lambda t: conditional_given_meter_x(two_mode(), 0.5, AMP, t),
+        lambda t: _meter_branch_density(two_mode(), 0.7, 0.3, AMP, t),
+    ], ids=["conditional_p_given_x", "two_mode_q", "meter_condition_weights",
+            "conditional_given_meter_x", "_meter_branch_density"])
+    def test_every_timed_builder_refuses_out_of_window_times(self, build):
+        build(AMP.t_final * (1.0 + 1e-13))
+        for t in (-0.5, AMP.t_final + 0.5):
+            with pytest.raises(TimeOutOfRange):
+                build(t)
+
+
+class TestMirrorPackets:
+    """The second packet of a two-packet member is the first one's mirror
+    image, and each zero coordinate of it is +0.0: a -0.0 would change
+    the density's repr."""
+
+    @pytest.mark.parametrize("x1", [1.0, 0.0])
+    @pytest.mark.parametrize("build", [
+        lambda x1: q_single_mode(cat(x1), AMP, 1.0),
+        lambda x1: two_mode_q(TwoModeSpec(cat(x1, 1.5), ModeSpec(x1, 0.0)),
+                              AMP, 1.0),
+        lambda x1: _meter_branch_density(
+            TwoModeSpec(cat(x1, 1.5), ModeSpec(4.0, 0.0)), 0.7, 0.3),
+        lambda x1: wigner_cat(cat(x1)),
+        lambda x1: wigner_cat(cat(x1, phi=0.5 * math.pi)),
+    ], ids=["q_single_mode", "two_mode_q", "_meter_branch_density",
+            "wigner_cat_zero", "wigner_cat_quarter"])
+    def test_zero_coordinates_of_the_mirror_are_positive(self, build, x1):
+        dens = build(x1)
+        first, second = dens.gaussians
+        assert second.means == tuple(-m for m in first.means)
+        zeros = [m for m in second.means if m == 0.0]
+        assert zeros
+        assert all(math.copysign(1.0, m) == 1.0 for m in zeros)
+        assert "-0.0" not in repr(dens)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from conftest import SUITE_SEED, Weighted, quad_grid
-from qtraj import postselect
 from qtraj.analytic import (
     UnsupportedPhase,
     conditional_given_meter_x,
@@ -153,8 +152,8 @@ class TestBinBySign:
 
     @pytest.mark.parametrize("mode", ["a", "b"])
     def test_blockwise_index_equals_mask_selection(self, mode):
-        # A ragged count spanning several index blocks.
-        n = 3 * postselect._SELECT_BLOCK + 37
+        # A ragged count: no power-of-two block size divides it.
+        n = 3 * 16384 + 37
         rng = RngStream(SUITE_SEED, 84).generator()
         ens = synthetic_ensemble(rng.standard_normal(n),
                                  rng.standard_normal(n))

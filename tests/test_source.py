@@ -94,6 +94,33 @@ def test_no_dead_definitions(path):
     assert dead == []
 
 
+def callers(path, names):
+    """{name: sorted names of the functions in ``path`` that call it}."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = {name: set() for name in names}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in found):
+                    found[node.func.id].add(fn.name)
+    return {name: sorted(fns) for name, fns in found.items()}
+
+
+def test_the_two_packet_family_is_built_in_one_place():
+    # Every closed-form member goes through analytic._packets; only it and
+    # the family operations construct terms, and only _at checks a time.
+    src = Path(qtraj.analytic.__file__).parent
+    assert callers(src / "analytic.py",
+                   ("GaussComponent", "FringeTerm", "_check_time")) == {
+        "GaussComponent": ["_mapped", "_packets", "marginal"],
+        "FringeTerm": ["_mapped", "_packets", "_reduced_fringe"],
+        "_check_time": ["_at"]}
+    assert callers(src / "sampler.py", ("GaussComponent", "FringeTerm")) == {
+        "GaussComponent": ["_proposal_parts"], "FringeTerm": []}
+
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 

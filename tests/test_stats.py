@@ -90,6 +90,12 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram([], [0.0, 1.0])
 
+    def test_nan_samples_are_refused_by_count(self):
+        # Without the refusal a NaN lands in no count at all.
+        samples = [0.1, math.nan, 0.2, math.inf, -math.inf, math.nan]
+        with pytest.raises(ValueError, match="2 NaN"):
+            histogram(samples, np.linspace(-3.0, 3.0, 7))
+
 
 class TestBinZScores:
     def test_calibrated_samples_have_small_scores(self):

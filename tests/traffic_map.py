@@ -44,7 +44,7 @@ from pathlib import Path
 import qtraj
 from qtraj import cli
 
-COMMANDS = ("run", "born", "postselect", "collapse")
+COMMANDS = tuple(cli._COMMANDS)
 PACKAGE = Path(qtraj.__file__).parent
 CASES = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
 
