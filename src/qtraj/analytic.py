@@ -428,14 +428,15 @@ def marginal_p(spec, amp: AmplifierSpec, t: float) -> Marginal1D:
 
 
 def _branch_fringe_ratio(sup: SuperpositionSpec, u):
-    """Stable 2|c1 c2| / (|c1|^2 e^u + |c2|^2 e^-u) for u = x G x1 / sigma_x^2."""
+    """2|c1 c2| / (|c1|^2 e^u + |c2|^2 e^-u) for u = x G x1 / sigma_x^2;
+    finite for every u: an overflowing exponential gives 0."""
     w = sup.fringe_weight
-    if w == 0.0:
-        return np.zeros_like(np.asarray(u, dtype=float))
     u = np.asarray(u, dtype=float)
-    la = np.log(sup.c1_mag ** 2) + u
-    lb = np.log(sup.c2_mag ** 2) - u
-    return w * np.exp(-np.logaddexp(la, lb))
+    if w == 0.0:
+        return np.zeros_like(u)
+    with np.errstate(over="ignore", divide="ignore"):
+        e = np.exp(u)
+        return w / (sup.c1_mag ** 2 * e + sup.c2_mag ** 2 / e)
 
 
 def conditional_p_given_x(spec, amp: AmplifierSpec, t: float,

@@ -39,8 +39,9 @@ from .analytic import (born_p, born_x, marginal_p, marginal_x, q_single_mode,
                        two_mode_q)
 from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
                    TwoModeSpec, validate_scenario)
-from .postselect import (MIN_SAMPLES, _select_by_sign, build_loops,
-                         infer_state_A_numeric, uncertainty_product)
+from .postselect import (TooFewSamples, _select_by_sign, _Tally, _tally_meter,
+                         build_loops, infer_state_A_numeric,
+                         uncertainty_product)
 from .sampler import RngStream
 from .stats import bin_z_scores, compare_density, histogram, ks_statistic
 
@@ -164,6 +165,7 @@ def parse_scenario_text(text: str, label: str) -> ScenarioFile:
         if values[key] < 1:
             raise ScenarioFileError(f"{label}: {key} must be >= 1, "
                                     f"got {values[key]}")
+    _check_seed(values["run.seed"], f"{label}: run.seed")
     g, gtf = values["amp.g"], values["amp.gtf"]
     if g == 0.0 or gtf / g <= 0.0:
         raise ScenarioFileError(
@@ -171,6 +173,12 @@ def parse_scenario_text(text: str, label: str) -> ScenarioFile:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return ScenarioFile(label, digest, **{key.split(".")[1]: value
                                           for key, value in values.items()})
+
+
+def _check_seed(seed: int, name: str) -> None:
+    """A stream seed is 64 bits: any other would alias one of them."""
+    if not 0 <= seed < 2 ** 64:
+        raise ScenarioFileError(f"{name} must lie in [0, 2**64), got {seed}")
 
 
 def shipped_scenarios() -> Tuple[str, ...]:
@@ -403,11 +411,12 @@ def cmd_postselect(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
 
     The sweep grid is the figure abscissa (0.5, 1, 2, 4, 6) plus the
     scenario's own separation.  For each separation the run keeps the
-    initial coordinates and the final sign, selects each branch,
-    redraws momenta from the conditional given position, and reports
-    observed variances and the uncertainty product with batch errors.
-    A branch with fewer than ``MIN_SAMPLES`` samples is skipped
-    with a line on stderr; a sweep that keeps no branch writes no CSV.
+    initial coordinates and the final sign and, block by block, selects
+    each branch, redraws momenta from the conditional given position
+    (block j from its own stream) and tallies them; it reports observed
+    variances and the uncertainty product with batch errors.  A branch
+    too small for them is skipped with a line on stderr; a sweep that
+    keeps no branch writes no CSV.
     """
     if sc.kind == "two_mode":
         raise ScenarioError("the separation sweep runs on single-mode "
@@ -420,21 +429,23 @@ def cmd_postselect(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     for i, x1 in enumerate(sweep):
         state, amp = build_state(replace(sc, x1=x1))
         base = 2 * i * _STREAM_BLOCK
-        *branches, _ = _select_by_sign(state, amp, sc.trajectories, sc.seed,
-                                       threads, base)
-        loop_rng = RngStream(sc.seed, base + _STREAM_BLOCK // 2)
-        for selected in branches:
-            branch = selected.branch
-            if selected.n < MIN_SAMPLES:
+        tallies = (_Tally(sc.trajectories), _Tally(sc.trajectories))
+        for j, (lo, keep, *branches, _) in enumerate(_select_by_sign(
+                state, amp, sc.trajectories, sc.seed, threads, base)):
+            rng = RngStream(sc.seed, base + _STREAM_BLOCK // 2 + j).generator()
+            for tally, rows, selected in zip(tallies, (keep, ~keep), branches):
+                if selected.n:
+                    loops = build_loops(selected, state, rng)
+                    tally.add((loops.x0, loops.p0), lo, rows)
+        for branch, tally in zip((+1, -1), tallies):
+            try:
+                prod = uncertainty_product(tally)
+            except TooFewSamples as exc:
                 print(f"skipped: x1={_fmt(x1)} branch={branch:+d} "
-                      f"n={selected.n} < {MIN_SAMPLES} samples",
-                      file=sys.stderr)
+                      f"n={tally.n}: {exc}", file=sys.stderr)
                 continue
-            loops = build_loops(selected, state,
-                                loop_rng.child(0 if branch > 0 else 1))
-            prod = uncertainty_product(loops)
             out_rows.append((
-                x1, branch, loops.n,
+                x1, branch, tally.n,
                 prod.var_x.variance, prod.var_x.std_error_variance,
                 prod.var_p.variance, prod.var_p.std_error_variance,
                 prod.epsilon, prod.std_error,
@@ -442,7 +453,7 @@ def cmd_postselect(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
 
     if not out_rows:
         raise ScenarioError(
-            f"every branch had fewer than {MIN_SAMPLES} samples; "
+            f"every branch was skipped for too few samples; "
             f"raise run.trajectories (now {sc.trajectories})")
     _write_csv(out_dir, "postselect.csv", _comment_fields(sc),
                ("x1", "branch", "n", "observed_var_x", "var_x_err",
@@ -456,8 +467,13 @@ def cmd_collapse(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     if not isinstance(state, TwoModeSpec):
         raise ScenarioError("collapse analysis needs a two_mode scenario, "
                             f"not state.kind = {sc.kind}")
-    plus, minus, n_agree = _select_by_sign(state, amp, sc.trajectories,
-                                           sc.seed, threads)
+    plus, n_minus, n_agree = _Tally(sc.trajectories), 0, 0
+    for lo, keep, selected, minus, agree in _select_by_sign(
+            state, amp, sc.trajectories, sc.seed, threads):
+        if selected.n:
+            _tally_meter(plus, state, selected.x_b0, lo, keep)
+        n_minus += minus.n
+        n_agree += agree
     inferred = infer_state_A_numeric(plus, state)
 
     def grid_rows():
@@ -474,7 +490,7 @@ def cmd_collapse(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         ("sign_agreement", n_agree / sc.trajectories),
         ("n_trajectories", sc.trajectories),
         ("n_plus", plus.n),
-        ("n_minus", minus.n),
+        ("n_minus", n_minus),
         ("w_plus_bar", inferred.w_plus_bar),
         ("sech_bar", inferred.sech_bar),
         ("mean_x", mx.mean), ("mean_x_err", mx.std_error_mean),
@@ -531,6 +547,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.threads is not None and args.threads < 1:
             raise ScenarioFileError("--threads must be >= 1")
         if args.seed is not None:
+            _check_seed(args.seed, "--seed")
             sc = replace(sc, seed=args.seed)
         threads = sde_engine.resolve_threads(args.threads)
         _COMMANDS[args.command](sc, Path(args.out), threads)

@@ -227,7 +227,9 @@ class _Envelope:
         self.keep, self.alias = _alias_table(masses)
 
     def mixture(self, rng, m):
-        idx = np.searchsorted(self.cdf, rng.random(m), side="right")
+        u, idx = rng.random(m), np.zeros(m, dtype=np.intp)
+        for c in self.cdf[:-1]:  # searchsorted(side="right"): cdf[-1] = 1 > u
+            idx += u >= c
         z = rng.standard_normal(m)
         return self.means.take(idx) + self.sigmas.take(idx) * z
 
@@ -387,10 +389,9 @@ def _fringe_stage(s: np.ndarray, k: float, phi: float, rng) -> np.ndarray:
     """
     crest = _packets((1.0,), (0.0,), (1.0,), (1.0, (k,), phi), 1.0, ("v",))
     mass = crest.total_mass()
-    on_crest = rng.random(s.shape) * (1.0 - s + s * mass) < s * mass
+    on_crest = rng.random(s.shape) * (1.0 + s * (mass - 1.0)) < s * mass
     n = np.count_nonzero(on_crest)
-    v = np.empty(s.shape)
-    v[~on_crest] = rng.standard_normal(s.size - n)
+    v = rng.standard_normal(s.shape)
     if n:
         v[on_crest] = sample_fringe_density(
             replace(crest, norm=1.0 / mass), rng, n)

@@ -16,8 +16,8 @@ chunk kernel draws it in three stages (1, the amplified coordinates at
 t_final; 2, their backward relaxation; 3, the conjugates at t = 0 and
 their forward relaxation), and :func:`iter_chunks` schedules the chunks
 for the Python API and ``run`` (all stages), ``born`` (stage 1 only),
-``postselect`` and ``collapse`` (stages 1 and 2, selected chunk by
-chunk).  The Python API stores whole paths; ``run`` keeps only per-time
+``postselect`` and ``collapse`` (stages 1 and 2, selected block by
+block).  The Python API stores whole paths; ``run`` keeps only per-time
 sums, sums of squares and the first ``cli.N_SAVED_PATHS`` paths.
 
 Work is split into fixed-size chunks, each drawing from its own named

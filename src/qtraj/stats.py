@@ -55,6 +55,12 @@ class Histogram:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
+    def __add__(self, other: "Histogram") -> "Histogram":
+        """Both histograms' samples binned together, on the same edges."""
+        return _binned(self.edges, self.counts + other.counts,
+                       self.n_below + other.n_below,
+                       self.n_above + other.n_above)
+
 
 def histogram(samples, edges) -> Histogram:
     """Bin samples on explicit edges, tallying out-of-range overflow.
@@ -83,6 +89,10 @@ def histogram(samples, edges) -> Histogram:
     n_below = int(np.count_nonzero(samples < edges[0]))
     n_above = int(np.count_nonzero(samples > edges[-1]))
     counts, _ = np.histogram(samples, bins=edges)
+    return _binned(edges, counts, n_below, n_above)
+
+
+def _binned(edges, counts, n_below: int, n_above: int) -> Histogram:
     n = int(counts.sum())
     widths = np.diff(edges)
     density = counts / (n * widths) if n > 0 else np.zeros_like(widths)

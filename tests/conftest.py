@@ -7,7 +7,23 @@ being tuned to any particular draw.
 
 import numpy as np
 
+from qtraj.postselect import PostselectedEnsemble, _select_by_sign
+
 SUITE_SEED = 20210905
+
+
+def gathered_selection(spec, amp, n, seed, threads, stream_offset=0):
+    """``(plus, minus, n_agree)``: the blocks of ``_select_by_sign`` joined
+    in order, as a gathered selection of the whole run."""
+    blocks = list(_select_by_sign(spec, amp, n, seed, threads, stream_offset))
+    branches = []
+    for k, branch in ((2, +1), (3, -1)):
+        parts = [block[k] for block in blocks]
+        cols = [None if parts[0].x_b0 is None else
+                np.concatenate([p.x_b0 for p in parts])]
+        branches.append(PostselectedEnsemble(
+            branch, np.concatenate([p.x0 for p in parts]), None, *cols))
+    return (*branches, sum(block[4] for block in blocks))
 
 
 def gl_nodes(lo: float, hi: float, n: int):

@@ -43,6 +43,8 @@ from qtraj.core import (
 )
 from qtraj.postselect import (
     _select_by_sign,
+    _Tally,
+    _tally_meter,
     build_loops,
     infer_state_A_numeric,
     meter_sign_agreement,
@@ -113,10 +115,26 @@ def collapse_branch(r):
         offset = 108 if r else 118
         spec = TwoModeSpec(cat(1.0, r), ModeSpec(4.0, 0.0))
         amp = AmplifierSpec(1.0, 2.0, 1)
-        plus, _, _ = _select_by_sign(spec, amp, 1_200_000,
-                                     SUITE_SEED + offset, None)
+        n = 1_200_000
+        plus = _Tally(n)  # selected and reduced block by block, as collapse
+        for lo, keep, selected, _, _ in _select_by_sign(
+                spec, amp, n, SUITE_SEED + offset, None):
+            _tally_meter(plus, spec, selected.x_b0, lo, keep)
         _cache[key] = (spec, infer_state_A_numeric(plus, spec))
     return _cache[key]
+
+
+def looped_plus(spec, amp, n, seed, mode="a"):
+    """The plus branch's looped (x, p) moments of one mode, selected,
+    looped and reduced block by block as ``postselect`` does: block j
+    loops from stream (1 << 20) + j."""
+    tally = _Tally(n)
+    for j, (lo, keep, plus, _, _) in enumerate(
+            _select_by_sign(spec, amp, n, seed, None)):
+        loops = build_loops(plus, spec, RngStream(seed, (1 << 20) + j))
+        tally.add((loops.x0, loops.p0) if mode == "a"
+                  else (loops.x_b0, loops.p_b0), lo, keep)
+    return tally
 
 
 def branch_meter_expectations(spec, amp):
@@ -250,11 +268,7 @@ class TestAcceptance:
             for j, x1 in enumerate((0.5, 1.0, 2.0, 4.0, 6.0)):
                 spec = cat(x1, r)
                 seed = SUITE_SEED + 200 + 10 * i + j
-                plus, _, _ = _select_by_sign(spec, amp, n, seed, None)
-                loops = build_loops(plus, spec, RngStream(seed, 1 << 20))
-                del plus
-                prod = uncertainty_product(loops)
-                del loops
+                prod = uncertainty_product(looped_plus(spec, amp, n, seed))
                 expected = variances_postselected_analytic(spec)
                 rows[(r, x1)] = prod
                 dev = abs(prod.var_p.variance - expected.observed_var_p) \
@@ -336,12 +350,9 @@ class TestAcceptance:
         for i, (x1b, target) in enumerate(sorted(frozen.items())):
             spec = TwoModeSpec(cat(0.2, 0.0), ModeSpec(x1b, 0.0))
             seed = SUITE_SEED + 300 + i
-            plus, _, _ = _select_by_sign(spec, amp, n, seed, None)
-            loops = build_loops(plus, spec, RngStream(seed, 1 << 20))
-            del plus
-            _, est_pb = observed_variances(loops, mode="b")
-            prod = uncertainty_product(loops, mode="b")
-            del loops
+            loops = looped_plus(spec, amp, n, seed, mode="b")
+            _, est_pb = observed_variances(loops)
+            prod = uncertainty_product(loops)
             closed = meter_conditional_variances(spec)
             dev = abs(est_pb.variance - target) / est_pb.std_error_variance
             print(f"criterion 9 meter separation {x1b}: conditional meter "

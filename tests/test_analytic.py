@@ -7,6 +7,7 @@ reuse the closed-form path being tested.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from qtraj.analytic import (
     Marginal1D,
     TimeOutOfRange,
     UnsupportedPhase,
+    _branch_fringe_ratio,
     _faddeeva,
     _meter_branch_density,
     born_p,
@@ -847,6 +849,27 @@ class TestConditionalGivenMeter:
     def test_is_normalised(self):
         cond = conditional_given_meter_x(two_mode(), 0.9)
         assert cond.total_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBranchFringeRatio:
+    """2|c1 c2| / (|c1|^2 e^u + |c2|^2 e^-u), finite for every u."""
+
+    @pytest.mark.parametrize("c1_sq", [0.5, 0.2, 0.9])
+    def test_finite_and_exact_at_any_u(self, c1_sq):
+        sup = SuperpositionSpec(ModeSpec(1.0), c1_mag=math.sqrt(c1_sq),
+                                c2_mag=math.sqrt(1.0 - c1_sq), phase_phi=1.0)
+        u = np.concatenate([np.linspace(-1e3, 1e3, 20001),
+                            [-np.inf, np.inf, -745.0, 745.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _branch_fringe_ratio(sup, u)
+        assert np.isfinite(got).all()
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        np.testing.assert_array_equal(got[-4:-2], [0.0, 0.0])
+        near = np.abs(u) <= 30.0
+        w = 2.0 * math.sqrt(c1_sq * (1.0 - c1_sq))
+        want = w / (c1_sq * np.exp(u[near]) + (1.0 - c1_sq) * np.exp(-u[near]))
+        np.testing.assert_allclose(got[near], want, rtol=1e-14, atol=0.0)
 
 
 class TestInferredState:

@@ -285,6 +285,30 @@ class TestMainValidation:
                 assert f"bad{n}: run.trajectories must be >= 1" in err, err
                 assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        # Streams keep 64 bits of a seed: -1 drew the streams of
+        # 2**64 - 1, and 2**64 those of 0.
+        out = tmp_path / "o"
+        path = write_scenario(tmp_path, SQUEEZED.format(seed=1))
+        assert main(["born", "--scenario", str(path), "--out", str(out),
+                     "--seed", str(seed)]) == EXIT_VALIDATION
+        assert "--seed must lie in [0, 2**64)" in capsys.readouterr().err
+        bad = write_scenario(tmp_path, SQUEEZED.format(seed=seed), "b.s")
+        assert main(["born", "--scenario", str(bad), "--out",
+                     str(out)]) == EXIT_VALIDATION
+        assert "b: run.seed must lie in [0, 2**64)" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seeds_at_the_64_bit_edges_run(self, tmp_path):
+        path = write_scenario(tmp_path, SQUEEZED.format(seed=2 ** 64 - 1))
+        for seed in ("0", str(2 ** 64 - 1)):
+            assert main(["born", "--scenario", str(path), "--out",
+                         str(tmp_path / seed), "--seed", seed]) == EXIT_OK
+        assert main(["born", "--scenario", str(path), "--out",
+                     str(tmp_path / "file")]) == EXIT_OK
+
     def test_born_rejects_two_mode(self, tmp_path):
         path = write_scenario(tmp_path, TWO_MODE.format(x1b=2.0, n=100,
                                                         seed=1))
@@ -576,6 +600,27 @@ class TestCmdRun:
             tracemalloc.stop()
         assert code == EXIT_OK
         assert peak < CHUNK * 301 * 8 / 4
+
+    @pytest.mark.parametrize("cmd,name", [("postselect", "fig_condvar"),
+                                          ("collapse", "fig_infer_eig")])
+    def test_records_commands_hold_no_branch(self, tmp_path, cmd, name):
+        # Each block of 8 chunks is selected, looped and reduced, then
+        # dropped: 4x the trajectories, the same peak from 2 blocks on.  A
+        # gathered branch grows it by 8 B per record and column.
+        main([cmd, "--scenario", name, "--out", str(tmp_path / "warm"),
+              "--trajectories", "1000"])  # compile each density first
+        peaks = []
+        for n in (2 * 8 * CHUNK, 8 * 8 * CHUNK):
+            tracemalloc.start()
+            try:
+                code = main([cmd, "--scenario", name, "--out",
+                             str(tmp_path / str(n)), "--trajectories", str(n),
+                             "--threads", "1"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        assert peaks[1] < 1.1 * peaks[0]
 
     def test_two_mode_run_has_meter_columns(self, tmp_path):
         path = write_scenario(tmp_path, TWO_MODE.format(x1b=2.0, n=1500,

@@ -7,13 +7,14 @@ marginals.
 """
 
 import math
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import SUITE_SEED, Weighted, quad_grid
+from conftest import SUITE_SEED, Weighted, gathered_selection, quad_grid
 from qtraj.analytic import (
     UnsupportedPhase,
     conditional_given_meter_x,
@@ -37,8 +38,10 @@ from qtraj.postselect import (
     MomentEstimate,
     PostselectedEnsemble,
     TooFewSamples,
+    _BLOCK,
     _draw_conditional_triple,
     _select_by_sign,
+    _Tally,
     bin_by_sign,
     build_loops,
     infer_state_A_numeric,
@@ -166,6 +169,15 @@ class TestBinBySign:
                 np.testing.assert_array_equal(getattr(branch, name),
                                               paths[:, 0][sel])
 
+    def test_blockwise_index_spans_several_blocks(self):
+        n = 2 * _BLOCK + 37
+        rng = RngStream(SUITE_SEED, 86).generator()
+        ens = synthetic_ensemble(rng.standard_normal(n))
+        mask = ens.x_paths[:, -1] >= 0.0
+        for branch, sel in zip(bin_by_sign(ens), (mask, ~mask)):
+            np.testing.assert_array_equal(branch.x0, ens.x_paths[sel, 0])
+            np.testing.assert_array_equal(branch.p0, ens.p_paths[sel, 0])
+
     def test_branches_partition_the_run(self, single_run):
         _, _, ens = single_run
         plus, minus = bin_by_sign(ens)
@@ -174,7 +186,7 @@ class TestBinBySign:
 
 
 class TestSelectBySign:
-    """Selecting chunk by chunk gives the bits of the gathered path."""
+    """Selecting block by block gives the bits of the gathered path."""
 
     RUNS = {"single": (cat(1.0), "a"), "two": (two_spec(x1b=0.5), "b")}
 
@@ -186,7 +198,7 @@ class TestSelectBySign:
         amp = AmplifierSpec(1.0, 2.0, 1)
         seed = SUITE_SEED + 85
         ens = _simulate(spec, amp, n, seed, threads)
-        *got, n_agree = _select_by_sign(spec, amp, n, seed, threads)
+        *got, n_agree = gathered_selection(spec, amp, n, seed, threads)
         for sel, want in zip(got, bin_by_sign(ens, mode)):
             assert sel.branch == want.branch
             assert sel.p0 is None and sel.p_b0 is None
@@ -200,31 +212,45 @@ class TestSelectBySign:
         else:
             assert n_agree == n
 
+    def test_blocks_hold_fixed_runs_of_chunks(self):
+        # Block j is trajectories j * 8 * CHUNK onward, whatever the
+        # thread count; keep marks the rows its plus branch holds.
+        n, spec, amp = 2 * _BLOCK + 5, cat(1.0), AmplifierSpec(1.0, 2.0, 1)
+        ens = _simulate(spec, amp, n, SUITE_SEED + 86, 2)
+        blocks = list(_select_by_sign(spec, amp, n, SUITE_SEED + 86, 2))
+        assert [b[0] for b in blocks] == [0, _BLOCK, 2 * _BLOCK]
+        for lo, keep, plus, minus, _ in blocks:
+            rows = ens.x_paths[lo:lo + _BLOCK]
+            np.testing.assert_array_equal(keep, rows[:, -1] >= 0.0)
+            np.testing.assert_array_equal(plus.x0, rows[keep, 0])
+            np.testing.assert_array_equal(minus.x0, rows[~keep, 0])
+
     def test_stream_offset_selects_the_offset_streams(self):
         spec, amp = cat(1.0), AmplifierSpec(1.0, 2.0, 1)
-        a = _select_by_sign(spec, amp, 100, SUITE_SEED, 1, stream_offset=3)
+        a = gathered_selection(spec, amp, 100, SUITE_SEED, 1, stream_offset=3)
         chunks = iter_chunks(spec, amp, 100, SUITE_SEED, 1, stream_offset=3)
         x = next(chunks)[2][0]
         np.testing.assert_array_equal(a[0].x0, x[x[:, -1] >= 0.0, 0])
 
     def test_negative_gain_single_mode_is_refused(self):
         with pytest.raises(ScenarioError, match="sign selection needs"):
-            _select_by_sign(cat(1.0), AmplifierSpec(-1.0, 2.0, 1), 100,
-                            SUITE_SEED, 1)
+            next(_select_by_sign(cat(1.0), AmplifierSpec(-1.0, 2.0, 1), 100,
+                                 SUITE_SEED, 1))
         # A two-mode run keeps the engine's own message.
         with pytest.raises(ScenarioError, match="amplify both positions"):
-            _select_by_sign(two_spec(), AmplifierSpec(-1.0, 2.0, 1), 100,
-                            SUITE_SEED, 1)
+            next(_select_by_sign(two_spec(), AmplifierSpec(-1.0, 2.0, 1), 100,
+                                 SUITE_SEED, 1))
 
     def test_peak_stays_below_the_gathered_stage_2_arrays(self):
         # The gathered path holds each mode's (t = 0, t_final) columns for
         # every trajectory before it selects: 2 x 2 x 8 B x n.
         n = 100_000
         spec, amp = two_spec(), AmplifierSpec(1.0, 2.0, 1)
-        _select_by_sign(spec, amp, 10, SUITE_SEED, 1)  # warm any caches
+        gathered_selection(spec, amp, 10, SUITE_SEED, 1)  # warm any caches
         tracemalloc.start()
         try:
-            _select_by_sign(spec, amp, n, SUITE_SEED, 1)
+            for _ in _select_by_sign(spec, amp, n, SUITE_SEED, 1):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,6 +359,37 @@ class TestConditionalTriple:
         se = float(np.std(prod)) / math.sqrt(self.N)
         assert float(np.mean(prod)) == pytest.approx(expected, abs=5.0 * se)
 
+    # d < 0: the packets (0.3, 2.0, 1.5), the chi(3) stage (1.0, 0.5, -0.8)
+    # and merging packets (0.03, 0.03, 0.5), where 1 + d is 4.5e-4.
+    @pytest.mark.parametrize("phi", [math.pi, 0.75 * math.pi],
+                             ids=["phi_pi", "phi_3pi_4"])
+    @pytest.mark.parametrize("x1,x1b,anchor", [
+        (0.3, 2.0, 1.5), (1.0, 0.5, -0.8), (0.03, 0.03, 0.5)])
+    def test_odd_pair_holds_the_conditional_moments(self, phi, x1, x1b,
+                                                    anchor):
+        n = 200_000
+        spec = two_spec(x1=x1, r=0.0, x1b=x1b, phi=phi)
+        triple = _draw_conditional_triple(
+            spec, np.full(n, anchor), RngStream(SUITE_SEED, 92).generator())
+        dens = conditional_given_meter_x(spec, anchor)
+        for i, values in enumerate(triple):
+            mean, var = dens.moments(i)
+            m4 = float(np.mean((values - mean) ** 4))
+            assert float(np.mean(values)) == pytest.approx(
+                mean, abs=4.0 * math.sqrt(var / n)), dens.axes[i]
+            assert float(np.var(values, ddof=1)) == pytest.approx(
+                var, abs=4.0 * math.sqrt((m4 - var * var) / n)), dens.axes[i]
+
+    def test_odd_pair_cost_stays_bounded_as_the_packets_merge(self):
+        # Rejecting from the packets kept 1 + d of them: 14.8 s per 100k
+        # anchors here.  The composition draws them in about 0.05 s.
+        spec = two_spec(x1=0.03, r=0.0, x1b=0.03, phi=math.pi)
+        rng = RngStream(SUITE_SEED, 93).generator()
+        anchors = math.sqrt(2.0) * rng.standard_normal(100_000)
+        start = time.process_time()
+        _draw_conditional_triple(spec, anchors, rng)
+        assert time.process_time() - start < 1.0
+
     @pytest.mark.parametrize("anchor", [-1e3, 1e3])
     def test_far_anchors_give_finite_draws(self, anchor):
         spec = two_spec(x1=1.0, r=0.0, x1b=0.5, phi=math.pi)
@@ -342,6 +399,65 @@ class TestConditionalTriple:
                 spec, np.full(1000, anchor),
                 RngStream(SUITE_SEED, 91).generator())
         assert all(np.isfinite(c).all() for c in triple)
+
+
+class TestTally:
+    """One reducer: per batch, a count, a shifted sum and a sum of squares."""
+
+    N, OFFSET = 50_003, 1e6  # the offset cancels without the shift
+
+    def records(self):
+        rng = RngStream(SUITE_SEED, 87).generator()
+        return self.OFFSET + [[1.0], [3.0]] * rng.standard_normal((2, self.N))
+
+    def check(self, tally, cols, labels):
+        estimates, b_means = tally.moments()
+        for k, (est, col) in enumerate(zip(estimates, cols)):
+            batches = [col[labels == b] for b in range(10)]
+            assert est.n == len(col) == tally.n
+            assert est.mean == pytest.approx(np.mean(col), rel=1e-12)
+            assert est.variance == pytest.approx(np.var(col, ddof=1),
+                                                 rel=1e-12)
+            np.testing.assert_allclose(
+                b_means[:, k], [np.mean(b) for b in batches], rtol=1e-12)
+            b_vars = [np.var(b, ddof=1) for b in batches]
+            se = float(np.std(b_vars, ddof=1)) / math.sqrt(10)
+            assert est.std_error_variance == pytest.approx(se, rel=1e-9)
+
+    def test_gathered_rows_batch_by_contiguous_tenths(self):
+        cols = self.records()
+        labels = np.repeat(np.arange(10), np.diff(
+            np.arange(11) * self.N // 10))
+        whole = _Tally(self.N)
+        whole.add(cols)
+        self.check(whole, cols, labels)
+        ragged = _Tally(self.N)
+        rng = RngStream(SUITE_SEED, 88).generator()
+        cuts = np.sort(rng.integers(0, self.N, 30))
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, self.N]):
+            ragged.add(cols[:, lo:hi], lo)
+        self.check(ragged, cols, labels)
+
+    def test_selected_rows_batch_by_their_source_row(self):
+        # As a block kernel feeds it: the records of the rows keep marks,
+        # each in the batch of its source row.
+        values = self.records()
+        keep = RngStream(SUITE_SEED, 89).generator().random(self.N) < 0.3
+        labels = (np.searchsorted(np.arange(11) * self.N // 10,
+                                  np.flatnonzero(keep), side="right") - 1)
+        tally = _Tally(self.N)
+        for lo in range(0, self.N, 7_919):
+            rows = keep[lo:lo + 7_919]
+            tally.add(values[:, lo:lo + 7_919][:, rows], lo, rows)
+        self.check(tally, values[:, keep], labels)
+
+    def test_a_batch_below_two_records_is_refused(self):
+        tally = _Tally(1000)
+        keep = np.ones(1000, dtype=bool)
+        keep[:99] = False  # batch 0 keeps one record
+        tally.add((np.arange(1000.0)[keep],), 0, keep)
+        with pytest.raises(TooFewSamples, match="a batch holds 1 samples"):
+            tally.moments()
 
 
 class TestObservedVariances:
@@ -379,8 +495,8 @@ class TestObservedVariances:
         ("a", cat(1.0), "p0"), ("b", two_spec(), "p_b0")])
     def test_undrawn_conjugate_is_refused_by_name(self, mode, spec, name):
         # The selector stops after the backward relaxation: no momenta.
-        plus, _, _ = _select_by_sign(spec, AmplifierSpec(1.0, 2.0, 1), 2000,
-                                     SUITE_SEED + 82, 1)
+        plus, _, _ = gathered_selection(spec, AmplifierSpec(1.0, 2.0, 1),
+                                        2000, SUITE_SEED + 82, 1)
         assert getattr(plus, name) is None
         for estimate in (observed_variances, uncertainty_product):
             with pytest.raises(ValueError, match=name):

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import SUITE_SEED, variance_batch_se
+from conftest import SUITE_SEED, gathered_selection, variance_batch_se
 from qtraj.analytic import fbc_from_wigner, marginal_p, marginal_x, two_mode_q
 from qtraj.core import (
     AmplifierSpec,
@@ -26,7 +26,7 @@ from qtraj.core import (
 )
 import qtraj.sde_engine
 from qtraj.cli import EXIT_OK, main
-from qtraj.postselect import _select_by_sign, bin_by_sign
+from qtraj.postselect import bin_by_sign
 from qtraj.sampler import RngStream
 from qtraj.sde_engine import (
     CHUNK,
@@ -479,8 +479,8 @@ class TestStagePrefix:
         amp = AmplifierSpec(rate, 1.5, 1)
         full = bin_by_sign(_simulate(spec, amp, CHUNK + 5, SUITE_SEED + 63, 2),
                            "b" if mode == "two" else "a")
-        part = _select_by_sign(spec, replace(amp, n_steps=3), CHUNK + 5,
-                               SUITE_SEED + 63, 2)
+        part = gathered_selection(spec, replace(amp, n_steps=3), CHUNK + 5,
+                                  SUITE_SEED + 63, 2)
         for got, want in zip(part, full):
             assert got.p0 is None and got.p_b0 is None
             assert (got.x_b0 is None) == (mode == "x")

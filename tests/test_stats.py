@@ -90,6 +90,17 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram([], [0.0, 1.0])
 
+    def test_sum_bins_both_sample_sets(self):
+        a, b = rng(2).normal(0.0, 1.0, 1000), rng(3).normal(0.5, 2.0, 700)
+        edges = np.linspace(-3.0, 3.0, 13)
+        got, want = histogram(a, edges) + histogram(b, edges), histogram(
+            np.concatenate([a, b]), edges)
+        for field in ("edges", "counts", "density"):
+            np.testing.assert_array_equal(getattr(got, field),
+                                          getattr(want, field))
+        assert (got.n, got.n_below, got.n_above) \
+            == (want.n, want.n_below, want.n_above)
+
     def test_nan_samples_are_refused_by_count(self):
         # Without the refusal a NaN lands in no count at all.
         samples = [0.1, math.nan, 0.2, math.inf, -math.inf, math.nan]
