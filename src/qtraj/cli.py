@@ -38,9 +38,9 @@ from . import sde_engine
 from .analytic import (born_p, born_x, marginal_p, marginal_x, q_single_mode,
                        two_mode_q)
 from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
-                   TwoModeSpec, validate_scenario)
-from .postselect import (TooFewSamples, _select_by_sign, _Tally, _tally_meter,
-                         build_loops, infer_state_A_numeric,
+                   TwoModeSpec)
+from .postselect import (EmptyBranch, TooFewSamples, _select_by_sign, _Tally,
+                         _tally_meter, build_loops, infer_state_A_numeric,
                          uncertainty_product)
 from .sampler import RngStream
 from .stats import bin_z_scores, compare_density, histogram, ks_statistic
@@ -262,7 +262,6 @@ def _comment_fields(sc: ScenarioFile) -> dict:
 def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     """Simulate the scenario; write trajectories, marginals and summary."""
     state, amp = build_state(sc)
-    validate_scenario(state, amp)
     grid = amp.grid
     if sc.trajectories < 2:
         raise ScenarioError(f"run needs at least 2 trajectories for its "
@@ -351,7 +350,6 @@ def cmd_born(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
     results = []
     for block, basis in ((0, "x"), (1, "p")):
         amp = AmplifierSpec(rate if basis == "x" else -rate, sc.t_final, 1)
-        validate_scenario(state, amp)
         scaled = np.empty(sc.trajectories)  # the final records, one column
         for lo, hi, arrays in sde_engine.iter_chunks(
                 state, amp, sc.trajectories, sc.seed, threads,
@@ -474,7 +472,11 @@ def cmd_collapse(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
             _tally_meter(plus, state, selected.x_b0, lo, keep)
         n_minus += minus.n
         n_agree += agree
-    inferred = infer_state_A_numeric(plus, state)
+    try:
+        inferred = infer_state_A_numeric(plus, state)
+    except (EmptyBranch, TooFewSamples) as exc:
+        raise ScenarioError(f"{exc}; raise run.trajectories "
+                            f"(now {sc.trajectories})") from None
 
     def grid_rows():
         for i, x in enumerate(inferred.x_centers):

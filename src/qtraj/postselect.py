@@ -21,7 +21,7 @@ from .analytic import (_T0_AMP, GaussFringeDensity, UnsupportedPhase,
                        _branch_fringe_ratio, _meter_branch_density,
                        _phase_kind, meter_condition_weights)
 from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
-                   TwoModeSpec, validate_scenario)
+                   TwoModeSpec)
 from .sampler import _as_generator, _fringe_stage, _rotate, sample_p_given_x
 from .sde_engine import CHUNK, TrajectoryEnsemble, iter_chunks
 from .stats import Histogram, histogram
@@ -209,7 +209,6 @@ def _select_by_sign(spec, amp: AmplifierSpec, n_traj: int, seed: int,
     with no conjugate drawn; ``n_agree`` have final signs that agree.
     """
     amp = replace(amp, n_steps=1)
-    validate_scenario(spec, amp)
     if not isinstance(spec, TwoModeSpec) and amp.gain_rate_g <= 0.0:
         raise ScenarioError("sign selection needs gain rate amp.g > 0")
     for lo, hi, paths in iter_chunks(spec, amp, n_traj, seed, threads,
@@ -366,7 +365,6 @@ def observed_variances(selected: Union[PostselectedEnsemble, _Tally],
         if ps is None:
             raise ValueError(f"{names[1]} was never drawn: loop the branch "
                              f"first")
-        _require_samples(len(xs))
         tally = _Tally(len(xs))
         tally.add((xs, ps))
     (est_x, est_p), _ = tally.moments(correction=1.0)
@@ -455,19 +453,18 @@ def infer_state_A_numeric(selected: Union[PostselectedEnsemble, _Tally],
         records, or the tally a block kernel filled by ``_tally_meter``.
     spec : TwoModeSpec
     """
-    if selected.n == 0:
-        raise EmptyBranch("no trajectories in the selected branch")
-    gathered = isinstance(selected, PostselectedEnsemble)
-    if gathered and selected.x_b0 is None:
-        raise ScenarioError("inference needs a two-mode ensemble")
     sup = spec.mode_a
     if _phase_kind(sup.phase_phi) != "quarter":
         raise UnsupportedPhase(
             "inferred-state reconstruction needs the quarter phase "
             "(state.phi = pi/2)")
+    if selected.n == 0:
+        raise EmptyBranch("no trajectories in the selected branch")
+    gathered = isinstance(selected, PostselectedEnsemble)
+    if gathered and selected.x_b0 is None:
+        raise ScenarioError("inference needs a two-mode ensemble")
     tally = selected
     if gathered:
-        _require_samples(selected.n)
         tally = _Tally(selected.n)
         _tally_meter(tally, spec, selected.x_b0)
     (w_bar, s_bar), b_means = tally.moments()

@@ -146,8 +146,10 @@ def path_densities(spec, amp: AmplifierSpec, boundary_method: str = "direct"
     Wigner marginal (analytically the same density), which only a single
     mode's position has; any other boundary refuses it.  Two-mode states
     amplify both positions with ``amp`` and sample the (x_a, x_b) and
-    (p_a, p_b) pairs jointly.
+    (p_a, p_b) pairs jointly.  Every run passes through here, so this is
+    where the pairing is validated (:func:`validate_scenario`).
     """
+    validate_scenario(spec, amp)
     if boundary_method not in _BOUNDARY_METHODS:
         raise ValueError(
             f"boundary_method must be one of {_BOUNDARY_METHODS}, "
@@ -215,18 +217,8 @@ def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
     return tuple(path for pair in pairs for path in pair)
 
 
-def _chunk_entry(spec, amp: AmplifierSpec, seed: int, chunk_id: int,
-                 size: int, _densities: Optional[PathDensities] = None,
-                 _through: int = 3) -> Tuple[np.ndarray, ...]:
-    """One chunk of any run's paths, from the densities of
-    :func:`path_densities` unless they are given: (x, p) of a single
-    mode, (x_a, p_a, x_b, p_b) of the system-meter pair."""
-    dens = _densities or path_densities(spec, amp)
-    return _path_chunk(dens, amp, seed, chunk_id, size, _through)
-
-
-# perfbench/tracing.py wraps these names; all three are the one body.
-single_mode_chunk = p_measurement_chunk = two_mode_chunk = _chunk_entry
+# perfbench/tracing.py wraps these names; all three are the kernel itself.
+single_mode_chunk = p_measurement_chunk = two_mode_chunk = _path_chunk
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +274,19 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
     consumed.  Chunks are always yielded in index order, so any reduction
     over them is bitwise independent of the thread count.  A consumer
     that drops its chunk before asking for the next keeps at most
-    ``threads`` chunks alive.
+    ``threads`` chunks alive.  A bad ``n_traj`` or (spec, amp) pairing is
+    refused when the first chunk is asked for, before any draw.
     """
     n_traj = _check_count(n_traj, "n_traj")
     dens = path_densities(spec, amp, boundary_method)
 
     def call(cid):
         lo, hi = chunk_bounds(n_traj, cid)
-        args = (seed, stream_offset + cid, hi - lo)
-        if _keep is not None:  # a tally holds no paths: straight to the kernel
-            return lo, hi, _path_chunk(dens, amp, *args, _through, _keep)
-        # Looked up per call, so a wrapper around the name sees each chunk.
-        return lo, hi, single_mode_chunk(spec, amp, *args, _densities=dens,
-                                         _through=_through)
+        # A tally holds no paths, so it bypasses the traced name; that
+        # name is looked up per call, so a wrapper around it sees each chunk.
+        chunk = single_mode_chunk if _keep is None else _path_chunk
+        return lo, hi, chunk(dens, amp, seed, stream_offset + cid, hi - lo,
+                             _through, _keep)
 
     ids = iter(range(n_chunks(n_traj)))
     threads = resolve_threads(threads)
@@ -312,12 +304,10 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
 def _simulate(spec, amp: AmplifierSpec, n_traj: int, seed: int,
               threads: Optional[int], boundary_method: str = "direct"
               ) -> TrajectoryEnsemble:
-    validate_scenario(spec, amp)
-    n_traj = _check_count(n_traj, "n_traj")
-    paths = [np.empty((amp.n_steps + 1, n_traj)).T
-             for _ in range(4 if isinstance(spec, TwoModeSpec) else 2)]
     for lo, hi, chunk in iter_chunks(spec, amp, n_traj, seed, threads,
                                      boundary_method):
+        if lo == 0:  # one time-major array per coordinate the chunk returns
+            paths = [np.empty((amp.n_steps + 1, n_traj)).T for _ in chunk]
         for out, block in zip(paths, chunk):
             out[lo:hi] = block
         del chunk, block  # release the chunk before the next is submitted

@@ -1,12 +1,16 @@
-"""Print a digest of what the CLI writes for the shipped scenarios.
+"""Print a digest of what the CLI and the Python API compute.
 
 Every shipped scenario (or those named) runs under each of the four
 commands at one and at two threads, in-process.  For each run it prints
 the exit code, the SHA-256 of every CSV written, and stderr.  Each CSV
 also gets a second SHA-256, of its lines after the leading ``#``
 comments, so a changed scenario text (its ``scenario_sha256``) shows as
-changed provenance over unchanged data.  Two trees whose digests are
-equal wrote the same bytes and said the same things:
+changed provenance over unchanged data.  Then each case of the
+benchmark's ``sampling`` workload, loaded read-only from
+``perfbench/cases.py``, runs through the Python API, and one line gives
+its name and the SHA-256 of its ``summarise`` result as sorted JSON.
+Two trees whose digests are equal wrote the same bytes, said the same
+things and summarised the same API results:
 
     PYTHONPATH=src python tests/digest_outputs.py --trajectories 20000 > a
     (in the other tree) PYTHONPATH=src python tests/digest_outputs.py \
@@ -17,8 +21,10 @@ line that differs, or is missing on either side, is printed as a
 unified diff (``-`` the file, ``+`` this run), and the exit code is 1
 on any difference, 0 when the two are equal.
 
-Without ``--trajectories`` each scenario runs at its own size.  Pytest
-does not collect this file (its name does not start with ``test_``).
+Without ``--trajectories`` each scenario and API case runs at its own
+size; with it, each API case runs at the smaller of its own size and the
+override.  Pytest does not collect this file (its name does not start
+with ``test_``).
 """
 
 from __future__ import annotations
@@ -27,15 +33,33 @@ import argparse
 import contextlib
 import difflib
 import hashlib
+import importlib.util
 import io
+import json
 import sys
 import tempfile
 from itertools import dropwhile
 from pathlib import Path
 
+import qtraj
 from qtraj import cli
 
 COMMANDS = tuple(cli._COMMANDS)
+CASES = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
+
+
+def case_summaries(trajectories=None):
+    """Yield ``(name, summary)`` of each ``sampling`` case, loaded read-only
+    from its file and run through the Python API at ``min(n,
+    trajectories)``, or at its own n."""
+    spec = importlib.util.spec_from_file_location("perfbench_cases", CASES)
+    cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cases)
+    for name, params in cases.CASES.items():
+        if trajectories is not None:
+            params = dict(params, n=min(params["n"], trajectories))
+        result = cases.RUN[name](qtraj, cases.case_seed(name, 1), params)
+        yield name, cases.summarise(qtraj, name, result)
 
 
 def digest_lines(scenarios, trajectories=None):
@@ -63,6 +87,9 @@ def digest_lines(scenarios, trajectories=None):
                                f"data={hashlib.sha256(data).hexdigest()}")
                     for line in err.getvalue().splitlines():
                         yield f"  stderr: {line.replace(tmp, '<out>')}"
+    for name, summary in case_summaries(trajectories):
+        text = json.dumps(summary, sort_keys=True).encode()
+        yield f"api {name} {hashlib.sha256(text).hexdigest()}"
 
 
 def main(argv=None) -> int:

@@ -946,6 +946,17 @@ class TestCmdCollapse:
         assert not [w for w in caught if w.category is RuntimeWarning]
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [1, 150])
+    def test_small_branch_names_the_key_to_raise(self, tmp_path, capsys, n):
+        out = tmp_path / "o"
+        code = main(["collapse", "--scenario", "fig_infer_eig", "--out",
+                     str(out), "--trajectories", str(n)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert re.fullmatch(r"error: .*(samples in branch|no trajectories).*"
+                            rf"; raise run\.trajectories \(now {n}\)", err)
+        assert not out.exists()
+
 
 class TestEndpointCommands:
     """born, postselect and collapse read only t = 0 and t_final, which

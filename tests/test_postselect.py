@@ -601,8 +601,9 @@ class TestInferState:
                                       rng.standard_normal(200),
                                       rng.standard_normal(200) + 4.0,
                                       rng.standard_normal(200))
-        with pytest.raises(UnsupportedPhase):
-            infer_state_A_numeric(branch, two_spec(phi=0.0))
+        for wrong in (branch, empty):  # the phase, whatever the records
+            with pytest.raises(UnsupportedPhase):
+                infer_state_A_numeric(wrong, two_spec(phi=0.0))
 
     def test_too_few_samples(self):
         # Fewer records than batches would leave empty batch means.

@@ -121,6 +121,18 @@ def test_the_two_packet_family_is_built_in_one_place():
         "GaussComponent": ["_proposal_parts"], "FringeTerm": []}
 
 
+def test_every_run_passes_one_gate_and_one_chunk_body():
+    # Only path_densities, which every run calls once before it draws,
+    # checks a (state, amplifier) pairing, and the traced chunk names
+    # are the kernel itself.
+    gate = [fn for path in SOURCES
+            for fn in callers(path, ["validate_scenario"]).popitem()[1]]
+    assert gate == ["path_densities"]
+    for name in ("single_mode_chunk", "p_measurement_chunk",
+                 "two_mode_chunk"):
+        assert getattr(sde_engine, name) is sde_engine._path_chunk, name
+
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -149,8 +161,8 @@ def test_tracer_counts_the_normals_of_every_chunk_stage(through):
     # The tracer derives normals from the chunk it is handed: the first
     # array's shape times the number of arrays.  A stopped chunk must
     # still hand it arrays, one per relaxed (or drawn) coordinate.  The
-    # three traced names are one body, so each draws any run's chunk,
-    # bitwise that of the kernel.
+    # three traced names are the kernel itself, so each draws any run's
+    # chunk from its densities.
     tracing = load_tracing()
     half = 1.0 / math.sqrt(2.0)
     cat = SuperpositionSpec(ModeSpec(1.0), c1_mag=half, c2_mag=half,
@@ -162,10 +174,10 @@ def test_tracer_counts_the_normals_of_every_chunk_stage(through):
     for name in ("single_mode_chunk", "p_measurement_chunk",
                  "two_mode_chunk"):
         for spec, amp, modes in cases:
-            args, kwargs = (spec, amp, 5, 0, size), {"_through": through}
+            dens = sde_engine.path_densities(spec, amp)
+            args, kwargs = (dens, amp, 5, 0, size), {"through": through}
             chunk = getattr(sde_engine, name)(*args, **kwargs)
-            want = sde_engine._path_chunk(sde_engine.path_densities(spec, amp),
-                                          amp, 5, 0, size, through)
+            want = sde_engine._path_chunk(dens, amp, 5, 0, size, through)
             assert [(a.shape, a.tobytes()) for a in chunk] \
                 == [(a.shape, a.tobytes()) for a in want], name
             extra = tracing._chunk_after(None, args, kwargs, chunk)

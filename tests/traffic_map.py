@@ -3,8 +3,8 @@
 Under ``sys.settrace`` (and ``threading.settrace`` for the chunk
 workers) every shipped scenario runs under each of the four commands at
 one and at two threads, in-process, and each case of the benchmark's
-``sampling`` workload runs through the Python API at reduced size.  The
-cases are loaded read-only from ``perfbench/cases.py``.  Then every
+``sampling`` workload runs through the Python API at reduced size, as
+``digest_outputs.py`` runs it.  Then every
 function of ``src/qtraj`` that has an unreached statement is printed
 with those statements:
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
-import importlib.util
 import inspect
 import io
 import sys
@@ -42,11 +41,11 @@ from collections import defaultdict
 from pathlib import Path
 
 import qtraj
+from digest_outputs import case_summaries
 from qtraj import cli
 
 COMMANDS = tuple(cli._COMMANDS)
 PACKAGE = Path(qtraj.__file__).parent
-CASES = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
 
 
 class LineRecorder:
@@ -86,17 +85,6 @@ def run_cli(trajectories):
                         cli.main([cmd, "--scenario", name, "--out", str(out),
                                   "--threads", str(threads),
                                   "--trajectories", str(trajectories)])
-
-
-def run_api_cases(trajectories):
-    spec = importlib.util.spec_from_file_location("perfbench_cases", CASES)
-    cases = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cases)
-    cases.build_first_densities(qtraj)
-    for name, params in cases.CASES.items():
-        params = dict(params, n=min(params["n"], trajectories))
-        result = cases.RUN[name](qtraj, cases.case_seed(name, 1), params)
-        cases.summarise(qtraj, name, result)
 
 
 def _functions(code, owner=None):
@@ -172,7 +160,8 @@ def main(argv=None) -> int:
     recorder = LineRecorder()
     with recorder.recording():
         run_cli(args.trajectories)
-        run_api_cases(args.trajectories)
+        for _ in case_summaries(args.trajectories):
+            pass
     lines = list(listing(recorder.reached))
     if saved is None:
         for line in lines:
