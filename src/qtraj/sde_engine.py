@@ -17,14 +17,15 @@ t_final; 2, their backward relaxation; 3, the conjugates at t = 0 and
 their forward relaxation), and :func:`iter_chunks` schedules the chunks
 for the Python API and ``run`` (all stages), ``born`` (stage 1 only),
 ``postselect`` and ``collapse`` (stages 1 and 2, selected block by
-block).  The Python API stores whole paths; ``run`` keeps only per-time
-sums, sums of squares and the first ``cli.N_SAVED_PATHS`` paths.
+block).  The Python API stores whole paths; ``run`` relaxes only chunk
+0's first ``cli.N_SAVED_PATHS`` paths and draws each coordinate's
+per-time sums over the other paths from their exact law.
 
 Work is split into fixed-size chunks, each drawing from its own named
 stream keyed by (seed, chunk index).  Results are therefore
 bit-identical no matter how many threads run the chunks, and a consumer
 that streams chunk-by-chunk sees exactly the bytes a fully materialised
-ensemble would contain.
+ensemble would contain; ``run``'s sums are that ensemble's in law only.
 """
 
 from __future__ import annotations
@@ -89,45 +90,45 @@ class TrajectoryEnsemble:
         return self.x_b_paths is not None
 
 
-def relax(rows, start, rate: float, dt: float, rng) -> None:
-    """Fill the row buffers ``rows`` hands out, in turn, with the exact kernel.
+def relax(out: np.ndarray, start, rate: float, dt: float, rng) -> None:
+    """Fill time-major paths ``out`` with the exact kernel, row 0 = ``start``.
 
-    The first row is set to ``start`` and each later one, one grid time
-    of every path, relaxes the row before it over ``dt`` at ``rate``.  A
-    time-major array has every row filled (``out[::-1]`` backward from
-    the last); a generator is asked for the next buffer only once the
-    last is filled, so ``run`` reads each row as it is drawn and keeps
-    per-time sums and ``cli.N_SAVED_PATHS`` paths, never a chunk's paths.
+    Each later row, one grid time of every path, relaxes the row before
+    it over ``dt`` at ``rate``; ``out[::-1]`` relaxes backward.
     """
-    if rate <= 0.0 or dt <= 0.0:
-        raise ValueError(f"relaxation needs rate, dt > 0: {rate!r}, {dt!r}")
-    c = math.exp(-rate * dt)
-    s = math.sqrt(1.0 - c * c)
-    rows = iter(rows)
-    prev = next(rows)
-    prev[...] = start
-    for row in rows:
+    c, s = _kernel(rate, dt)
+    out[0] = start
+    for prev, row in zip(out, out[1:]):
         rng.standard_normal(out=row)
         row *= s
         row += c * prev
-        prev = row
 
 
-def _tallied(tally: np.ndarray, size: int) -> Iterator[np.ndarray]:
-    """Two row buffers in turn for :func:`relax`; row k goes to ``tally[k]``.
+def _kernel(rate: float, dt: float) -> Tuple[float, float]:
+    """The exact kernel's decay c = e^(-rate dt) and noise sqrt(1 - c^2)."""
+    if rate <= 0.0 or dt <= 0.0:
+        raise ValueError(f"relaxation needs rate, dt > 0: {rate!r}, {dt!r}")
+    c = math.exp(-rate * dt)
+    return c, math.sqrt(1.0 - c * c)
 
-    Before a buffer is handed out again, its row's sum, sum of squares
-    and first ``tally.shape[1] - 2`` values are stored.  Up to 8,192
-    (``CHUNK``) values the sums are bitwise those of ``sum(axis=0)`` and
-    ``einsum("ij,ij->j")`` over the chunk's stored paths.
+
+def sums_chain(start, rate: float, dt: float, rng, shape) -> np.ndarray:
+    """Per-step sum and centred sum of squares of paths relaxed from ``start``.
+
+    Exact in law for m paths: S' = c S + s sqrt(m) a, M2' = (c sqrt(M2) +
+    s b)^2 + s^2 X, a, b ~ N(0, 1), X ~ chi^2(m - 2), drawing only what m
+    needs.  Shape (2,) + ``shape``: ``shape[0]`` steps, then replicas.
     """
-    ring = np.empty((2, size))
-    for k, out in enumerate(tally):
-        row = ring[k % 2]
-        yield row
-        out[0] = row.sum()
-        out[1] = np.einsum("i,i->", row, row)
-        out[2:] = row[:len(out) - 2]
+    c, s = _kernel(rate, dt)
+    m, total, m2 = start.size, start.sum(), start.var() * start.size
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal(shape) if m > 1 else np.zeros(shape)
+    x = rng.chisquare(m - 2, shape) if m > 2 else np.zeros(shape)
+    out = np.empty((2,) + shape)
+    for j in range(shape[0]):
+        out[0, j] = total = c * total + s * math.sqrt(m) * a[j]
+        out[1, j] = m2 = (c * m2 ** 0.5 + s * b[j]) ** 2 + s * s * x[j]
+    return out
 
 
 class PathDensities(NamedTuple):
@@ -186,25 +187,32 @@ def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
     returns the full chunk's amplified coordinates alone, in mode order:
     their (size, 1) t_final column at stage 1, their paths at stage 2.
 
-    With ``keep`` set, no path is stored: each coordinate's rows are
-    tallied as they are drawn, and it returns, per grid time, the sum
-    and sum of squares over the chunk and the first ``keep`` paths'
-    values, an (n_steps + 1, 2 + min(keep, size)) array.
+    With ``keep`` set, each coordinate relaxes its first min(keep, size)
+    paths, draws the others' per-time sums from :func:`sums_chain` and
+    returns per grid time the chunk's sum, sum of squares and kept values,
+    an (n_steps + 1, 2 + min(keep, size)) array; row 0 sums the whole
+    drawn column (t_final or t = 0).
     """
     rng = RngStream(int(seed), chunk_id).generator()
     modes = dens.boundary.ndim
     rate, dt = abs(amp.gain_rate_g), amp.t_final / amp.n_steps
+    k = size if keep is None else min(keep, size)  # paths relaxed
     ends = sample_fringe_density(dens.boundary, rng, size).reshape(size, -1)
     if through == 1:
         return tuple(np.hsplit(ends, modes))
 
     def fill(start, step):  # step -1 relaxes backward from the last row
+        out = np.empty((amp.n_steps + 1, k))  # returned as .T
+        relax(out[::step], start[:k], rate, dt, rng)
         if keep is None:
-            out = np.empty((amp.n_steps + 1, size))  # returned as .T
-            relax(out[::step], start, rate, dt, rng)
             return out.T
-        tally = np.empty((amp.n_steps + 1, 2 + min(keep, size)))
-        relax(_tallied(tally[::step], size), start, rate, dt, rng)
+        tally = np.column_stack((out.sum(axis=1),
+                                 np.einsum("ij,ij->i", out, out), out))
+        col = np.array(start)  # the whole drawn column, contiguous
+        tally[::step][0, :2] = col.sum(), np.einsum("i,i->", col, col)
+        if k < size:  # the other paths' sums, from their exact law
+            sm, m2 = sums_chain(col[k:], rate, dt, rng, (amp.n_steps,))
+            tally[::step][1:, :2] += np.c_[sm, m2 + sm * sm / (size - k)]
         return tally
 
     amplified = [fill(end, -1) for end in ends.T]
@@ -268,14 +276,15 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
     Chunk i holds trajectories lo:hi and draws from stream
     ``stream_offset + i``; ``_through`` < 3 stops it after that stage of
     :func:`_path_chunk` (1 for ``born``, 2 for sign selection), and with
-    ``_keep`` set each coordinate's per-time tallies and first ``_keep``
-    paths replace its paths (``run``).  At most ``threads`` chunks are in
-    flight; a new one is submitted as soon as the oldest has been
-    consumed.  Chunks are always yielded in index order, so any reduction
-    over them is bitwise independent of the thread count.  A consumer
-    that drops its chunk before asking for the next keeps at most
-    ``threads`` chunks alive.  A bad ``n_traj`` or (spec, amp) pairing is
-    refused when the first chunk is asked for, before any draw.
+    ``_keep`` set each coordinate's per-time tallies and (chunk 0 only)
+    first ``_keep`` paths replace its paths (``run``).  At most
+    ``threads`` chunks are in flight; a new one is submitted as soon as
+    the oldest has been consumed.  Chunks are always yielded in index
+    order, so any reduction over them is bitwise independent of the
+    thread count.  A consumer that drops its chunk before asking for the
+    next keeps at most ``threads`` chunks alive.  A bad ``n_traj`` or
+    (spec, amp) pairing is refused when the first chunk is asked for,
+    before any draw.
     """
     n_traj = _check_count(n_traj, "n_traj")
     dens = path_densities(spec, amp, boundary_method)
@@ -285,8 +294,9 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
         # A tally holds no paths, so it bypasses the traced name; that
         # name is looked up per call, so a wrapper around it sees each chunk.
         chunk = single_mode_chunk if _keep is None else _path_chunk
+        keep = _keep if _keep is None or cid == 0 else 0
         return lo, hi, chunk(dens, amp, seed, stream_offset + cid, hi - lo,
-                             _through, _keep)
+                             _through, keep)
 
     ids = iter(range(n_chunks(n_traj)))
     threads = resolve_threads(threads)

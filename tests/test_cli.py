@@ -30,6 +30,7 @@ from qtraj.cli import (
     EXIT_VALIDATION,
     N_BORN_BINS,
     N_SAVED_PATHS,
+    SWEEP_X1,
     ScenarioFileError,
     _KEYS,
     _STREAM_BLOCK,
@@ -42,8 +43,9 @@ from qtraj.cli import (
 )
 from qtraj.core import AmplifierSpec, ModeSpec, SuperpositionSpec, TwoModeSpec
 from qtraj.postselect import bin_by_sign, meter_sign_agreement
-from qtraj.sde_engine import (CHUNK, iter_chunks, simulate_single_mode,
-                               simulate_two_mode)
+from qtraj.sampler import RngStream
+from qtraj.sde_engine import (CHUNK, iter_chunks, n_chunks,
+                               simulate_single_mode, simulate_two_mode)
 from qtraj.stats import (bin_z_scores, compare_density, histogram, ks_critical,
                          ks_statistic)
 
@@ -552,6 +554,9 @@ class TestCmdRun:
         # The values a run wrote when each chunk's whole paths were
         # reduced: block sums and einsum over iter_chunks' paths, added
         # in chunk order, and the first N_SAVED_PATHS paths of chunk 0.
+        # Above N_SAVED_PATHS the other paths' sums come from their exact
+        # law, so only the amplified coordinates' t_final values, drawn
+        # before any relaxation, are still those of whole paths.
         text = {"x": SUPERPOSITION.format(gtf=1.0, n_steps=3, n=n, seed=SEED),
                 "p": SUPERPOSITION.format(gtf=1.0, n_steps=3, n=n, seed=SEED)
                 .replace("amp.g = 1.0\namp.gtf = 1.0",
@@ -573,19 +578,59 @@ class TestCmdRun:
                 saved = [a[:N_SAVED_PATHS].copy() for a in arrays]
         mean = total / n
         var = (total_sq - n * mean * mean) / (n - 1)
+        whole = n <= N_SAVED_PATHS
+        amplified = {"x": ("x",), "p": ("p",),
+                     "two_mode": ("x", "x_b")}[kind]
         _, header, rows = read_csv(out / "summary.csv")
         names = header[2:-2:2]
         assert len(names) == len(saved) == (4 if kind == "two_mode" else 2)
         for i, name in enumerate(h[len("mean_"):] for h in names):
-            assert column(header, rows, f"mean_{name}", str) \
-                == [_fmt(v) for v in mean[i]]
-            assert column(header, rows, f"var_{name}", str) \
-                == [_fmt(v) for v in var[i]]
+            got_mean = column(header, rows, f"mean_{name}", str)
+            got_var = column(header, rows, f"var_{name}", str)
+            if whole:
+                assert got_mean == [_fmt(v) for v in mean[i]]
+                assert got_var == [_fmt(v) for v in var[i]]
+                continue
+            if name in amplified:
+                assert got_mean[-1] == _fmt(mean[i][-1])
+                assert got_var[-1] == _fmt(var[i][-1])
+                got_var = got_var[:-1]
+            assert np.isfinite([float(v) for v in got_mean]).all()
+            assert all(0.0 <= float(v) < math.inf for v in got_var)
         _, header, rows = read_csv(out / "trajectories.csv")
         assert len(rows) == min(n, N_SAVED_PATHS) * (amp.n_steps + 1)
         for i, name in enumerate(header[2:]):
-            assert column(header, rows, name, str) \
-                == [_fmt(v) for v in saved[i].ravel()]
+            got = column(header, rows, name, str)
+            assert np.isfinite([float(v) for v in got]).all()
+            if whole:
+                assert got == [_fmt(v) for v in saved[i].ravel()]
+            elif name in amplified:
+                assert got[amp.n_steps::amp.n_steps + 1] \
+                    == [_fmt(v) for v in saved[i][:, -1]]
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 12, CHUNK + 1, CHUNK + 2,
+                                   CHUNK + 37])
+    def test_edge_counts_write_finite_variances(self, tmp_path, n):
+        # Chunk 0 keeps N_SAVED_PATHS paths and draws the sums of the
+        # other 0, 0, 1 and 2 from their law; a later chunk keeps none and
+        # draws those of 1, 2 and 37.  Reruns and 3 threads write the
+        # same bytes.
+        path = write_scenario(tmp_path, TWO_MODE.format(x1b=2.0, n=n,
+                                                        seed=SEED)
+                              .replace("amp.n_steps = 1", "amp.n_steps = 3"))
+        outs = [tmp_path / name for name in ("a", "b", "c")]
+        for out, threads in zip(outs, (1, 1, 3)):
+            assert main(["run", "--scenario", str(path), "--out", str(out),
+                         "--threads", str(threads)]) == EXIT_OK
+        _, header, rows = read_csv(outs[0] / "summary.csv")
+        assert column(header, rows, "n", int) == [n] * 4
+        for name in header:
+            if name.startswith("var_") and not name.endswith("_expected"):
+                assert all(0.0 <= v < math.inf
+                           for v in column(header, rows, name))
+        for name in ("trajectories.csv", "summary.csv"):
+            ref = (outs[0] / name).read_bytes()
+            assert all((out / name).read_bytes() == ref for out in outs[1:])
 
     def test_run_never_holds_a_chunk_of_paths(self, tmp_path):
         # One coordinate's paths over one fig_sup chunk: 8,192 x 301
@@ -1179,6 +1224,52 @@ class TestTrafficMap:
             "be >= 1\")",
             "+cli.py:parse_scenario_text  raise ScenarioFileError("
             "\"--trajectories must be >= 1\")"])
+
+
+class TestStreamLedger:
+    """Every (seed, stream index) ``run`` and ``postselect`` draw from.
+
+    The documented layout: chunk i of a phase at ``base + i``, and
+    ``postselect``'s loops of block j at ``base + 2**31 + j``, with
+    separation k of the sweep at ``base = 2 * k * 2**32``.  No pair is
+    drawn twice, and the thread count does not change the set.
+    """
+
+    N = 8 * CHUNK + 1  # nine chunks, two selection blocks of 8
+
+    def ledger(self, monkeypatch, tmp_path, cmd, threads):
+        drawn, generator = [], RngStream.generator
+
+        def recorded(stream):
+            drawn.append((stream.seed, stream.stream_index))
+            return generator(stream)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RngStream, "generator", recorded)
+            assert main([cmd, "--scenario", "fig_condvar", "--out",
+                         str(tmp_path / f"{cmd}_{threads}"),
+                         "--trajectories", str(self.N),
+                         "--threads", str(threads)]) == EXIT_OK
+        return drawn
+
+    @pytest.mark.parametrize("cmd", ["run", "postselect"])
+    def test_streams_follow_the_layout_once_each(self, monkeypatch,
+                                                 tmp_path, cmd):
+        seed = load_scenario("fig_condvar").seed
+        chunks = range(n_chunks(self.N))
+        if cmd == "run":
+            want = {(seed, i) for i in chunks}
+        else:
+            x1 = load_scenario("fig_condvar").x1
+            want = set()
+            for k in range(len(set(SWEEP_X1) | {x1})):
+                base = 2 * k * 2**32
+                want |= {(seed, base + i) for i in chunks}
+                want |= {(seed, base + 2**31 + j) for j in range(2)}
+        for threads in (1, 2):
+            drawn = self.ledger(monkeypatch, tmp_path, cmd, threads)
+            assert len(drawn) == len(set(drawn)), "a stream drawn twice"
+            assert set(drawn) == want
 
 
 class TestConsoleScript:

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import SUITE_SEED, gathered_selection, variance_batch_se
 from qtraj.analytic import fbc_from_wigner, marginal_p, marginal_x, two_mode_q
@@ -41,6 +42,7 @@ from qtraj.sde_engine import (
     simulate_p_measurement,
     simulate_single_mode,
     simulate_two_mode,
+    sums_chain,
 )
 from qtraj.stats import ks_critical, ks_statistic
 
@@ -521,7 +523,13 @@ class TestStagePrefix:
 
 
 class TestTalliedChunk:
-    """A tallied chunk holds, per grid time, its stored paths' reductions."""
+    """A tallied chunk holds, per grid time, its paths' sums and squares.
+
+    Up to ``keep`` paths they are bitwise the stored paths' reductions.
+    Above it the other paths' sums come from their exact law, so only
+    what is drawn before any relaxation stays bitwise: the amplified
+    coordinates' t_final sums and the saved paths' t_final values.
+    """
 
     RUNS = TestStagePrefix.RUNS
 
@@ -537,26 +545,89 @@ class TestTalliedChunk:
         tallies = _path_chunk(dens, amp, SUITE_SEED + 64, 3, size, through,
                               keep=10)
         assert len(tallies) == len(paths)
-        for tally, path in zip(tallies, paths):
+        amplified = (range(len(paths)) if through == 2
+                     else range(rate < 0.0, len(paths), 2))
+        for i, (tally, path) in enumerate(zip(tallies, paths)):
             assert tally.shape == (amp.n_steps + 1, 2 + min(10, size))
-            np.testing.assert_array_equal(tally[:, 0], path.sum(axis=0))
-            np.testing.assert_array_equal(
-                tally[:, 1], np.einsum("ij,ij->j", path, path))
-            np.testing.assert_array_equal(tally[:, 2:], path[:10].T)
+            if size <= 10:
+                np.testing.assert_array_equal(tally[:, 0], path.sum(axis=0))
+                np.testing.assert_array_equal(
+                    tally[:, 1], np.einsum("ij,ij->j", path, path))
+                np.testing.assert_array_equal(tally[:, 2:], path[:10].T)
+                continue
+            rows = slice(None)
+            if i in amplified:  # the t_final row is drawn before relaxing
+                assert tally[-1, 0] == path.sum(axis=0)[-1]
+                assert tally[-1, 1] == np.einsum("ij,ij->j", path, path)[-1]
+                np.testing.assert_array_equal(tally[-1, 2:], path[:10, -1])
+                rows = slice(None, -1)
+            assert np.isfinite(tally).all()
+            assert (tally[rows, 1] - tally[rows, 0] ** 2 / size >= 0.0).all()
 
-    def test_generator_sees_each_row_before_the_next_is_drawn(self):
-        rate, dt = 0.7, 0.3
-        start = np.array([1.0, -2.0, 0.5])
-        want = ou_steps(start, rate, dt, RngStream(SUITE_SEED, 45).generator(),
-                        n_steps=4)
-        seen = []
 
-        def two_buffers():
-            ring = np.empty((2, len(start)))
-            for k in range(5):
-                yield ring[k % 2]
-                seen.append(ring[k % 2].copy())
+class TestSumsChain:
+    """The per-step sums ``run`` draws, against closed forms and ``relax``.
 
-        relax(two_buffers(), start, rate, dt,
-              RngStream(SUITE_SEED, 45).generator())
-        np.testing.assert_array_equal(np.array(seen).T, want)
+    From a fixed start row of m paths, k exact steps give
+    S_k ~ N(c^k S_0, m (1 - c^2k)) and M2_k / (1 - c^2k) ~ noncentral
+    chi^2(m - 1, c^2k M2_0 / (1 - c^2k)).  Each KS test is at 1e-3.
+    """
+
+    RATE, DT, STEPS, REPLICAS = 0.5, 0.1, (1, 10, 40), 10_000
+
+    @staticmethod
+    def start(m):
+        # Two clusters and a spread, scaled so M2_0 is 12-21 at every m.
+        rng = RngStream(SUITE_SEED, 90).generator()
+        row = np.where(np.arange(m) % 2, 1.5, -0.5) + rng.standard_normal(m)
+        return row * 3.0 / math.sqrt(m)
+
+    def chain(self, m, stream, rate=RATE, dt=DT, shape=None):
+        return sums_chain(self.start(m), rate, dt,
+                          RngStream(SUITE_SEED, stream).generator(),
+                          shape or (max(self.STEPS), self.REPLICAS))
+
+    @pytest.mark.parametrize("m", [3, 12, 8192])
+    def test_follows_the_closed_form_law(self, m):
+        start = self.start(m)
+        total, m2 = self.chain(m, 91)
+        for k in self.STEPS:
+            decay = math.exp(-2.0 * self.RATE * self.DT * k)  # c^2k
+            law_s = stats.norm(math.sqrt(decay) * start.sum(),
+                               math.sqrt(m * (1.0 - decay)))
+            law_m2 = stats.ncx2(m - 1, decay * m * start.var() / (1 - decay))
+            assert stats.kstest(total[k - 1], law_s.cdf).pvalue > 1e-3
+            assert stats.kstest(m2[k - 1] / (1.0 - decay),
+                                law_m2.cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 12])
+    def test_matches_explicit_relaxation(self, m):
+        total, m2 = self.chain(m, 92)
+        paths = np.empty((max(self.STEPS) + 1, self.REPLICAS * m))
+        relax(paths, np.tile(self.start(m), self.REPLICAS), self.RATE,
+              self.DT, RngStream(SUITE_SEED, 93).generator())
+        for k in self.STEPS:
+            rows = paths[k].reshape(self.REPLICAS, m)
+            assert stats.ks_2samp(total[k - 1],
+                                  rows.sum(axis=1)).pvalue > 1e-3
+            if m == 1:  # one path has no spread
+                assert not m2[k - 1].any()
+            else:
+                assert stats.ks_2samp(m2[k - 1],
+                                      m * rows.var(axis=1)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("m", [2, 3, 12])
+    def test_one_step_means(self, m):
+        # E[S'] = c S and E[M2'] = c^2 M2 + s^2 (m - 1), each to within 5
+        # standard errors: Var S' = m s^2 and, with a, b ~ N(0, 1) and
+        # X ~ chi^2(m - 2), Var M2' = 4 c^2 M2 s^2 + 2 s^4 (m - 1).
+        n, rate, dt = 200_000, 1.0, 0.5
+        start = self.start(m)
+        total, m2 = self.chain(m, 94, rate, dt, (1, n))
+        c = math.exp(-rate * dt)
+        s2, m2_0 = 1.0 - c * c, m * start.var()
+        assert abs(total.mean() - c * start.sum()) < 5.0 * math.sqrt(
+            m * s2 / n)
+        se = math.sqrt((4.0 * c * c * m2_0 * s2 + 2.0 * s2 * s2 * (m - 1))
+                       / n)
+        assert abs(m2.mean() - (c * c * m2_0 + s2 * (m - 1))) < 5.0 * se

@@ -353,3 +353,12 @@ class TestKsCritical:
     def test_shrinks_with_sample_size(self):
         assert ks_critical(400) == pytest.approx(ks_critical(100) / 2.0,
                                                  rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 100, 100000])
+    def test_default_significance_is_one_in_a_thousand(self, n):
+        # sqrt(ln(2 / alpha) / 2) at alpha = 1e-3 is 1.9495; at 1e-2 it
+        # would be 1.6276.
+        want = math.sqrt(math.log(2.0 / 1e-3) / 2.0) / math.sqrt(n)
+        assert ks_critical(n) == pytest.approx(want, rel=1e-14)
+        assert ks_critical(n) * math.sqrt(n) == pytest.approx(1.9495,
+                                                              abs=1e-4)
