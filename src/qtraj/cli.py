@@ -49,7 +49,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 
-N_SAVED_PATHS = 10
 N_MARGINAL_POINTS = 201
 N_BORN_BINS = 100
 SWEEP_X1 = (0.5, 1.0, 2.0, 4.0, 6.0)
@@ -267,19 +266,13 @@ def cmd_run(sc: ScenarioFile, out_dir: Path, threads: int) -> None:
         raise ScenarioError(f"run needs at least 2 trajectories for its "
                             f"variances, got {sc.trajectories}")
     names = _marginal_axes(state)
-    # Per coordinate and grid time: sum and sum of squares, in chunk order.
-    totals = np.zeros((len(names), len(grid), 2))
-    for lo, _, tallies in sde_engine.iter_chunks(
-            state, amp, sc.trajectories, sc.seed, threads,
-            _keep=N_SAVED_PATHS):
-        totals += [t[:, :2] for t in tallies]
-        if lo == 0:
-            saved = [t[:, 2:] for t in tallies]
+    totals, saved = sde_engine.grid_sums(state, amp, sc.trajectories,
+                                         sc.seed, threads)
 
     def traj_rows():
-        for i in range(saved[0].shape[1]):
+        for i in range(saved.shape[2]):
             for j, t in enumerate(grid):
-                yield (i, t) + tuple(a[j, i] for a in saved)
+                yield (i, t) + tuple(saved[:, j, i])
 
     fields = _comment_fields(sc)
     _write_csv(out_dir, "trajectories.csv", fields,

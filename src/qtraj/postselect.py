@@ -91,12 +91,6 @@ class UncertaintyProduct:
     var_p: MomentEstimate
 
 
-def _require_samples(n: int) -> None:
-    if n < MIN_SAMPLES:
-        raise TooFewSamples(
-            f"{n} samples in branch; need at least {MIN_SAMPLES}")
-
-
 def _batch_se(batch_values) -> float:
     """Standard error of a mean from its ``N_BATCHES`` batch values."""
     return float(np.std(batch_values, ddof=1)) / math.sqrt(N_BATCHES)
@@ -141,7 +135,9 @@ class _Tally:
         """``(estimates, batch_means)``: each column's MomentEstimate, its
         variance less ``correction``, and its mean in each batch (a row
         per batch).  TooFewSamples below 100 records or 2 in a batch."""
-        _require_samples(self.n)
+        if self.n < MIN_SAMPLES:
+            raise TooFewSamples(
+                f"{self.n} samples in branch; need at least {MIN_SAMPLES}")
         if self.counts.min() < 2:
             raise TooFewSamples(f"a batch holds {self.counts.min()} "
                                 f"samples; need at least 2")

@@ -76,9 +76,6 @@ class RngStream:
                                      spawn_key=(self.stream_index & _MASK64,))
         return np.random.Generator(np.random.SFC64(seq))
 
-    def child(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, (self.stream_index + offset) & _MASK64)
-
 
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RngStream):

@@ -15,11 +15,10 @@ share one path: :func:`path_densities` builds what a run samples, one
 chunk kernel draws it in three stages (1, the amplified coordinates at
 t_final; 2, their backward relaxation; 3, the conjugates at t = 0 and
 their forward relaxation), and :func:`iter_chunks` schedules the chunks
-for the Python API and ``run`` (all stages), ``born`` (stage 1 only),
-``postselect`` and ``collapse`` (stages 1 and 2, selected block by
-block).  The Python API stores whole paths; ``run`` relaxes only chunk
-0's first ``cli.N_SAVED_PATHS`` paths and draws each coordinate's
-per-time sums over the other paths from their exact law.
+for the Python API (all stages), ``born`` (stage 1 only), ``run``,
+``postselect`` and ``collapse`` (all at one step, the last two through
+stage 2, selected block by block).  The Python API stores whole paths;
+``run`` reads each coordinate's first-drawn column (:func:`grid_sums`).
 
 Work is split into fixed-size chunks, each drawing from its own named
 stream keyed by (seed, chunk index).  Results are therefore
@@ -35,8 +34,8 @@ import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, replace
+from itertools import cycle, islice
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -48,6 +47,8 @@ from .core import (AmplifierSpec, ModeSpec, ScenarioError, SuperpositionSpec,
 from .sampler import RngStream, sample_fringe_density
 
 CHUNK = 8192
+N_SAVED_PATHS = 10  # paths ``run`` relaxes over its grid and writes whole
+_GRID_STREAM = 2 ** 32  # ``run``'s stream past its chunks, which stay below
 
 _BOUNDARY_METHODS = ("direct", "wigner")
 
@@ -112,15 +113,14 @@ def _kernel(rate: float, dt: float) -> Tuple[float, float]:
     return c, math.sqrt(1.0 - c * c)
 
 
-def sums_chain(start, rate: float, dt: float, rng, shape) -> np.ndarray:
-    """Per-step sum and centred sum of squares of paths relaxed from ``start``.
+def sums_chain(total, m2, m: int, rate, dt, rng, shape) -> np.ndarray:
+    """Per-step sum S and centred sum of squares M2 of m relaxing paths.
 
-    Exact in law for m paths: S' = c S + s sqrt(m) a, M2' = (c sqrt(M2) +
-    s b)^2 + s^2 X, a, b ~ N(0, 1), X ~ chi^2(m - 2), drawing only what m
-    needs.  Shape (2,) + ``shape``: ``shape[0]`` steps, then replicas.
+    From S = ``total``, M2 = ``m2``, exact in law: S' = c S + s sqrt(m) a,
+    M2' = (c sqrt(M2) + s b)^2 + s^2 X, a, b ~ N(0, 1), X ~ chi^2(m - 2),
+    drawing only what m needs.  Shape (2,) + ``shape``: steps, replicas.
     """
     c, s = _kernel(rate, dt)
-    m, total, m2 = start.size, start.sum(), start.var() * start.size
     a = rng.standard_normal(shape)
     b = rng.standard_normal(shape) if m > 1 else np.zeros(shape)
     x = rng.chisquare(m - 2, shape) if m > 2 else np.zeros(shape)
@@ -175,8 +175,8 @@ def path_densities(spec, amp: AmplifierSpec, boundary_method: str = "direct"
 
 
 def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
-                chunk_id: int, size: int, through: int = 3,
-                keep: Optional[int] = None) -> Tuple[np.ndarray, ...]:
+                chunk_id: int, size: int, through: int = 3
+                ) -> Tuple[np.ndarray, ...]:
     """One chunk of paths: (x, p) of each mode in mode order.
 
     Draw order, in stages: 1, the amplified coordinates at the final
@@ -186,34 +186,18 @@ def _path_chunk(dens: PathDensities, amp: AmplifierSpec, seed: int,
     under any scheduling, and stopped after stage ``through`` < 3 it
     returns the full chunk's amplified coordinates alone, in mode order:
     their (size, 1) t_final column at stage 1, their paths at stage 2.
-
-    With ``keep`` set, each coordinate relaxes its first min(keep, size)
-    paths, draws the others' per-time sums from :func:`sums_chain` and
-    returns per grid time the chunk's sum, sum of squares and kept values,
-    an (n_steps + 1, 2 + min(keep, size)) array; row 0 sums the whole
-    drawn column (t_final or t = 0).
     """
     rng = RngStream(int(seed), chunk_id).generator()
     modes = dens.boundary.ndim
     rate, dt = abs(amp.gain_rate_g), amp.t_final / amp.n_steps
-    k = size if keep is None else min(keep, size)  # paths relaxed
     ends = sample_fringe_density(dens.boundary, rng, size).reshape(size, -1)
     if through == 1:
         return tuple(np.hsplit(ends, modes))
 
     def fill(start, step):  # step -1 relaxes backward from the last row
-        out = np.empty((amp.n_steps + 1, k))  # returned as .T
-        relax(out[::step], start[:k], rate, dt, rng)
-        if keep is None:
-            return out.T
-        tally = np.column_stack((out.sum(axis=1),
-                                 np.einsum("ij,ij->i", out, out), out))
-        col = np.array(start)  # the whole drawn column, contiguous
-        tally[::step][0, :2] = col.sum(), np.einsum("i,i->", col, col)
-        if k < size:  # the other paths' sums, from their exact law
-            sm, m2 = sums_chain(col[k:], rate, dt, rng, (amp.n_steps,))
-            tally[::step][1:, :2] += np.c_[sm, m2 + sm * sm / (size - k)]
-        return tally
+        out = np.empty((amp.n_steps + 1, size))  # returned as .T
+        relax(out[::step], start, rate, dt, rng)
+        return out.T
 
     amplified = [fill(end, -1) for end in ends.T]
     if through == 2:
@@ -268,35 +252,28 @@ def _check_count(value, name: str) -> int:
 def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
                 threads: Optional[int] = None,
                 boundary_method: str = "direct",
-                stream_offset: int = 0, _through: int = 3,
-                _keep: Optional[int] = None
+                stream_offset: int = 0, _through: int = 3
                 ) -> Iterator[Tuple[int, int, Tuple[np.ndarray, ...]]]:
     """Yield ``(lo, hi, paths)`` for every chunk of a run, in chunk order.
 
     Chunk i holds trajectories lo:hi and draws from stream
     ``stream_offset + i``; ``_through`` < 3 stops it after that stage of
-    :func:`_path_chunk` (1 for ``born``, 2 for sign selection), and with
-    ``_keep`` set each coordinate's per-time tallies and (chunk 0 only)
-    first ``_keep`` paths replace its paths (``run``).  At most
+    :func:`_path_chunk` (1 for ``born``, 2 for sign selection).  At most
     ``threads`` chunks are in flight; a new one is submitted as soon as
     the oldest has been consumed.  Chunks are always yielded in index
     order, so any reduction over them is bitwise independent of the
     thread count.  A consumer that drops its chunk before asking for the
     next keeps at most ``threads`` chunks alive.  A bad ``n_traj`` or
-    (spec, amp) pairing is refused when the first chunk is asked for,
-    before any draw.
+    (spec, amp) pairing is refused at the first chunk, before any draw.
     """
     n_traj = _check_count(n_traj, "n_traj")
     dens = path_densities(spec, amp, boundary_method)
 
     def call(cid):
         lo, hi = chunk_bounds(n_traj, cid)
-        # A tally holds no paths, so it bypasses the traced name; that
-        # name is looked up per call, so a wrapper around it sees each chunk.
-        chunk = single_mode_chunk if _keep is None else _path_chunk
-        keep = _keep if _keep is None or cid == 0 else 0
-        return lo, hi, chunk(dens, amp, seed, stream_offset + cid, hi - lo,
-                             _through, keep)
+        # The traced name is looked up per call, so a wrapper sees each chunk.
+        return lo, hi, single_mode_chunk(dens, amp, seed, stream_offset + cid,
+                                         hi - lo, _through)
 
     ids = iter(range(n_chunks(n_traj)))
     threads = resolve_threads(threads)
@@ -309,6 +286,43 @@ def iter_chunks(spec, amp: AmplifierSpec, n_traj: int, seed: int,
             yield pending.popleft().result()
             for cid in islice(ids, 1):
                 pending.append(pool.submit(call, cid))
+
+
+def grid_sums(spec, amp: AmplifierSpec, n_traj: int, seed: int,
+              threads: Optional[int] = None) -> Tuple[np.ndarray, ...]:
+    """``run``'s sums and sums of squares per grid time, and saved paths.
+
+    One-step chunks give each coordinate's first-drawn column (t_final
+    amplified, t = 0 conjugate), summed bitwise in chunk order.  From
+    stream ``_GRID_STREAM`` its first k = min(``N_SAVED_PATHS``, n_traj)
+    values relax over the grid and :func:`sums_chain` moves the other
+    m = n_traj - k paths' sums.  Shapes (coordinates, n_steps + 1, 2 | k).
+    """
+    steps = (-1, 1) if amp.gain_rate_g > 0.0 else (1, -1)  # -1: backward
+    ends = []
+    for lo, _, chunk in iter_chunks(spec, replace(amp, n_steps=1), n_traj,
+                                    seed, threads):
+        cols = [np.array(a[:, ::step][:, 0])  # a contiguous copy
+                for a, step in zip(chunk, cycle(steps))]
+        ends.append([(c.sum(), np.einsum("i,i->", c, c)) for c in cols])
+        if lo == 0:
+            starts = [c[:N_SAVED_PATHS] for c in cols]
+    rng = RngStream(int(seed), _GRID_STREAM).generator()
+    rate, dt = abs(amp.gain_rate_g), amp.t_final / amp.n_steps
+    saved = np.empty((len(starts), amp.n_steps + 1, len(starts[0])))
+    sums, m = np.empty(saved.shape[:2] + (2,)), n_traj - saved.shape[2]
+    for start, (total, sq), step, paths, out in zip(
+            starts, sum(map(np.array, ends)), cycle(steps), saved, sums):
+        relax(paths[::step], start, rate, dt, rng)
+        out[:] = np.c_[paths.sum(axis=1), np.einsum("ij,ij->i", paths, paths)]
+        out = out[::step]
+        out[0] = total, sq
+        rest, sq = total - start.sum(), sq - np.einsum("i,i->", start, start)
+        if m:  # the other paths' sums, exact in law; one path has M2 = 0
+            m2 = max(sq - rest * rest / m, 0.0) if m > 1 else 0.0
+            sm, m2 = sums_chain(rest, m2, m, rate, dt, rng, (amp.n_steps,))
+            out[1:] += np.c_[sm, m2 + sm * sm / m]
+    return sums, saved
 
 
 def _simulate(spec, amp: AmplifierSpec, n_traj: int, seed: int,

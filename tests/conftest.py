@@ -8,6 +8,7 @@ being tuned to any particular draw.
 import numpy as np
 
 from qtraj.postselect import PostselectedEnsemble, _select_by_sign
+from qtraj.sde_engine import N_SAVED_PATHS, iter_chunks
 
 SUITE_SEED = 20210905
 
@@ -24,6 +25,21 @@ def gathered_selection(spec, amp, n, seed, threads, stream_offset=0):
         branches.append(PostselectedEnsemble(
             branch, np.concatenate([p.x0 for p in parts]), None, *cols))
     return (*branches, sum(block[4] for block in blocks))
+
+
+def stage1_sums(spec, amp, n, seed):
+    """``(sums, first)`` of the amplified t_final draws of a run, in mode
+    order: each coordinate's (sum, sum of squares), taken over a
+    contiguous copy per chunk and added in chunk order, and its first
+    ``N_SAVED_PATHS`` values."""
+    sums = 0.0
+    for lo, _, chunk in iter_chunks(spec, amp, n, seed, 1, _through=1):
+        cols = [np.array(end[:, 0]) for end in chunk]
+        sums = sums + np.array([(c.sum(), np.einsum("i,i->", c, c))
+                                for c in cols])
+        if lo == 0:
+            first = [c[:N_SAVED_PATHS] for c in cols]
+    return sums, first
 
 
 def gl_nodes(lo: float, hi: float, n: int):

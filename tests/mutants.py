@@ -46,6 +46,9 @@ class Mutant(NamedTuple):
 
 
 CHAIN_TESTS = ("tests/test_sde_engine.py::TestSumsChain",)
+RUN_TESTS = ("tests/test_cli.py::TestCmdRun::"
+             "test_tallies_write_the_values_of_whole_paths",
+             "tests/test_cli.py::TestRunLaw")
 CATALOGUE = (
     Mutant("chain_chi2_dropped", "src/qtraj/sde_engine.py",
            "m2 = (c * m2 ** 0.5 + s * b[j]) ** 2 + s * s * x[j]",
@@ -64,9 +67,22 @@ CATALOGUE = (
     Mutant("run_var_over_n", "src/qtraj/cli.py",
            "variances = (totals[:, :, 1] - n * means * means) / (n - 1)",
            "variances = (totals[:, :, 1] - n * means * means) / n",
-           "run's variances lose Bessel's correction",
-           ("tests/test_cli.py::TestCmdRun::"
-            "test_tallies_write_the_values_of_whole_paths",)),
+           "run's variances lose Bessel's correction", RUN_TESTS[:1]),
+    Mutant("run_relaxed_forward", "src/qtraj/sde_engine.py",
+           "relax(paths[::step], start, rate, dt, rng)",
+           "relax(paths, start, rate, dt, rng)",
+           "run's saved amplified paths relax forward from their t_final "
+           "value", RUN_TESTS),
+    Mutant("run_chain_keeps_saved", "src/qtraj/sde_engine.py",
+           'rest, sq = total - start.sum(), sq - np.einsum("i,i->", start, '
+           'start)', "rest, sq = total, sq",
+           "run's chain starts from all n paths, the saved ones counted "
+           "twice", RUN_TESTS),
+    Mutant("run_chain_over_n", "src/qtraj/sde_engine.py",
+           "sums_chain(rest, m2, m, rate, dt, rng, (amp.n_steps,))",
+           "sums_chain(rest, m2, n_traj, rate, dt, rng, (amp.n_steps,))",
+           "run's chain moves n paths' sums where m = n - 10 are left",
+           RUN_TESTS),
     Mutant("loops_reuse_chunk_streams", "src/qtraj/cli.py",
            "rng = RngStream(sc.seed, base + _STREAM_BLOCK // 2 + j)",
            "rng = RngStream(sc.seed, base + j)",

@@ -22,14 +22,14 @@ import pytest
 
 import digest_outputs
 import traffic_map
-from qtraj.analytic import (born_p, born_x, marginal_x,
-                            variances_postselected_analytic)
+from conftest import stage1_sums
+from qtraj.analytic import (born_p, born_x, marginal_x, q_single_mode,
+                            two_mode_q, variances_postselected_analytic)
 from qtraj.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
     N_BORN_BINS,
-    N_SAVED_PATHS,
     SWEEP_X1,
     ScenarioFileError,
     _KEYS,
@@ -44,8 +44,9 @@ from qtraj.cli import (
 from qtraj.core import AmplifierSpec, ModeSpec, SuperpositionSpec, TwoModeSpec
 from qtraj.postselect import bin_by_sign, meter_sign_agreement
 from qtraj.sampler import RngStream
-from qtraj.sde_engine import (CHUNK, iter_chunks, n_chunks,
-                               simulate_single_mode, simulate_two_mode)
+from qtraj.sde_engine import (CHUNK, N_SAVED_PATHS, grid_sums, iter_chunks,
+                               n_chunks, simulate_single_mode,
+                               simulate_two_mode)
 from qtraj.stats import (bin_z_scores, compare_density, histogram, ks_critical,
                          ks_statistic)
 
@@ -551,12 +552,11 @@ class TestCmdRun:
     @pytest.mark.parametrize("kind", ["x", "p", "two_mode"])
     def test_tallies_write_the_values_of_whole_paths(self, tmp_path, kind,
                                                      n, threads):
-        # The values a run wrote when each chunk's whole paths were
-        # reduced: block sums and einsum over iter_chunks' paths, added
-        # in chunk order, and the first N_SAVED_PATHS paths of chunk 0.
-        # Above N_SAVED_PATHS the other paths' sums come from their exact
-        # law, so only the amplified coordinates' t_final values, drawn
-        # before any relaxation, are still those of whole paths.
+        # Up to N_SAVED_PATHS trajectories every summary row is the saved
+        # paths' mean and variance.  Above it the other paths' sums come
+        # from their exact law, so only the amplified coordinates' t_final
+        # values, drawn before any relaxation, are still those of the
+        # stage-1 ends: their sums, added in chunk order, and first values.
         text = {"x": SUPERPOSITION.format(gtf=1.0, n_steps=3, n=n, seed=SEED),
                 "p": SUPERPOSITION.format(gtf=1.0, n_steps=3, n=n, seed=SEED)
                 .replace("amp.g = 1.0\namp.gtf = 1.0",
@@ -569,52 +569,49 @@ class TestCmdRun:
                      "--threads", str(threads)]) == EXIT_OK
         sc = load_scenario(str(path))
         state, amp = build_state(sc)
-        total = total_sq = 0.0
-        for lo, _, arrays in iter_chunks(state, amp, n, SEED, 1):
-            total = total + np.array([a.sum(axis=0) for a in arrays])
-            total_sq = total_sq + np.array(
-                [np.einsum("ij,ij->j", a, a) for a in arrays])
-            if lo == 0:
-                saved = [a[:N_SAVED_PATHS].copy() for a in arrays]
-        mean = total / n
-        var = (total_sq - n * mean * mean) / (n - 1)
-        whole = n <= N_SAVED_PATHS
+        _, saved = grid_sums(state, amp, n, SEED, 1)
+        total = np.array([(p.sum(axis=1), np.einsum("ij,ij->i", p, p))
+                          for p in saved])
+        ends, first = stage1_sums(state, amp, n, SEED)
         amplified = {"x": ("x",), "p": ("p",),
                      "two_mode": ("x", "x_b")}[kind]
+
+        def moments(sums, squares):
+            mean = sums / n
+            return mean, (squares - n * mean * mean) / (n - 1)
+
         _, header, rows = read_csv(out / "summary.csv")
-        names = header[2:-2:2]
+        names = [h[len("mean_"):] for h in header[2:-2:2]]
         assert len(names) == len(saved) == (4 if kind == "two_mode" else 2)
-        for i, name in enumerate(h[len("mean_"):] for h in names):
+        for i, name in enumerate(names):
             got_mean = column(header, rows, f"mean_{name}", str)
             got_var = column(header, rows, f"var_{name}", str)
-            if whole:
-                assert got_mean == [_fmt(v) for v in mean[i]]
-                assert got_var == [_fmt(v) for v in var[i]]
-                continue
+            if n <= N_SAVED_PATHS:
+                mean, var = moments(*total[i])
+                assert got_mean == [_fmt(v) for v in mean]
+                assert got_var == [_fmt(v) for v in var]
             if name in amplified:
-                assert got_mean[-1] == _fmt(mean[i][-1])
-                assert got_var[-1] == _fmt(var[i][-1])
-                got_var = got_var[:-1]
+                mean, var = moments(*ends[amplified.index(name)])
+                assert got_mean[-1] == _fmt(mean)
+                assert got_var[-1] == _fmt(var)
             assert np.isfinite([float(v) for v in got_mean]).all()
             assert all(0.0 <= float(v) < math.inf for v in got_var)
         _, header, rows = read_csv(out / "trajectories.csv")
         assert len(rows) == min(n, N_SAVED_PATHS) * (amp.n_steps + 1)
         for i, name in enumerate(header[2:]):
             got = column(header, rows, name, str)
-            assert np.isfinite([float(v) for v in got]).all()
-            if whole:
-                assert got == [_fmt(v) for v in saved[i].ravel()]
-            elif name in amplified:
+            assert got == [_fmt(v) for v in saved[i].T.ravel()]
+            if name in amplified:
                 assert got[amp.n_steps::amp.n_steps + 1] \
-                    == [_fmt(v) for v in saved[i][:, -1]]
+                    == [_fmt(v) for v in first[amplified.index(name)]]
 
     @pytest.mark.parametrize("n", [2, 3, 11, 12, CHUNK + 1, CHUNK + 2,
                                    CHUNK + 37])
     def test_edge_counts_write_finite_variances(self, tmp_path, n):
-        # Chunk 0 keeps N_SAVED_PATHS paths and draws the sums of the
-        # other 0, 0, 1 and 2 from their law; a later chunk keeps none and
-        # draws those of 1, 2 and 37.  Reruns and 3 threads write the
-        # same bytes.
+        # The run saves N_SAVED_PATHS paths and draws the sums of the
+        # other 0, 0, 1 and 2 from their law; the last three end on a
+        # chunk of 1, 2 and 37 trajectories.  Reruns and 3 threads write
+        # the same bytes.
         path = write_scenario(tmp_path, TWO_MODE.format(x1b=2.0, n=n,
                                                         seed=SEED)
                               .replace("amp.n_steps = 1", "amp.n_steps = 3"))
@@ -680,6 +677,44 @@ class TestCmdRun:
         _, mheader, mrows = read_csv(out / "marginals.csv")
         axes = set(column(mheader, mrows, "axis", str))
         assert axes == {"x", "p", "x_b", "p_b"}
+
+
+class TestRunLaw:
+    """``run``'s summary.csv against the closed-form moments, whole pipeline.
+
+    Each shipped scenario runs at ``N`` trajectories and ``STEPS`` steps
+    under ``SEEDS`` seeds.  At every grid time, the seeds' average of each
+    ``mean_*`` and ``var_*`` cell is held to ``joint.moments`` within 5
+    standard errors of that average, taken from the seeds' spread.
+    """
+
+    N, STEPS, SEEDS = 24, 10, 50
+
+    @pytest.mark.parametrize("name", ["fig_sup", "fig_entmeter1"])
+    def test_summary_holds_the_closed_form_moments(self, tmp_path, name):
+        text = (resources.files("qtraj") / "scenarios" / f"{name}.scenario"
+                ).read_text(encoding="utf-8")
+        path = write_scenario(tmp_path, re.sub(
+            r"amp\.n_steps = \d+", f"amp.n_steps = {self.STEPS}", text))
+        cells = []
+        for seed in range(SEED, SEED + self.SEEDS):
+            out = tmp_path / str(seed)
+            assert main(["run", "--scenario", str(path), "--out", str(out),
+                         "--trajectories", str(self.N),
+                         "--seed", str(seed)]) == EXIT_OK
+            _, header, rows = read_csv(out / "summary.csv")
+            cells.append([[float(v) for v in row[2:-2]] for row in rows])
+        cells = np.array(cells)  # (seed, grid time, mean and var of each)
+        state, amp = build_state(load_scenario(str(path)))
+        law = two_mode_q if isinstance(state, TwoModeSpec) else q_single_mode
+        want = np.array([[m for axis in range(cells.shape[2] // 2)
+                          for m in law(state, amp, t).moments(axis)]
+                         for t in amp.grid])
+        se = cells.std(axis=0, ddof=1) / math.sqrt(self.SEEDS)
+        z = (cells.mean(axis=0) - want) / se
+        assert cells.shape == (self.SEEDS, self.STEPS + 1, len(want[0]))
+        assert np.abs(z).max() < 5.0, np.unravel_index(np.abs(z).argmax(),
+                                                       z.shape)
 
 
 @pytest.fixture(scope="module")
@@ -1229,7 +1264,8 @@ class TestTrafficMap:
 class TestStreamLedger:
     """Every (seed, stream index) ``run`` and ``postselect`` draw from.
 
-    The documented layout: chunk i of a phase at ``base + i``, and
+    The documented layout: chunk i of a phase at ``base + i``, ``run``'s
+    saved paths and per-time sums at the one index 2**32, and
     ``postselect``'s loops of block j at ``base + 2**31 + j``, with
     separation k of the sweep at ``base = 2 * k * 2**32``.  No pair is
     drawn twice, and the thread count does not change the set.
@@ -1258,7 +1294,7 @@ class TestStreamLedger:
         seed = load_scenario("fig_condvar").seed
         chunks = range(n_chunks(self.N))
         if cmd == "run":
-            want = {(seed, i) for i in chunks}
+            want = {(seed, i) for i in chunks} | {(seed, 2**32)}
         else:
             x1 = load_scenario("fig_condvar").x1
             want = set()

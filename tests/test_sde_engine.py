@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import SUITE_SEED, gathered_selection, variance_batch_se
+from conftest import (SUITE_SEED, gathered_selection, stage1_sums,
+                      variance_batch_se)
 from qtraj.analytic import fbc_from_wigner, marginal_p, marginal_x, two_mode_q
 from qtraj.core import (
     AmplifierSpec,
@@ -31,10 +32,12 @@ from qtraj.postselect import bin_by_sign
 from qtraj.sampler import RngStream
 from qtraj.sde_engine import (
     CHUNK,
+    N_SAVED_PATHS,
     TrajectoryEnsemble,
     _path_chunk,
     _simulate,
     chunk_bounds,
+    grid_sums,
     n_chunks,
     path_densities,
     relax,
@@ -523,46 +526,41 @@ class TestStagePrefix:
 
 
 class TestTalliedChunk:
-    """A tallied chunk holds, per grid time, its paths' sums and squares.
+    """``grid_sums`` tallies ``run``'s one-step chunks per grid time.
 
-    Up to ``keep`` paths they are bitwise the stored paths' reductions.
-    Above it the other paths' sums come from their exact law, so only
-    what is drawn before any relaxation stays bitwise: the amplified
-    coordinates' t_final sums and the saved paths' t_final values.
+    Up to ``N_SAVED_PATHS`` trajectories every row is bitwise the saved
+    paths' reductions.  Above it the other paths' sums come from their
+    exact law, so only what the chunks draw before any relaxation stays
+    bitwise: the amplified coordinates' t_final sums, those of the
+    stage-1 ends in chunk order, and the saved paths' t_final values.
     """
 
     RUNS = TestStagePrefix.RUNS
 
-    @pytest.mark.parametrize("size", [1, 5, 37, CHUNK])
-    @pytest.mark.parametrize("through", [2, 3])
+    @pytest.mark.parametrize("n", [1, 5, 37, CHUNK])
+    @pytest.mark.parametrize("n_steps", [2, 3])
     @pytest.mark.parametrize("mode", sorted(RUNS))
-    def test_tallies_are_the_stored_paths_reductions(self, mode, through,
-                                                     size):
+    def test_tallies_are_the_stored_paths_reductions(self, mode, n_steps,
+                                                     n):
         spec, rate = self.RUNS[mode]
-        amp = AmplifierSpec(rate, 1.5, 6)
-        dens = path_densities(spec, amp)
-        paths = _path_chunk(dens, amp, SUITE_SEED + 64, 3, size, through)
-        tallies = _path_chunk(dens, amp, SUITE_SEED + 64, 3, size, through,
-                              keep=10)
-        assert len(tallies) == len(paths)
-        amplified = (range(len(paths)) if through == 2
-                     else range(rate < 0.0, len(paths), 2))
-        for i, (tally, path) in enumerate(zip(tallies, paths)):
-            assert tally.shape == (amp.n_steps + 1, 2 + min(10, size))
-            if size <= 10:
-                np.testing.assert_array_equal(tally[:, 0], path.sum(axis=0))
+        amp = AmplifierSpec(rate, 1.5, n_steps)
+        sums, saved = grid_sums(spec, amp, n, SUITE_SEED + 64, 1)
+        k = min(n, N_SAVED_PATHS)
+        assert sums.shape == (len(saved), n_steps + 1, 2)
+        assert saved.shape == (len(saved), n_steps + 1, k)
+        if n <= N_SAVED_PATHS:
+            for tally, paths in zip(sums, saved):
+                np.testing.assert_array_equal(tally[:, 0], paths.sum(axis=1))
                 np.testing.assert_array_equal(
-                    tally[:, 1], np.einsum("ij,ij->j", path, path))
-                np.testing.assert_array_equal(tally[:, 2:], path[:10].T)
-                continue
-            rows = slice(None)
-            if i in amplified:  # the t_final row is drawn before relaxing
-                assert tally[-1, 0] == path.sum(axis=0)[-1]
-                assert tally[-1, 1] == np.einsum("ij,ij->j", path, path)[-1]
-                np.testing.assert_array_equal(tally[-1, 2:], path[:10, -1])
-                rows = slice(None, -1)
-            assert np.isfinite(tally).all()
-            assert (tally[rows, 1] - tally[rows, 0] ** 2 / size >= 0.0).all()
+                    tally[:, 1], np.einsum("ij,ij->i", paths, paths))
+        ends, first = stage1_sums(spec, amp, n, SUITE_SEED + 64)
+        amplified = range(rate < 0.0, len(saved), 2)
+        assert len(amplified) == len(ends) == len(first)
+        for i, end, values in zip(amplified, ends, first):
+            np.testing.assert_array_equal(sums[i, -1], end)
+            np.testing.assert_array_equal(saved[i, -1], values)
+        assert np.isfinite(sums).all() and np.isfinite(saved).all()
+        assert (sums[:, :, 1] - sums[:, :, 0] ** 2 / n >= 0.0).all()
 
 
 class TestSumsChain:
@@ -583,7 +581,8 @@ class TestSumsChain:
         return row * 3.0 / math.sqrt(m)
 
     def chain(self, m, stream, rate=RATE, dt=DT, shape=None):
-        return sums_chain(self.start(m), rate, dt,
+        start = self.start(m)
+        return sums_chain(start.sum(), m * start.var(), m, rate, dt,
                           RngStream(SUITE_SEED, stream).generator(),
                           shape or (max(self.STEPS), self.REPLICAS))
 
